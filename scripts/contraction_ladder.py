@@ -10,6 +10,7 @@ import argparse
 from pathlib import Path
 
 from crossdiff.harness import ExperimentConfig, SuiteContext
+from crossdiff.solver import DivergedError
 
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
 
@@ -33,7 +34,7 @@ def main():
             _, rep = ctx.picard(delta)
             rows.append((delta, rep.theta_hat, rep.iterates, rep.converged))
             print(f"{delta:>8g} {rep.theta_hat:>10.4g} {rep.iterates:>6d} {str(rep.converged):>10}")
-        except Exception as exc:  # oversized delta may legitimately blow up
+        except DivergedError as exc:  # oversized delta may legitimately blow up
             rows.append((delta, float("nan"), 0, False))
             print(f"{delta:>8g} {'-':>10} {'-':>6} {'diverged':>10}  ({exc})")
     with open(args.out / "ladder.csv", "w") as fh:

@@ -39,7 +39,7 @@ _OVERRIDES = [
     ("coefficients", _floats), ("closeness-threshold", float),
     ("generator", str), ("kmax", int), ("smoothing", float), ("amplitude", float),
     ("t-end", float), ("levels", int), ("steps-per-level", int),
-    ("scheme", str), ("tol", float), ("max-iter", int), ("dt-factor", float),
+    ("scheme", str), ("tol", float), ("max-iter", int),
     ("metric", str), ("p", float), ("radii-per-octave", int), ("centers-stride", int),
     ("stability-pairs", int), ("sweep-samples", int),
     ("contraction-deltas", _floats), ("output-dir", str),
@@ -90,8 +90,7 @@ def cmd_solve(args) -> int:
     h = generate_initial_data(cfg.initial_spec(), grid, cfg.d, model.delta)
     t0 = time.perf_counter()
     if cfg.scheme == "imex":
-        traj = imex_solve(h, model, tg, truncated=cfg.truncated,
-                          dt=cfg.dt_factor * grid.spacing**2)
+        traj = imex_solve(h, model, tg, truncated=cfg.truncated)
     elif cfg.scheme == "picard":
         traj, report = picard_solve(h, model, tg, tol=cfg.tol, max_iter=cfg.max_iter,
                                     truncated=cfg.truncated, metric=cfg.metric, p=cfg.p)

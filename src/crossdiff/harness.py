@@ -75,7 +75,7 @@ _SECTIONS = {
     "model": ["d", "coefficients", "delta", "closeness_threshold"],
     "initial": ["generator", "seed", "kmax", "smoothing", "amplitude"],
     "time": ["t_end", "levels", "steps_per_level"],
-    "solver": ["scheme", "truncated", "tol", "max_iter", "dt_factor", "metric"],
+    "solver": ["scheme", "truncated", "tol", "max_iter", "metric"],
     "norms": ["p", "radii_per_octave", "centers_stride"],
     "suite": ["stability_pairs", "sweep_samples", "contraction_deltas", "refine"],
     "output": ["output_dir"],
@@ -86,7 +86,7 @@ _PARSERS = {
     "steps_per_level": int, "max_iter": int, "radii_per_octave": int,
     "stability_pairs": int, "sweep_samples": int,
     "delta": float, "closeness_threshold": float, "smoothing": float,
-    "amplitude": float, "t_end": float, "tol": float, "dt_factor": float,
+    "amplitude": float, "t_end": float, "tol": float,
     "generator": str, "scheme": str, "metric": str, "output_dir": str,
     "truncated": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "refine": lambda s: s.lower() in ("1", "true", "yes", "on"),
@@ -119,7 +119,6 @@ class ExperimentConfig:
     truncated: bool = True
     tol: float = 1e-12
     max_iter: int = 30
-    dt_factor: float = 0.25
     metric: str = "xp"
     p: float | None = None
     radii_per_octave: int = 2
@@ -448,12 +447,16 @@ class SuiteContext:
         return self._picard[delta]
 
     def imex(self, delta: float, refine: int = 1):
+        """The reference solve with every segment of the suite grid split into
+        `refine` equal steps, sampled at the suite grid's nodes."""
         key = (delta, refine)
         if key not in self._imex:
-            h = self.datum(delta)
-            dt = self.config.dt_factor * self.grid.spacing**2 / refine
-            self._imex[key] = imex_solve(h, self.model(delta), self.tg,
-                                         truncated=self.config.truncated, dt=dt)
+            cfg = self.config
+            fine = TimeGrid.dyadic(cfg.t_end, cfg.levels, cfg.steps_per_level * refine)
+            if not np.array_equal(fine.times[::refine], self.tg.times):
+                raise ValueError(f"refine={refine} does not nest the suite time grid")
+            traj = imex_solve(self.datum(delta), self.model(delta), fine, truncated=cfg.truncated)
+            self._imex[key] = Trajectory(self.grid, self.tg, traj.values[::refine], traj.metadata)
         return self._imex[key]
 
 
@@ -724,8 +727,7 @@ def check_negative_controls(ctx: SuiteContext) -> list[Check]:
     asym[1, 0] = -1.0
     broken = ReducedModel(K=1.0, delta=delta, alpha=asym)
     h = ctx.datum(delta)
-    traj = imex_solve(h, broken, ctx.tg, truncated=ctx.config.truncated,
-                      dt=ctx.config.dt_factor * ctx.grid.spacing**2)
+    traj = imex_solve(h, broken, ctx.tg, truncated=ctx.config.truncated)
     dev = float(np.max(np.abs(traj.values.sum(axis=1) - delta)))
     return [make_check(
         "asymmetric-coupling injection breaks partition conservation", dev, 1e-4, ">",

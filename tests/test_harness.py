@@ -226,3 +226,19 @@ class TestSuite:
         a, _ = ctx.picard(0.05)
         b, _ = ctx.picard(0.05)
         assert a is b
+
+    def test_refined_reference_sampled_on_suite_grid(self):
+        ctx = SuiteContext(TINY)
+        fine = ctx.imex(0.05, refine=4)
+        assert fine.tg is ctx.tg
+        assert fine.metadata["dt"] < ctx.imex(0.05).metadata["dt"]
+
+
+class TestReference:
+    def test_self_convergence_at_suite_config(self):
+        # a tenth of the 1e-3 picard-vs-reference gate
+        ctx = SuiteContext(ExperimentConfig())
+        for delta in ctx.config.contraction_deltas:
+            coarse, fine = ctx.imex(delta, refine=4), ctx.imex(delta, refine=8)
+            rel = np.max(np.abs(coarse.values - fine.values)) / np.max(np.abs(fine.values))
+            assert rel <= 1e-4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crossdiff import solver
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import InitialDataSpec, generate_initial_data
 from crossdiff.model import ReducedModel, clamp_species
@@ -47,13 +48,18 @@ class TestImex:
         ref = heat_flow_trajectory(h, tg)
         assert np.max(np.abs(traj.values - ref.values)) < 1e-10
 
-    def test_first_order_self_convergence(self, small):
+    def test_second_order_self_convergence(self, small):
         grid, tg, model, h = small
-        dt0 = 0.25 * grid.spacing**2
-        ref = imex_solve(h, model, tg, dt=dt0 / 8)
-        e1 = np.max(np.abs(imex_solve(h, model, tg, dt=dt0).values - ref.values))
-        e2 = np.max(np.abs(imex_solve(h, model, tg, dt=dt0 / 2).values - ref.values))
-        assert 1.6 < e1 / e2 < 2.8
+
+        def solve(refine):
+            # split every segment, the initial layer included, into equal steps
+            fine = TimeGrid.dyadic(0.25, levels=6, steps_per_level=8 * refine)
+            return imex_solve(h, model, fine).values[::refine]
+
+        ref = solve(8)
+        e1 = np.max(np.abs(solve(1) - ref))
+        e2 = np.max(np.abs(solve(2) - ref))
+        assert 3.2 < e1 / e2 < 5
 
     def test_mass_and_partition_conserved(self, small):
         grid, tg, model, h = small
@@ -72,10 +78,17 @@ class TestImex:
         with pytest.raises(DivergedError, match="diverged"):
             imex_solve(big, wild, tg, truncated=False)
 
-    def test_oversized_dt_warns(self, small):
+    def test_nonfinite_state_diverges(self, small, monkeypatch):
         grid, tg, model, h = small
-        with pytest.warns(UserWarning, match="stability bound"):
-            imex_solve(h, model, TimeGrid.uniform(0.01, 4), dt=grid.spacing)
+        real = solver.from_coeffs
+        monkeypatch.setattr(solver, "from_coeffs", lambda c, g: real(c, g) * np.nan)
+        with pytest.raises(DivergedError, match="sup nan"):
+            imex_solve(h, model, tg)
+
+    def test_default_dt_is_one_step_per_segment(self, small):
+        grid, tg, model, h = small
+        traj = imex_solve(h, model, tg)
+        assert traj.metadata["dt"] == np.max(np.diff(tg.times))
 
     def test_invalid_dt(self, small):
         grid, tg, model, h = small
@@ -163,6 +176,13 @@ class TestPicard:
         _, report = picard_solve(h, model, tg, tol=1e-30, max_iter=3, metric="sup")
         assert not report.converged
         assert report.iterates == 3
+
+    def test_divergence_raises(self, small):
+        grid, tg, _, _ = small
+        h = generate_initial_data(InitialDataSpec("random-simplex", seed=3), grid, 3, 3.0)
+        wild = ReducedModel.from_alpha(ALPHA3, 3.0)
+        with pytest.raises(DivergedError, match="diverged"):
+            picard_solve(h, wild, tg, metric="sup", max_iter=40)
 
     def test_unknown_metric(self, small):
         grid, tg, model, h = small
