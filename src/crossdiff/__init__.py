@@ -6,17 +6,12 @@ __version__ = "0.1.0"
 from .fields import (
     GridSpec,
     ScalarField,
-    SpectralField,
     SpeciesVector,
-    dealias,
-    divergence,
-    gradient,
-    inverse_transform,
-    lp_norm,
     make_grid,
     random_band_limited,
     read_snapshot,
-    transform,
+    spectral_divergence,
+    spectral_gradient,
     write_snapshot,
 )
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
@@ -46,13 +41,10 @@ from .model import (
     NonlinearitySpec,
     RawCoefficients,
     ReducedModel,
-    clamp_species,
+    flux,
     flux_trajectory,
     lipschitz_probe,
-    nonlinearity,
     reduce_coefficients,
-    rescale_state,
-    unrescale_state,
 )
 from .solver import (
     ContractionReport,
@@ -60,7 +52,6 @@ from .solver import (
     apply_fixed_point_map,
     imex_solve,
     picard_solve,
-    stability_experiment,
 )
 from .harness import (
     Check,

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, SpeciesVector, derivative_symbol, from_coeffs, to_coeffs
+from .fields import (
+    GridSpec,
+    SpeciesVector,
+    derivative_symbol,
+    from_coeffs,
+    spectral_gradient,
+    to_coeffs,
+)
 from .semigroup import duhamel_solve
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory
 
@@ -199,10 +206,7 @@ def _scan_cylinders(
 
 def gradient_flux(traj: Trajectory) -> FluxTrajectory:
     """Spectral gradients of every species packaged as a flux trajectory."""
-    grid = traj.grid
-    chat = to_coeffs(traj.values, grid)
-    comps = [from_coeffs(derivative_symbol(grid, m) * chat, grid) for m in range(grid.n)]
-    return FluxTrajectory(grid, traj.tg, np.stack(comps, axis=2))
+    return FluxTrajectory(traj.grid, traj.tg, spectral_gradient(traj.values, traj.grid))
 
 
 def xp_seminorm(

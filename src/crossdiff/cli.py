@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .carleson import enumerate_cylinders, maximal_regularity_ratio, xp_seminorm
-from .fields import SpeciesVector, random_band_limited
+from .carleson import enumerate_cylinders, xp_seminorm
 from .harness import (
     ExperimentConfig,
-    SuiteContext,
     VerificationReport,
     energy_identity_probe,
     generate_initial_data,
@@ -22,13 +19,17 @@ from .harness import (
     verify_mass_conservation,
     verify_nonnegativity,
     verify_partition,
-    _random_flux,
-    _seeded_datum,
 )
-from .model import ReducedModel, lipschitz_probe
-from .semigroup import heat_flow_trajectory, kernel_scaling_report
-from .solver import imex_solve, picard_solve
+from .model import ReducedModel
+from .solver import DivergedError, imex_solve, picard_solve
 from .trajectory import Trajectory
+
+# exit code of `crossdiff solve` when the solution blows up
+EXIT_DIVERGED = 3
+
+# the suite groups `crossdiff lemma-checks` runs
+LEMMA_GROUPS = ("kernel-scaling", "maximal-regularity", "lipschitz")
+
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split())
@@ -56,7 +57,8 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+    """The config file (or the defaults) with the flags applied; an invalid
+    config exits with code 2, as argparse does for a bad flag."""
     overrides = {}
     for name, _ in _OVERRIDES:
         value = getattr(args, name.replace("-", "_"), None)
@@ -66,7 +68,12 @@ def _build_config(args) -> ExperimentConfig:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[flag] = value
-    return cfg.with_overrides(**overrides)
+    try:
+        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+        return cfg.with_overrides(**overrides)
+    except ValueError as exc:
+        print(f"crossdiff: invalid config: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _out_dir(cfg: ExperimentConfig, args, default_name: str) -> Path:
@@ -89,16 +96,17 @@ def cmd_solve(args) -> int:
     model = cfg.reduced_model()
     h = generate_initial_data(cfg.initial_spec(), grid, cfg.d, model.delta)
     t0 = time.perf_counter()
-    if cfg.scheme == "imex":
-        traj = imex_solve(h, model, tg, truncated=cfg.truncated)
-    elif cfg.scheme == "picard":
-        traj, report = picard_solve(h, model, tg, tol=cfg.tol, max_iter=cfg.max_iter,
-                                    truncated=cfg.truncated, metric=cfg.metric, p=cfg.p)
-        print(f"fixed-point iteration: {report.iterates} steps, "
-              f"theta_hat={report.theta_hat:.4g}, converged={report.converged}")
-    else:
-        print(f"unknown scheme {cfg.scheme!r}", file=sys.stderr)
-        return 2
+    try:
+        if cfg.scheme == "imex":
+            traj = imex_solve(h, model, tg, truncated=cfg.truncated)
+        else:
+            traj, report = picard_solve(h, model, tg, tol=cfg.tol, max_iter=cfg.max_iter,
+                                        truncated=cfg.truncated, metric=cfg.metric, p=cfg.p)
+            print(f"fixed-point iteration: {report.iterates} steps, "
+                  f"theta_hat={report.theta_hat:.4g}, converged={report.converged}")
+    except DivergedError as exc:
+        print(f"crossdiff solve: {exc}; nothing written", file=sys.stderr)
+        return EXIT_DIVERGED
     elapsed = time.perf_counter() - t0
     traj.metadata["generator"] = cfg.generator
     traj.metadata["config_hash"] = cfg.config_hash()
@@ -150,41 +158,10 @@ def cmd_norms(args) -> int:
 def cmd_lemma_checks(args) -> int:
     cfg = _build_config(args)
     out = _out_dir(cfg, args, f"lemma-checks-{cfg.config_hash()}")
-    exit_code = 0
-    for n in (1, 2):
-        for p in (1.0, 2.0, math.inf):
-            rep = kernel_scaling_report(n, p, list(np.logspace(-3, 0, 7)))
-            rep.to_csv(out / f"kernel_scaling_n{n}_p{p:g}.csv")
-            status = "ok" if rep.passed else "FAIL"
-            print(f"kernel scaling n={n} p={p:<3g} ratio spread {rep.ratio_spread - 1:.3e}  [{status}]")
-            exit_code |= 0 if rep.passed else 1
-    ctx = SuiteContext(cfg)
-    grid, tg = ctx.grid, ctx.tg
-    ratios = []
-    for j in range(cfg.sweep_samples):
-        rng = np.random.default_rng(cfg.seed + 2000 + j)
-        h = SpeciesVector.from_array(grid, np.stack([
-            random_band_limited(grid, rng, cfg.kmax, 1.0, mean=float(rng.uniform(-1, 1))).values
-            for _ in range(cfg.d)
-        ]))
-        flux = _random_flux(grid, tg, cfg.d, cfg.seed + 2500 + j, cfg.kmax)
-        ratios.append(maximal_regularity_ratio(h, flux, tg, ctx.p, ctx.cylinders))
-    print(f"maximal regularity: max ratio {max(ratios):.4g} over {len(ratios)} linear problems")
-    model = ctx.model()
-    lips = []
-    for j in range(cfg.sweep_samples):
-        v = heat_flow_trajectory(_seeded_datum(ctx, grid, cfg.delta, cfg.seed + 3000 + j), tg)
-        w = heat_flow_trajectory(_seeded_datum(ctx, grid, cfg.delta, cfg.seed + 3250 + j), tg)
-        lips.append(lipschitz_probe(v, w, model, ctx.p, ctx.cylinders).ratio)
-    print(f"flux-map Lipschitz: max empirical constant {max(lips):.4g} over {len(lips)} pairs")
-    with open(out / "sweeps.csv", "w") as fh:
-        fh.write("sweep,index,value\n")
-        for j, r in enumerate(ratios):
-            fh.write(f"maximal_regularity,{j},{r:.17g}\n")
-        for j, r in enumerate(lips):
-            fh.write(f"lipschitz,{j},{r:.17g}\n")
-    print(f"reports written to {out}")
-    return exit_code
+    report = run_suite(cfg, out_dir=out, groups=LEMMA_GROUPS)
+    print(report.to_text())
+    print(f"report written to {out}")
+    return 0 if report.passed else 1
 
 
 def cmd_suite(args) -> int:
@@ -221,7 +198,7 @@ def main(argv=None) -> int:
     p_norms.set_defaults(fn=cmd_norms)
 
     p_lemma = sub.add_parser("lemma-checks",
-                             help="kernel scaling, Lipschitz sweep, maximal regularity sweep")
+                             help="kernel scaling, maximal regularity and Lipschitz suite groups")
     _add_common(p_lemma)
     p_lemma.add_argument("--out", type=Path)
     p_lemma.set_defaults(fn=cmd_lemma_checks)

@@ -1,4 +1,4 @@
-"""Periodic grids on the unit torus, spectral transforms, differentiation, and norms.
+"""Periodic grids on the unit torus, spectral transforms and differentiation.
 
 All fields live on uniform grids over [0,1)^n with n in {1,2}. Spectral
 coefficients are stored in the numpy ``rfftn`` half-complex layout,
@@ -10,22 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
     "ScalarField",
-    "SpectralField",
     "SpeciesVector",
     "make_grid",
-    "transform",
-    "inverse_transform",
-    "gradient",
-    "divergence",
-    "lp_norm",
-    "dealias",
+    "spectral_gradient",
+    "spectral_divergence",
     "random_band_limited",
     "write_snapshot",
     "read_snapshot",
@@ -97,34 +91,6 @@ class ScalarField:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Frequency-side view of a real field (rfftn layout, mean-normalised)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != rfft_shape(self.grid):
-            raise ValueError(f"coeffs shape {c.shape} does not match grid {self.grid.shape}")
-        _check_hermitian(self.grid, c)
-        object.__setattr__(self, "coeffs", c)
-
-    def coefficient(self, k) -> complex:
-        """Fourier coefficient at integer frequency k (tuple or int), |k_m| <= N/2."""
-        k = (k,) if np.isscalar(k) else tuple(int(km) for km in k)
-        if len(k) != self.grid.n:
-            raise ValueError(f"frequency has {len(k)} components, grid is {self.grid.n}-d")
-        N = self.grid.N
-        if any(abs(km) > N // 2 for km in k):
-            raise ValueError(f"frequency {k} outside band |k| <= {N // 2}")
-        if k[-1] < 0:
-            return complex(np.conj(self.coefficient(tuple(-km for km in k))))
-        idx = tuple(km % N for km in k[:-1]) + (k[-1],)
-        return complex(self.coeffs[idx])
 
 
 @dataclass(frozen=True)
@@ -216,73 +182,27 @@ def dealias_keep_mask(grid: GridSpec) -> np.ndarray:
     return keep
 
 
-def _check_hermitian(grid: GridSpec, coeffs: np.ndarray, rtol: float = 1e-10):
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    tol = rtol * (scale + 1.0)
-    N = grid.N
-    if grid.n == 1:
-        bad = max(abs(coeffs[0].imag), abs(coeffs[N // 2].imag))
-    else:
-        bad = 0.0
-        for j in (0, N // 2):
-            col = coeffs[:, j]
-            bad = max(bad, float(np.max(np.abs(col - np.conj(col[-np.arange(N) % N])))))
-    if bad > tol:
-        raise ValueError("coefficients violate Hermitian symmetry; field would not be real")
+def spectral_gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Exact gradient of the band-limited interpolant of nodal fields.
 
-
-# -- operations --------------------------------------------------------------
-
-
-def transform(field: ScalarField) -> SpectralField:
-    return SpectralField(field.grid, to_coeffs(field.values, field.grid))
-
-
-def inverse_transform(sf: SpectralField) -> ScalarField:
-    return ScalarField(sf.grid, from_coeffs(sf.coeffs, sf.grid))
-
-
-def gradient(field: ScalarField) -> tuple[ScalarField, ...]:
-    """Spectral gradient: exact derivative of the band-limited interpolant."""
-    grid = field.grid
-    chat = to_coeffs(field.values, grid)
-    out = []
-    for m in range(grid.n):
-        out.append(ScalarField(grid, from_coeffs(derivative_symbol(grid, m) * chat, grid)))
-    return tuple(out)
-
-
-def divergence(components: Sequence[ScalarField]) -> ScalarField:
-    grid = components[0].grid
-    if len(components) != grid.n:
-        raise ValueError(f"expected {grid.n} components, got {len(components)}")
-    if any(c.grid != grid for c in components):
-        raise ValueError("components must share one grid")
-    acc = np.zeros(rfft_shape(grid), dtype=complex)
-    for m, comp in enumerate(components):
-        acc += derivative_symbol(grid, m) * to_coeffs(comp.values, grid)
-    return ScalarField(grid, from_coeffs(acc, grid))
-
-
-def lp_norm(field: ScalarField, p: float) -> float:
-    """L^p norm over the unit torus by the uniform-node midpoint rule.
-
-    p = inf returns the nodal max of |f|; no subgrid extremum search.
+    Shapes: (..., *grid.shape) -> (..., n, *grid.shape); leading axes are a batch.
     """
-    v = field.values
-    if p == math.inf:
-        return float(np.max(np.abs(v)))
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
+    chat = to_coeffs(values, grid)
+    comps = [from_coeffs(derivative_symbol(grid, m) * chat, grid) for m in range(grid.n)]
+    return np.stack(comps, axis=-1 - grid.n)
 
 
-def dealias(field: ScalarField) -> ScalarField:
-    grid = field.grid
-    chat = to_coeffs(field.values, grid)
-    chat[~dealias_keep_mask(grid)] = 0.0
-    return ScalarField(grid, from_coeffs(chat, grid))
+def spectral_divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Spectral coefficients of the divergence of nodal vector fields.
+
+    Shapes: (..., n, *grid.shape) -> (..., *rfft_shape(grid)); leading axes are
+    a batch. The mean mode is identically zero.
+    """
+    if values.shape[-1 - grid.n] != grid.n:
+        raise ValueError(f"expected {grid.n} components, got {values.shape[-1 - grid.n]}")
+    fhat = to_coeffs(values, grid)
+    spatial = (slice(None),) * grid.n
+    return sum(derivative_symbol(grid, m) * fhat[(..., m) + spatial] for m in range(grid.n))
 
 
 def random_band_limited(

@@ -11,6 +11,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -128,6 +129,19 @@ class ExperimentConfig:
     contraction_deltas: tuple[float, ...] = (0.01, 0.02, 0.05)
     refine: bool = True
     output_dir: str = "runs"
+
+    def __post_init__(self):
+        self.grid()  # n in {1, 2} and N a power of two >= 8
+        for name, allowed in (("scheme", ("picard", "imex")), ("metric", ("xp", "sup")),
+                              ("generator", ("uniform", "random-simplex", "step-like"))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
+        if self.d < 2:
+            raise ValueError("need at least two species")
+        for name in ("delta", "t_end", "tol", "max_iter"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def grid(self) -> GridSpec:
         return make_grid(self.n, self.N)
@@ -735,26 +749,32 @@ def check_negative_controls(ctx: SuiteContext) -> list[Check]:
     )]
 
 
-_SUITE = [
-    ("kernel-scaling", check_kernel_scaling),
-    ("spectral-exactness", check_spectral_exactness),
-    ("partition-nonnegativity", check_partition_nonnegativity),
-    ("contraction", check_contraction),
-    ("stability", check_stability),
-    ("gradient-decay", check_gradient_decay),
-    ("maximal-regularity", check_maximal_regularity),
-    ("lipschitz", check_lipschitz),
-    ("norm-identities", check_norm_identities),
-    ("negative-controls", check_negative_controls),
-]
+_SUITE = {
+    "kernel-scaling": check_kernel_scaling,
+    "spectral-exactness": check_spectral_exactness,
+    "partition-nonnegativity": check_partition_nonnegativity,
+    "contraction": check_contraction,
+    "stability": check_stability,
+    "gradient-decay": check_gradient_decay,
+    "maximal-regularity": check_maximal_regularity,
+    "lipschitz": check_lipschitz,
+    "norm-identities": check_norm_identities,
+    "negative-controls": check_negative_controls,
+}
 
 
-def run_suite(config: ExperimentConfig | None = None, out_dir=None) -> VerificationReport:
-    """Run the full verification battery and optionally write the report."""
+def run_suite(
+    config: ExperimentConfig | None = None,
+    out_dir=None,
+    groups: Sequence[str] | None = None,
+) -> VerificationReport:
+    """Run the verification battery, or only the named groups of it, on one
+    SuiteContext and optionally write the report."""
     config = config or ExperimentConfig()
     ctx = SuiteContext(config)
     checks = []
-    for group, fn in _SUITE:
+    for group in _SUITE if groups is None else groups:
+        fn = _SUITE[group]
         try:
             group_checks = fn(ctx)
         except Exception as exc:

@@ -1,6 +1,6 @@
 """Coefficient reduction from raw cross-diffusion matrices to the
-diffusion-dominant small-data form, the (optionally truncated)
-nonlinearity, and the empirical Lipschitz diagnostic for the flux map.
+diffusion-dominant small-data form, the (optionally truncated) flux of
+the nonlinearity, and the empirical Lipschitz diagnostic for the flux map.
 """
 
 from __future__ import annotations
@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleson import CylinderSpec, default_exponent, enumerate_cylinders, xp_norm, yp_norm
-from .fields import (
-    GridSpec,
-    SpeciesVector,
-    dealias_keep_mask,
-    derivative_symbol,
-    from_coeffs,
-    to_coeffs,
-)
+from .fields import GridSpec, dealias_keep_mask, from_coeffs, spectral_gradient, to_coeffs
 from .trajectory import FluxTrajectory, Trajectory, trajectory_difference
 
 __all__ = [
@@ -27,10 +20,7 @@ __all__ = [
     "NonlinearitySpec",
     "LipschitzReport",
     "reduce_coefficients",
-    "rescale_state",
-    "unrescale_state",
-    "clamp_species",
-    "nonlinearity",
+    "flux",
     "flux_trajectory",
     "lipschitz_probe",
 ]
@@ -158,75 +148,55 @@ def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) 
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Growth and difference exponents of the coupling matrix (both 1 for the
-    concrete quadratic model) plus the clamp range used by the truncation."""
+    concrete quadratic model)."""
 
     mu: float = 1.0
     nu: float = 1.0
-    truncation_level: float | None = None
 
     def __post_init__(self):
         if self.mu <= 0 or self.nu <= 0:
             raise ValueError("exponents must be positive")
 
 
-def rescale_state(u: SpeciesVector, delta: float) -> SpeciesVector:
-    """w_i = delta * u_i; a unit partition of u becomes a delta partition."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return SpeciesVector.from_array(u.grid, delta * u.stack())
+# flux_trajectory evaluates at most this many bytes of flux output per call
+# (at least one node). One call over a whole trajectory would hold several
+# trajectory-sized temporaries at once; with this budget a 2-D trajectory at
+# N=64 still goes one node per call, while a 1-D one needs one or two calls.
+FLUX_BLOCK_BYTES = 1 << 18
 
 
-def unrescale_state(w: SpeciesVector, delta: float) -> SpeciesVector:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return SpeciesVector.from_array(w.grid, w.stack() / delta)
-
-
-def clamp_species(w: SpeciesVector, delta: float) -> SpeciesVector:
-    """Componentwise clamp to [0, delta] (idempotent)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return SpeciesVector.from_array(w.grid, np.clip(w.stack(), 0.0, delta))
-
-
-def nonlinearity_values(
+def flux(
     values: np.ndarray,
     grid: GridSpec,
     model: ReducedModel,
     truncated: bool = True,
 ) -> np.ndarray:
-    """Fluxes F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) on raw arrays.
+    """Fluxes F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) of nodal states.
 
     c = w clamped to [0, delta] when truncated, else c = w; gradients are
     always taken from the unclamped state. Products are formed nodally and
-    dealiased by the 2/3 rule. Shapes: (d, *grid.shape) -> (d, n, *grid.shape).
+    dealiased by the 2/3 rule. Shapes: (..., d, *grid.shape) ->
+    (..., d, n, *grid.shape); leading axes are a batch.
     """
-    alpha = model.alpha
-    what = to_coeffs(values, grid)
-    grads = np.stack(
-        [from_coeffs(derivative_symbol(grid, m) * what, grid) for m in range(grid.n)],
-        axis=1,
-    )  # (d, n, *shape)
+    grads = spectral_gradient(values, grid)
     coef = np.clip(values, 0.0, model.delta) if truncated else values
-    mixed_c = np.einsum("ij,j...->i...", alpha, coef)
-    mixed_g = np.einsum("ij,jm...->im...", alpha, grads)
-    flux = grads * mixed_c[:, None] - coef[:, None] * mixed_g
-    fhat = to_coeffs(flux, grid)
+    x = "xy"[: grid.n]  # the spatial axes
+    mixed_c = np.einsum(f"ij,...j{x}->...i{x}", model.alpha, coef)
+    mixed_g = np.einsum(f"ij,...jm{x}->...im{x}", model.alpha, grads)
+    comp = -1 - grid.n  # the vector-component axis of a flux
+    out = grads * np.expand_dims(mixed_c, comp) - np.expand_dims(coef, comp) * mixed_g
+    fhat = to_coeffs(out, grid)
     fhat[..., ~dealias_keep_mask(grid)] = 0.0
     return from_coeffs(fhat, grid)
 
 
-def nonlinearity(w: SpeciesVector, model: ReducedModel, truncated: bool = True) -> np.ndarray:
-    """Flux fields for one species tuple, shape (d, n, *grid.shape)."""
-    return nonlinearity_values(w.stack(), w.grid, model, truncated=truncated)
-
-
 def flux_trajectory(traj: Trajectory, model: ReducedModel, truncated: bool = True) -> FluxTrajectory:
-    """Evaluate the nonlinearity along every stored state."""
-    vals = np.stack(
-        [nonlinearity_values(traj.values[k], traj.grid, model, truncated) for k in range(len(traj.tg))]
-    )
-    return FluxTrajectory(traj.grid, traj.tg, vals)
+    """Evaluate the flux along every stored state, FLUX_BLOCK_BYTES of output at a time."""
+    node_bytes = traj.values[0].nbytes * traj.grid.n
+    step = max(1, FLUX_BLOCK_BYTES // node_bytes)
+    blocks = [flux(traj.values[k:k + step], traj.grid, model, truncated)
+              for k in range(0, len(traj.tg), step)]
+    return FluxTrajectory(traj.grid, traj.tg, np.concatenate(blocks))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,10 +18,9 @@ from .fields import (
     GridSpec,
     ScalarField,
     SpeciesVector,
-    derivative_symbol,
     from_coeffs,
     laplacian_symbol,
-    rfft_shape,
+    spectral_divergence,
     to_coeffs,
 )
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory
@@ -60,15 +59,6 @@ def heat_flow_trajectory(h: SpeciesVector, tg: TimeGrid) -> Trajectory:
     return Trajectory(grid, tg, values, metadata={"scheme": "heat-flow"})
 
 
-def _divergence_coeffs(flux_values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Spectral div of (d, n, *shape) nodal fluxes -> (d, *rfft_shape)."""
-    fhat = to_coeffs(flux_values, grid)
-    acc = np.zeros((flux_values.shape[0],) + rfft_shape(grid), dtype=complex)
-    for m in range(grid.n):
-        acc += derivative_symbol(grid, m) * fhat[:, m]
-    return acc
-
-
 def _segment_weights(grid: GridSpec, dt: float):
     """Exact per-mode weights for one Duhamel segment of length dt.
 
@@ -92,37 +82,28 @@ def _segment_weights(grid: GridSpec, dt: float):
     return ez, dt * (phi1 - phi2), dt * phi2
 
 
-def duhamel_solve(
-    h: SpeciesVector,
-    forcing: FluxTrajectory | Callable[[float], np.ndarray] | None,
-    tg: TimeGrid,
-) -> Trajectory:
+def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
     """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h.
 
-    The forcing is a FluxTrajectory aligned with tg, a callable
-    t -> (d, n, *grid.shape), or None (homogeneous flow). Between
-    consecutive output times the Duhamel convolution uses trapezoidal
-    nodes (linear interpolation of the forcing) integrated exactly against
-    the heat kernel, accumulated incrementally so the cost is linear in
-    the number of steps; the scheme is second order in the step size.
+    The forcing is a FluxTrajectory aligned with tg, or None (homogeneous
+    flow). Between consecutive output times the Duhamel convolution uses
+    trapezoidal nodes (linear interpolation of the forcing) integrated
+    exactly against the heat kernel, accumulated incrementally so the cost
+    is linear in the number of steps; the scheme is second order in the
+    step size.
     """
     grid, d = h.grid, h.d
     if forcing is None:
         return heat_flow_trajectory(h, tg)
-    if isinstance(forcing, FluxTrajectory):
-        if forcing.grid != grid or not np.array_equal(forcing.tg.times, tg.times):
-            raise ValueError("forcing must be sampled on the solution grid and time grid")
-        if forcing.d != d:
-            raise ValueError(f"forcing has {forcing.d} species, datum has {d}")
-        sample = lambda k: forcing.values[k]
-    else:
-        fluxes = FluxTrajectory.from_callable(grid, tg, d, forcing)
-        sample = lambda k: fluxes.values[k]
+    if forcing.grid != grid or not np.array_equal(forcing.tg.times, tg.times):
+        raise ValueError("forcing must be sampled on the solution grid and time grid")
+    if forcing.d != d:
+        raise ValueError(f"forcing has {forcing.d} species, datum has {d}")
 
     values = np.empty((len(tg), d) + grid.shape)
     values[0] = h.stack()
     what = to_coeffs(values[0], grid)
-    g_prev = _divergence_coeffs(np.asarray(sample(0), dtype=float), grid)
+    g_prev = spectral_divergence(forcing.values[0], grid)
     last_dt, weights = None, None
     for k in range(1, len(tg)):
         dt = float(tg.times[k] - tg.times[k - 1])
@@ -130,7 +111,7 @@ def duhamel_solve(
             weights = _segment_weights(grid, dt)
             last_dt = dt
         E, w_left, w_right = weights
-        g_next = _divergence_coeffs(np.asarray(sample(k), dtype=float), grid)
+        g_next = spectral_divergence(forcing.values[k], grid)
         what = E * what + w_left * g_prev + w_right * g_next
         values[k] = from_coeffs(what, grid)
         g_prev = g_next

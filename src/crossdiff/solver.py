@@ -1,7 +1,6 @@
 """Two solution paths for the cross-diffusion system: a second-order
 integrating-factor Heun reference stepper (exact linear part, explicit
-divergence-form transport) and the mild-solution fixed-point iteration,
-plus the initial-data stability experiment.
+divergence-form transport) and the mild-solution fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "imex_solve",
     "apply_fixed_point_map",
     "picard_solve",
-    "stability_experiment",
 ]
 
 
@@ -219,25 +217,3 @@ def picard_solve(
         "iterates": report.iterates, "converged": converged,
     })
     return w, report
-
-
-def stability_experiment(
-    h: SpeciesVector,
-    h_tilde: SpeciesVector,
-    model: ReducedModel,
-    tg: TimeGrid,
-    p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
-    **picard_kwargs,
-) -> float:
-    """Solve for both data and return ||w - w_tilde||_Xp / ||h - h_tilde||_inf
-    (0 by convention for identical data)."""
-    den = float(np.max(np.abs(h.stack() - h_tilde.stack())))
-    if den == 0.0:
-        return 0.0
-    if cylinders is None:
-        cylinders = enumerate_cylinders(h.grid, tg)
-    w, _ = picard_solve(h, model, tg, p=p, cylinders=cylinders, **picard_kwargs)
-    wt, _ = picard_solve(h_tilde, model, tg, p=p, cylinders=cylinders, **picard_kwargs)
-    num = xp_norm(trajectory_difference(w, wt), p, cylinders)
-    return num / den

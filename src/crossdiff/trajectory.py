@@ -91,14 +91,6 @@ class Trajectory:
     def state(self, k: int) -> SpeciesVector:
         return SpeciesVector.from_array(self.grid, self.values[k])
 
-    @property
-    def states(self) -> list[SpeciesVector]:
-        return [self.state(k) for k in range(len(self.tg))]
-
-    @property
-    def initial(self) -> SpeciesVector:
-        return self.state(0)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -174,14 +166,6 @@ class FluxTrajectory:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def from_callable(cls, grid: GridSpec, tg: TimeGrid, d: int, fn) -> "FluxTrajectory":
-        """Sample fn(t) -> array (d, n, *grid.shape) at every time node."""
-        vals = np.stack([np.asarray(fn(float(t)), dtype=float) for t in tg.times])
-        if vals.shape[1:] != (d, grid.n) + grid.shape:
-            raise ValueError(f"forcing callable returned shape {vals.shape[1:]}")
-        return cls(grid, tg, vals)
 
     def magnitudes(self) -> np.ndarray:
         """Euclidean |F| per (time, species), shape (n_times, d, *grid.shape)."""

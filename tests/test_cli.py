@@ -1,6 +1,6 @@
 import pytest
 
-from crossdiff.cli import main
+from crossdiff.cli import EXIT_DIVERGED, main
 from crossdiff.harness import ExperimentConfig
 
 
@@ -44,15 +44,32 @@ def test_lemma_checks(tmp_path, capsys):
     code = main([
         "lemma-checks", "--N", "16", "--t-end", "0.25", "--levels", "3",
         "--steps-per-level", "3", "--kmax", "3", "--sweep-samples", "2",
-        "--seed", "7", "--out", str(out_dir),
+        "--seed", "7", "--no-refine", "--out", str(out_dir),
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "kernel scaling" in out
-    assert "maximal regularity" in out
-    assert "Lipschitz" in out
-    assert (out_dir / "kernel_scaling_n1_p1.csv").exists()
-    assert (out_dir / "sweeps.csv").exists()
+    assert "checks passed" in out
+    lines = (out_dir / "checks.csv").read_text().splitlines()
+    groups = {line.split(":")[0] for line in lines[1:]}
+    assert groups == {"kernel-scaling", "maximal-regularity", "lipschitz"}
+    assert (out_dir / "summary.txt").read_text() in out
+    assert (out_dir / "config.ini").exists()
+
+
+def test_solve_divergence_is_one_line_error(tmp_path, tiny_args, capsys):
+    code = main(["solve", "--scheme", "picard", "--metric", "sup", "--delta", "3"] + tiny_args)
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "diverged" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_invalid_config_exits_with_usage_code(tiny_args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scheme", "rk4"] + tiny_args)
+    assert exc.value.code == 2
+    assert "unknown scheme" in capsys.readouterr().err
 
 
 def test_suite_with_config_file(tmp_path, capsys):

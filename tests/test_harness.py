@@ -5,6 +5,7 @@ import pytest
 
 from crossdiff.fields import make_grid
 from crossdiff.harness import (
+    _SECTIONS,
     ExperimentConfig,
     InitialDataSpec,
     SuiteContext,
@@ -60,6 +61,30 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         text = ExperimentConfig().to_text() + "\n[grid]\nbogus = 1\n"
         with pytest.raises(Exception):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("scheme", "rk4", "unknown scheme"),
+        ("metric", "l2", "unknown metric"),
+        ("generator", "nope", "unknown generator"),
+        ("n", 3, "unsupported dimension"),
+        ("N", 96, "power of two"),
+        ("N", 4, "power of two"),
+        ("d", 1, "two species"),
+        ("delta", -1.0, "delta must be positive"),
+        ("t_end", 0.0, "t_end must be positive"),
+        ("tol", 0.0, "tol must be positive"),
+        ("max_iter", 0, "max_iter must be positive"),
+        ("delta", math.nan, "delta must be positive"),
+    ])
+    def test_invalid_values_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig().with_overrides(**{field: value})
+        section = next(sec for sec, names in _SECTIONS.items() if field in names)
+        text = f"[{section}]\n{field} = {value}\n"
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_text(text)
 
     def test_empty_config_rejected(self):

@@ -6,25 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from crossdiff import model as model_module
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.model import (
     NonlinearitySpec,
     RawCoefficients,
     ReducedModel,
-    clamp_species,
+    flux,
     flux_trajectory,
     lipschitz_probe,
-    nonlinearity,
     reduce_coefficients,
-    rescale_state,
-    unrescale_state,
 )
 from crossdiff.semigroup import heat_flow_trajectory
 from crossdiff.trajectory import TimeGrid, Trajectory
-
-
-def _species(grid, *arrays):
-    return SpeciesVector.from_array(grid, np.stack(arrays))
 
 
 class TestRawCoefficients:
@@ -80,56 +74,19 @@ class TestReduceCoefficients:
         assert np.allclose(again.alpha, m.alpha, atol=1e-12)
 
 
-class TestRescaleClamp:
-    def test_rescale_partition(self):
-        g = make_grid(1, 16)
-        u = _species(g, *(np.full(g.shape, 1 / 3) for _ in range(3)))
-        w = rescale_state(u, 0.1)
-        assert np.max(np.abs(w.stack().sum(axis=0) - 0.1)) < 1e-15
-
-    def test_round_trip(self):
-        g = make_grid(1, 16)
-        u = _species(g, np.random.default_rng(0).uniform(0, 1, g.shape))
-        back = unrescale_state(rescale_state(u, 0.37), 0.37)
-        assert np.max(np.abs(back.stack() - u.stack())) < 1e-15
-
-    def test_invalid_delta(self):
-        g = make_grid(1, 16)
-        u = _species(g, np.ones(g.shape))
-        with pytest.raises(ValueError):
-            rescale_state(u, 0.0)
-
-    @given(hnp.arrays(np.float64, (2, 16), elements=st.floats(-1, 1)))
-    def test_clamp_idempotent_and_bounded(self, values):
-        g = make_grid(1, 16)
-        w = SpeciesVector.from_array(g, values)
-        once = clamp_species(w, 0.3)
-        twice = clamp_species(once, 0.3)
-        assert np.array_equal(once.stack(), twice.stack())
-        assert once.stack().min() >= 0.0
-        assert once.stack().max() <= 0.3
-
-    def test_clamp_edges(self):
-        g = make_grid(1, 16)
-        w = _species(g, np.full(g.shape, -0.01), np.full(g.shape, 0.11))
-        out = clamp_species(w, 0.1).stack()
-        assert np.all(out[0] == 0.0)
-        assert np.all(out[1] == 0.1)
-
-
 class TestNonlinearity:
     def test_constant_state_gives_zero(self):
         g = make_grid(1, 32)
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1)
-        w = _species(g, np.full(g.shape, 0.03), np.full(g.shape, 0.07))
-        assert np.max(np.abs(nonlinearity(w, m))) == 0.0
+        w = np.stack([np.full(g.shape, 0.03), np.full(g.shape, 0.07)])
+        assert np.max(np.abs(flux(w, g, m))) == 0.0
 
     def test_equal_species_cancel(self):
         g = make_grid(1, 32)
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
         v = np.sin(2 * math.pi * g.axes()[0]) * 0.1 + 0.3
-        w = _species(g, v, v)
-        assert np.max(np.abs(nonlinearity(w, m, truncated=False))) < 1e-16
+        w = np.stack([v, v])
+        assert np.max(np.abs(flux(w, g, m, truncated=False))) < 1e-16
 
     def test_flux_matches_finite_difference_oracle(self):
         # F_1 = w_2 w_1' - w_1 w_2' with derivatives from centered differences
@@ -139,24 +96,23 @@ class TestNonlinearity:
         w1 = lambda y: a * np.sin(2 * math.pi * y) + c
         w2 = lambda y: b * np.cos(2 * math.pi * y) + c
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-        w = _species(g, w1(x), w2(x))
-        flux = nonlinearity(w, m, truncated=False)
+        w = np.stack([w1(x), w2(x)])
+        out = flux(w, g, m, truncated=False)
         h = 1.0 / 65536.0
         d1 = (w1(x + h) - w1(x - h)) / (2 * h)
         d2 = (w2(x + h) - w2(x - h)) / (2 * h)
         expect = w2(x) * d1 - w1(x) * d2
-        assert np.max(np.abs(flux[0, 0] - expect)) < 1e-8
-        assert np.max(np.abs(flux[1, 0] + expect)) < 1e-8
+        assert np.max(np.abs(out[0, 0] - expect)) < 1e-8
+        assert np.max(np.abs(out[1, 0] + expect)) < 1e-8
 
     def test_two_homogeneous_when_clamp_inactive(self):
         g = make_grid(1, 64)
         rng = np.random.default_rng(5)
         m = ReducedModel.from_alpha(np.array([[0.0, -1.0], [-1.0, 0.0]]), 0.5)
         vals = 0.1 + 0.05 * np.stack([random_band_limited(g, rng, 6).values for _ in range(2)])
-        w = SpeciesVector.from_array(g, vals)
         lam = 0.5
-        f1 = nonlinearity(SpeciesVector.from_array(g, lam * vals), m)
-        f0 = nonlinearity(w, m)
+        f1 = flux(lam * vals, g, m)
+        f0 = flux(vals, g, m)
         assert np.max(np.abs(f1 - lam**2 * f0)) < 1e-15
 
     def test_species_sum_vanishes_for_symmetric_coupling(self):
@@ -165,8 +121,7 @@ class TestNonlinearity:
         alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
         m = ReducedModel.from_alpha(alpha, 0.2)
         vals = 0.05 + 0.02 * np.stack([random_band_limited(g, rng, 8).values for _ in range(3)])
-        w = SpeciesVector.from_array(g, vals)
-        total = nonlinearity(w, m).sum(axis=0)
+        total = flux(vals, g, m).sum(axis=0)
         assert np.max(np.abs(total)) < 1e-12
 
     def test_truncation_only_touches_undifferentiated_factors(self):
@@ -177,12 +132,33 @@ class TestNonlinearity:
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), delta)
         w1 = 0.3 + 0.05 * np.sin(2 * math.pi * x)  # always above delta
         w2 = 0.02 + 0.01 * np.cos(2 * math.pi * x)  # always inside [0, delta]
-        w = _species(g, w1, w2)
-        flux = nonlinearity(w, m, truncated=True)
+        w = np.stack([w1, w2])
+        out = flux(w, g, m, truncated=True)
         d1 = 0.05 * 2 * math.pi * np.cos(2 * math.pi * x)
         d2 = -0.01 * 2 * math.pi * np.sin(2 * math.pi * x)
         expect = w2 * d1 - delta * d2  # w_1 clamped to delta only where undifferentiated
-        assert np.max(np.abs(flux[0, 0] - expect)) < 1e-10
+        assert np.max(np.abs(out[0, 0] - expect)) < 1e-10
+
+
+class TestFluxTrajectory:
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_blocks_equal_per_node_evaluation(self, n, N, truncated, monkeypatch):
+        g = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
+        alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
+        m = ReducedModel.from_alpha(alpha, 0.05)
+        # states on both sides of [0, delta], so the clamp is active
+        vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
+        node_bytes = 3 * n * g.num_nodes * 8
+        monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", 5 * node_bytes)
+        real = model_module.flux
+        blocks = []
+        monkeypatch.setattr(model_module, "flux", lambda v, *a: blocks.append(len(v)) or real(v, *a))
+        out = flux_trajectory(Trajectory(g, tg, vals), m, truncated).values
+        assert blocks == [5, 5, 3]
+        per_node = np.stack([real(vals[k], g, m, truncated) for k in range(len(tg))])
+        assert np.array_equal(out, per_node)
 
 
 class TestNonlinearitySpec:

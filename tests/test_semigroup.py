@@ -131,10 +131,8 @@ class TestDuhamel:
         h = _species(g, np.zeros(g.shape))
         amp = -(4 * math.pi**2 - 1) / (2 * math.pi)
 
-        def forcing(t):
-            return (amp * math.exp(-t) * np.cos(2 * math.pi * x))[None, None, :]
-
-        sol = duhamel_solve(h, forcing, tg)
+        forcing = amp * np.exp(-tg.times)[:, None] * np.cos(2 * math.pi * x)
+        sol = duhamel_solve(h, FluxTrajectory(g, tg, forcing[:, None, None]), tg)
         err = 0.0
         for k, t in enumerate(tg.times):
             exact = (math.exp(-t) - math.exp(-4 * math.pi**2 * t)) * np.sin(2 * math.pi * x)
