@@ -26,7 +26,7 @@ def main():
     for k, beta in ((0, (0,)), (0, (1,)), (0, (2,)), (1, (0,)), (1, (1,))):
         probe = decay_probe(traj, k=k, beta=beta)
         probe.to_csv(args.out / f"decay_k{k}_b{''.join(map(str, beta))}.csv",
-                     manifest_hash=traj.manifest_hash())
+                     manifest_hash=traj.manifest_hash(), content_hash=traj.content_hash())
         print(f"{k:>2} {str(beta):>6} {probe.slope:>8.3f} {probe.max_scaled:>16.6g}")
     print(f"probes written to {args.out}")
 

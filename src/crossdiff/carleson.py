@@ -80,10 +80,10 @@ class NormReport:
     def xp_total(self) -> float:
         return self.sup_norm + self.seminorm
 
-    def to_csv(self, path, manifest_hash: str = ""):
+    def to_csv(self, path, manifest_hash: str = "", content_hash: str = ""):
         gtxt = f"{self.grid.n}x{self.grid.N}" if self.grid else ""
         with open(path, "w") as fh:
-            fh.write(f"# p={self.p} grid={gtxt} manifest={manifest_hash}\n")
+            fh.write(f"# p={self.p} grid={gtxt} manifest={manifest_hash} content={content_hash}\n")
             fh.write("sup_norm,seminorm,total,center,radius,scanned,skipped\n")
             z = ";".join(f"{c:.17g}" for c in self.attaining.center) if self.attaining else ""
             r = f"{self.attaining.radius:.17g}" if self.attaining else ""
@@ -304,12 +304,12 @@ class DecayProbe:
     max_scaled: float
     grid: GridSpec | None = None
 
-    def to_csv(self, path, manifest_hash: str = ""):
+    def to_csv(self, path, manifest_hash: str = "", content_hash: str = ""):
         gtxt = f"{self.grid.n}x{self.grid.N}" if self.grid else ""
         with open(path, "w") as fh:
             fh.write(
                 f"# k={self.k} beta={self.beta} slope={self.slope:.17g} "
-                f"grid={gtxt} manifest={manifest_hash}\n"
+                f"grid={gtxt} manifest={manifest_hash} content={content_hash}\n"
             )
             fh.write("t,sup,scaled\n")
             for t, sup, scaled in self.samples:

@@ -132,7 +132,8 @@ def cmd_verify(args) -> int:
     if model is not None:
         checks.extend(energy_identity_probe(traj, model))
     report = VerificationReport(checks=checks, provenance={"trajectory": str(args.traj),
-                                                           "manifest": traj.manifest_hash()})
+                                                           "manifest": traj.manifest_hash(),
+                                                           "content": traj.content_hash()})
     print(report.to_text())
     report.write(Path(args.traj))
     return 0 if report.passed else 1
@@ -144,7 +145,7 @@ def cmd_norms(args) -> int:
     cylinders = enumerate_cylinders(traj.grid, traj.tg)
     rep = xp_seminorm(traj, p, cylinders)
     path = Path(args.traj) / "norms.csv"
-    rep.to_csv(path, manifest_hash=traj.manifest_hash())
+    rep.to_csv(path, manifest_hash=traj.manifest_hash(), content_hash=traj.content_hash())
     z = ",".join(f"{c:.4g}" for c in rep.attaining.center) if rep.attaining else "-"
     print(f"sup norm      {rep.sup_norm:.6g}")
     print(f"seminorm      {rep.seminorm:.6g}  (p={rep.p:g}, attained at z=({z}), "

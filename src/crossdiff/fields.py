@@ -8,6 +8,7 @@ normalised so that ``coeffs[0,...,0]`` is the spatial mean; the field is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,12 +166,18 @@ def laplacian_symbol(grid: GridSpec) -> np.ndarray:
     return -4.0 * math.pi**2 * k2
 
 
+@functools.lru_cache(maxsize=8)
 def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
-    """Multiplier 2*pi*i*k_axis with the Nyquist mode zeroed (keeps fields real)."""
+    """Multiplier 2*pi*i*k_axis with the Nyquist mode zeroed (keeps fields real).
+
+    Cached per (grid, axis); the returned array is shared, hence read-only.
+    """
     N = grid.N
     k = frequencies(grid)[axis].copy()
     k[np.abs(k) == N // 2] = 0.0
-    return np.broadcast_to(2.0j * math.pi * k, rfft_shape(grid)).copy()
+    sym = np.broadcast_to(2.0j * math.pi * k, rfft_shape(grid)).copy()
+    sym.flags.writeable = False
+    return sym
 
 
 def dealias_keep_mask(grid: GridSpec) -> np.ndarray:
@@ -246,15 +253,23 @@ def random_band_limited(
 # -- snapshot text format ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _snapshot_template(grid: GridSpec) -> str:
+    """Snapshot body with the coordinates formatted and one '%.17g' slot per
+    node for its value, in C order."""
+    coords = [c.ravel().tolist() for c in grid.meshgrid()]
+    return "".join(" ".join(f"{x:.17g}" for x in row) + " %.17g\n" for row in zip(*coords))
+
+
 def write_snapshot(field: ScalarField, t: float, path):
-    """Columnar text snapshot: header '# n N t', one row 'x_1 .. x_n value' per node."""
+    """Columnar text snapshot: header '# n N t', one row 'x_1 .. x_n value' per node.
+
+    Every number is written as '%.17g', so values read back bit for bit.
+    """
     grid = field.grid
-    coords = grid.meshgrid()
-    flat = [c.ravel() for c in coords] + [field.values.ravel()]
+    body = _snapshot_template(grid) % tuple(field.values.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f"# {grid.n} {grid.N} {t:.17g}\n")
-        for row in zip(*flat):
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(f"# {grid.n} {grid.N} {t:.17g}\n" + body)
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:

@@ -118,6 +118,13 @@ class Trajectory:
     def manifest_hash(self) -> str:
         return hashlib.sha256(self.manifest_text().encode()).hexdigest()[:12]
 
+    def content_hash(self) -> str:
+        """Hash of the manifest and the values: it names the data, not only
+        the times and metadata."""
+        h = hashlib.sha256(self.manifest_text().encode())
+        h.update(self.values.tobytes())
+        return h.hexdigest()[:12]
+
     def save(self, directory) -> Path:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)

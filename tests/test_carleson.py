@@ -257,8 +257,8 @@ class TestDecayProbe:
         grid, tg, h, traj = step_flow
         probe = decay_probe(traj, k=0, beta=(1,))
         path = tmp_path / "decay.csv"
-        probe.to_csv(path, manifest_hash="abc")
+        probe.to_csv(path, manifest_hash="abc", content_hash="def")
         text = path.read_text().splitlines()
         assert text[0].startswith("# k=0 beta=(1,)")
-        assert "manifest=abc" in text[0]
+        assert text[0].endswith(" manifest=abc content=def")
         assert text[1] == "t,sup,scaled"

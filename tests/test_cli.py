@@ -2,6 +2,7 @@ import pytest
 
 from crossdiff.cli import EXIT_DIVERGED, main
 from crossdiff.harness import ExperimentConfig
+from crossdiff.trajectory import Trajectory
 
 
 @pytest.fixture()
@@ -22,15 +23,19 @@ def test_solve_verify_norms_round_trip(tmp_path, tiny_args, capsys):
     out = capsys.readouterr().out
     assert "partition deviation" in out
 
+    traj = Trajectory.load(run_dir)
     assert main(["verify", "--traj", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "partition-of-unity" in out
+    assert f"content = {traj.content_hash()}" in out
+    assert f"manifest = {traj.manifest_hash()}" in out
     assert (run_dir / "checks.csv").exists()
 
     assert main(["norms", "--traj", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "seminorm" in out
-    assert (run_dir / "norms.csv").exists()
+    header = (run_dir / "norms.csv").read_text().splitlines()[0]
+    assert header.endswith(f" manifest={traj.manifest_hash()} content={traj.content_hash()}")
 
 
 def test_solve_picard_reports_iterations(tmp_path, tiny_args, capsys):

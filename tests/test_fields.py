@@ -11,17 +11,21 @@ from crossdiff.fields import (
     ScalarField,
     SpeciesVector,
     dealias_keep_mask,
+    derivative_symbol,
+    frequencies,
     from_coeffs,
     laplacian_symbol,
     make_grid,
     random_band_limited,
     read_snapshot,
+    rfft_shape,
     spectral_divergence,
     spectral_gradient,
     to_coeffs,
     write_snapshot,
 )
 from crossdiff.model import ReducedModel, flux
+from crossdiff.trajectory import TimeGrid, Trajectory
 
 GRID_MATRIX = [(1, 8), (1, 64), (1, 128), (2, 8), (2, 32)]
 
@@ -107,6 +111,20 @@ class TestTransform:
 
 
 class TestDifferentiation:
+    @pytest.mark.parametrize("n,N", [(1, 8), (1, 64), (2, 8), (2, 64)])
+    def test_derivative_symbol_cached_and_read_only(self, n, N):
+        g = make_grid(n, N)
+        for axis in range(n):
+            # the symbol as built before it was cached
+            k = frequencies(g)[axis].copy()
+            k[np.abs(k) == N // 2] = 0.0
+            fresh = np.broadcast_to(2.0j * math.pi * k, rfft_shape(g)).copy()
+            sym = derivative_symbol(g, axis)
+            assert sym is derivative_symbol(make_grid(n, N), axis)
+            assert sym.dtype == fresh.dtype and sym.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                sym[(0,) * n] = 1.0
+
     def test_gradient_of_constant(self):
         g = make_grid(2, 16)
         grad = spectral_gradient(np.full(g.shape, 3.0), g)
@@ -268,7 +286,61 @@ class TestRandomBandLimited:
             random_band_limited(make_grid(1, 8), _rng(0), 4)
 
 
+def _write_snapshot_per_row(field: ScalarField, t: float, path):
+    """Reference writer: the per-row loop that defined the snapshot bytes."""
+    grid = field.grid
+    coords = grid.meshgrid()
+    flat = [c.ravel() for c in coords] + [field.values.ravel()]
+    with open(path, "w") as fh:
+        fh.write(f"# {grid.n} {grid.N} {t:.17g}\n")
+        for row in zip(*flat):
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+
+
+# zeros of both signs, subnormal, huge and tiny magnitudes, non-dyadic and
+# integral values
+AWKWARD_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 0.1, -0.1, 1 / 3,
+                  3.0, -7.0, 2.0**53, 1e16, 123456789.0, 2.2250738585072014e-308]
+
+
+def _awkward_field(g, seed=0) -> ScalarField:
+    values = _rng(seed).standard_normal(g.num_nodes)
+    values[: len(AWKWARD_VALUES)] = AWKWARD_VALUES
+    return ScalarField(g, _rng(seed + 1).permutation(values).reshape(g.shape))
+
+
 class TestSnapshots:
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+    @pytest.mark.parametrize("t", [0.0, 0.375, 0.1, 1 / 3])
+    def test_bytes_equal_per_row_writer(self, tmp_path, n, N, t):
+        f = _awkward_field(make_grid(n, N))
+        write_snapshot(f, t, tmp_path / "new.txt")
+        _write_snapshot_per_row(f, t, tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        back, t_back = read_snapshot(tmp_path / "new.txt")
+        assert t_back == t
+        assert back.values.tobytes() == f.values.tobytes()
+
+    def test_trajectory_2d_files_equal_per_row_writer(self, tmp_path):
+        g = make_grid(2, 8)
+        tg = TimeGrid.dyadic(0.3, levels=2, steps_per_level=2)
+        d = 2
+        values = np.stack([
+            np.stack([_awkward_field(g, seed=10 * k + i).values for i in range(d)])
+            for k in range(len(tg))
+        ])
+        traj = Trajectory(g, tg, values, metadata={"kind": "test"})
+        out = traj.save(tmp_path / "run")
+        for k, t in enumerate(tg.times):
+            for i in range(d):
+                name = f"state_t{k:05d}_s{i}.txt"
+                _write_snapshot_per_row(ScalarField(g, values[k, i]), float(t), tmp_path / "ref.txt")
+                assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
+        assert len(list(out.glob("state_t*.txt"))) == len(tg) * d
+        back = Trajectory.load(out)
+        assert back.values.tobytes() == traj.values.tobytes()
+        assert back.content_hash() == traj.content_hash()
+
     @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
     def test_round_trip(self, tmp_path, n, N):
         g = make_grid(n, N)

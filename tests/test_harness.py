@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,14 @@ TINY = ExperimentConfig(
 
 
 class TestConfig:
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        cfg = ExperimentConfig.from_text(blocks[0])
+        assert cfg.generator == "random-simplex" and cfg.smoothing == 0.005
+        assert cfg.output_dir == "runs"
+
     def test_round_trip_default(self):
         cfg = ExperimentConfig()
         again = ExperimentConfig.from_text(cfg.to_text())

@@ -243,6 +243,16 @@ class TestTrajectoryPersistence:
         np.testing.assert_array_equal(back.values, traj.values)
         assert back.metadata["scheme"] == "imex"
         assert back.manifest_hash() == traj.manifest_hash()
+        assert back.content_hash() == traj.content_hash()
+
+    def test_content_hash_names_the_values(self, small):
+        grid, tg, model, h = small
+        traj = imex_solve(h, model, TimeGrid.dyadic(0.01, levels=2, steps_per_level=2))
+        bumped = traj.values.copy()
+        bumped[-1, 0, 5] = np.nextafter(bumped[-1, 0, 5], np.inf)  # one ulp
+        other = Trajectory(traj.grid, traj.tg, bumped, metadata=dict(traj.metadata))
+        assert other.manifest_hash() == traj.manifest_hash()
+        assert other.content_hash() != traj.content_hash()
 
 
 class TestContractionReport:
