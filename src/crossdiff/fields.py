@@ -180,12 +180,17 @@ def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
     return sym
 
 
+@functools.lru_cache(maxsize=8)
 def dealias_keep_mask(grid: GridSpec) -> np.ndarray:
-    """2/3-rule keep mask: True where |k_m| <= N//3 for every axis."""
+    """2/3-rule keep mask: True where |k_m| <= N//3 for every axis.
+
+    Cached per grid; the returned array is shared, hence read-only.
+    """
     cutoff = grid.N // 3
     keep = np.ones(rfft_shape(grid), dtype=bool)
     for k in frequencies(grid):
         keep &= np.broadcast_to(np.abs(k) <= cutoff, keep.shape)
+    keep.flags.writeable = False
     return keep
 
 

@@ -170,15 +170,18 @@ def flux(
     grid: GridSpec,
     model: ReducedModel,
     truncated: bool = True,
+    grads: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fluxes F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) of nodal states.
 
     c = w clamped to [0, delta] when truncated, else c = w; gradients are
     always taken from the unclamped state. Products are formed nodally and
     dealiased by the 2/3 rule. Shapes: (..., d, *grid.shape) ->
-    (..., d, n, *grid.shape); leading axes are a batch.
+    (..., d, n, *grid.shape); leading axes are a batch. grads, when given,
+    must be spectral_gradient(values, grid); it is then not recomputed.
     """
-    grads = spectral_gradient(values, grid)
+    if grads is None:
+        grads = spectral_gradient(values, grid)
     coef = np.clip(values, 0.0, model.delta) if truncated else values
     x = "xy"[: grid.n]  # the spatial axes
     mixed_c = np.einsum(f"ij,...j{x}->...i{x}", model.alpha, coef)
@@ -190,11 +193,20 @@ def flux(
     return from_coeffs(fhat, grid)
 
 
-def flux_trajectory(traj: Trajectory, model: ReducedModel, truncated: bool = True) -> FluxTrajectory:
-    """Evaluate the flux along every stored state, FLUX_BLOCK_BYTES of output at a time."""
+def flux_trajectory(
+    traj: Trajectory,
+    model: ReducedModel,
+    truncated: bool = True,
+    grads: np.ndarray | None = None,
+) -> FluxTrajectory:
+    """Evaluate the flux along every stored state, FLUX_BLOCK_BYTES of output at a time.
+
+    grads, when given, must be spectral_gradient(traj.values, traj.grid).
+    """
     node_bytes = traj.values[0].nbytes * traj.grid.n
     step = max(1, FLUX_BLOCK_BYTES // node_bytes)
-    blocks = [flux(traj.values[k:k + step], traj.grid, model, truncated)
+    blocks = [flux(traj.values[k:k + step], traj.grid, model, truncated,
+                   None if grads is None else grads[k:k + step])
               for k in range(0, len(traj.tg), step)]
     return FluxTrajectory(traj.grid, traj.tg, np.concatenate(blocks))
 
@@ -209,6 +221,23 @@ class LipschitzReport:
     x_v: float
     x_w: float
     x_diff: float
+
+
+def _flux_and_xp_norm(
+    traj: Trajectory,
+    model: ReducedModel,
+    truncated: bool,
+    p: float,
+    cylinders: list[CylinderSpec],
+) -> tuple[np.ndarray, float]:
+    """F(traj) values and ||traj||_Xp from one spectral gradient of the trajectory.
+
+    The seminorm is the Yp norm of the gradient as a flux, which equals
+    xp_norm(traj) bit for bit (the gradient-as-flux identity).
+    """
+    grads = spectral_gradient(traj.values, traj.grid)
+    x = traj.sup_norm() + yp_norm(FluxTrajectory(traj.grid, traj.tg, grads), p, cylinders).seminorm
+    return flux_trajectory(traj, model, truncated, grads).values, x
 
 
 def lipschitz_probe(
@@ -231,12 +260,12 @@ def lipschitz_probe(
         p = default_exponent(v.grid)
     if cylinders is None:
         cylinders = enumerate_cylinders(v.grid, v.tg)
-    fv = flux_trajectory(v, model, truncated)
-    fw = flux_trajectory(w, model, truncated)
-    diff_flux = FluxTrajectory(v.grid, v.tg, fv.values - fw.values)
-    left = yp_norm(diff_flux, p, cylinders).seminorm
-    x_v = xp_norm(v, p, cylinders)
-    x_w = xp_norm(w, p, cylinders)
+    fv, x_v = _flux_and_xp_norm(v, model, truncated, p, cylinders)
+    fw, x_w = _flux_and_xp_norm(w, model, truncated, p, cylinders)
+    fv -= fw  # F(v) - F(w), in place; both are released before the x_diff norm
+    del fw
+    left = yp_norm(FluxTrajectory(v.grid, v.tg, fv), p, cylinders).seminorm
+    del fv
     x_diff = xp_norm(trajectory_difference(v, w), p, cylinders)
     if x_diff == 0.0:
         return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)

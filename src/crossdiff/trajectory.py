@@ -82,6 +82,7 @@ class Trajectory:
             or v.shape[2:] != self.grid.shape
         ):
             raise ValueError(f"values shape {v.shape} does not match times x species x grid")
+        _check_finite(v, "trajectory")
         self.values = v
 
     @property
@@ -168,6 +169,7 @@ class FluxTrajectory:
             raise ValueError(f"flux shape {v.shape} does not match times x species x n x grid")
         if v.shape[3:] != self.grid.shape:
             raise ValueError(f"flux shape {v.shape} does not match grid {self.grid.shape}")
+        _check_finite(v, "flux")
         self.values = v
 
     @property
@@ -177,6 +179,13 @@ class FluxTrajectory:
     def magnitudes(self) -> np.ndarray:
         """Euclidean |F| per (time, species), shape (n_times, d, *grid.shape)."""
         return np.sqrt((self.values**2).sum(axis=2))
+
+
+def _check_finite(values: np.ndarray, kind: str):
+    # min and max propagate NaN and show any infinity, and unlike
+    # isfinite().all() they allocate no temporary the size of the values
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{kind} values must be finite")
 
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:

@@ -1,8 +1,11 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from crossdiff import carleson
 from crossdiff.carleson import (
     CylinderSpec,
     decay_probe,
@@ -18,6 +21,44 @@ from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import InitialDataSpec, generate_initial_data
 from crossdiff.semigroup import heat_flow_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
+
+
+def _scan_per_cylinder(grid, times, mags, p, cylinders):
+    """The cylinder scan as one Python iteration per cylinder: the reference
+    for the vectorised scan, which must return the same tuple exactly."""
+    ordered = sorted(cylinders, key=lambda c: (c.radius, c.center))
+    axes = tuple(range(1, 1 + grid.n))
+    best, best_cyl, best_sp = 0.0, None, None
+    skipped = 0
+    for radius, group in itertools.groupby(ordered, key=lambda c: c.radius):
+        group = list(group)
+        lo, hi = group[0].window
+        eps = 1e-12 * hi
+        sel = np.nonzero((times >= lo - eps) & (times <= hi + eps))[0]
+        if sel.size == 0:
+            skipped += len(group)
+            continue
+        w = carleson._trap_weights(times[sel])
+        q = np.tensordot(w, mags[sel] ** p, axes=(0, 0))
+        mask = carleson._ball_mask(grid, radius)
+        count = int(mask.sum())
+        mhat = np.fft.fftn(mask.astype(float))
+        qhat = np.fft.fftn(q, axes=axes)
+        avg = np.fft.ifftn(qhat * np.conj(mhat), axes=axes).real / count
+        np.maximum(avg, 0.0, out=avg)
+        vals = radius * avg ** (1.0 / p)
+        for cyl in group:
+            index = tuple(int(round(c * grid.N)) % grid.N for c in cyl.center)
+            col = vals[(slice(None),) + index]
+            sp = int(np.argmax(col))
+            v = float(col[sp])
+            if v > best:
+                best, best_cyl, best_sp = v, cyl, sp
+    if skipped:
+        warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
+        if skipped == len(ordered):
+            raise ValueError("no cylinder window contains a stored time")
+    return best, best_cyl, best_sp, len(ordered) - skipped, skipped
 
 
 def _species(grid, *arrays):
@@ -176,6 +217,103 @@ class TestSeminorms:
     def test_default_exponent(self):
         assert default_exponent(make_grid(1, 64)) == 4
         assert default_exponent(make_grid(2, 16)) == 5
+
+
+class TestScanMatchesPerCylinderLoop:
+    @staticmethod
+    def _case(n, N, d=3):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        return grid, tg, enumerate_cylinders(grid, tg), (len(tg), d) + grid.shape
+
+    @staticmethod
+    def _assert_same(grid, tg, mags, p, cylinders):
+        ref = _scan_per_cylinder(grid, tg.times, mags, p, cylinders)
+        assert carleson._scan_cylinders(grid, tg.times, mags, p, cylinders) == ref
+        # the cylinder order of the list does not matter
+        rev = carleson._scan_cylinders(grid, tg.times, mags, p, cylinders[::-1])
+        assert rev == ref
+        return ref
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("p", [2.5, 5.0])
+    def test_random_magnitudes(self, n, N, p):
+        grid, tg, cylinders, shape = self._case(n, N)
+        mags = np.random.default_rng(11 + n).random(shape)
+        best, cyl, sp, scanned, skipped = self._assert_same(grid, tg, mags, p, cylinders)
+        assert best > 0.0 and cyl in cylinders and sp in range(3)
+        assert (scanned, skipped) == (len(cylinders), 0)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_off_node_centers_round_to_nearest_node(self, n, N):
+        grid, tg, cylinders, shape = self._case(n, N)
+        mags = np.random.default_rng(17).random(shape)
+        # halves round to even, as round() does; 1.0 and -0.5/N wrap to node 0
+        offsets = [0.3, 0.5, 1.5, 2.5, 2.7, N - 0.4, -0.5, float(N)]
+        shifted = [CylinderSpec(center=tuple((o + (m % 2)) / N for m in range(n)), radius=c.radius)
+                   for c in cylinders[:: len(cylinders) // 8] for o in offsets]
+        self._assert_same(grid, tg, mags, 4.0, shifted)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_constant_magnitudes_all_ties(self, n, N):
+        # every species equal and every cylinder listed twice: exact ties
+        # between species and between centers
+        grid, tg, cylinders, shape = self._case(n, N)
+        mags = np.full(shape, 0.75)
+        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, cylinders + cylinders)
+        # R * (average)^(1/p) grows with R, so the largest ball attains
+        assert sp == 0 and cyl.radius == max(c.radius for c in cylinders)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_single_spike(self, n, N):
+        grid, tg, cylinders, shape = self._case(n, N)
+        mags = np.zeros(shape)
+        mags[(len(tg) // 2, 1) + (N // 4,) * n] = 3.0
+        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, cylinders)
+        assert best > 0.0 and sp == 1
+
+    def test_nan_cylinders_never_attain(self):
+        # a NaN spreads over every center of the radii whose window holds it
+        grid, tg, cylinders, shape = self._case(2, 16)
+        mags = np.random.default_rng(9).random(shape)
+        r_max = max(c.radius for c in cylinders)
+        assert self._assert_same(grid, tg, mags, 4.0, cylinders)[1].radius == r_max
+        k = np.nonzero(tg.times > r_max**2 / 2)[0][0]  # inside the largest window
+        mags[k, 2, 0, 0] = np.nan
+        best, cyl, _, _, _ = self._assert_same(grid, tg, mags, 4.0, cylinders)
+        assert math.isfinite(best) and cyl.radius < r_max
+
+    def test_zero_magnitudes_attain_nothing(self):
+        grid, tg, cylinders, shape = self._case(2, 16)
+        ref = self._assert_same(grid, tg, np.zeros(shape), 4.0, cylinders)
+        assert ref[:3] == (0.0, None, None)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_partly_empty_windows_warn(self, n, N):
+        grid, tg, cylinders, shape = self._case(n, N)
+        mags = np.random.default_rng(5).random(shape)
+        # radii whose windows end before the first positive time
+        tiny = [CylinderSpec(center=c.center, radius=r)
+                for r in (1e-4, 2e-4) for c in cylinders[:3]]
+        with pytest.warns(UserWarning, match="skipped 6 cylinders"):
+            ref = self._assert_same(grid, tg, mags, 4.0, tiny + cylinders)
+        assert ref[3:] == (len(cylinders), 6)
+
+    def test_empty_cylinder_list(self):
+        grid, tg, _, shape = self._case(2, 16)
+        assert self._assert_same(grid, tg, np.ones(shape), 4.0, []) == (0.0, None, None, 0, 0)
+
+    def test_ball_spectra_cached_and_read_only(self):
+        grid = make_grid(2, 16)
+        radii = (0.1, 0.25, 0.5)
+        counts, spec = carleson._ball_spectra(grid, radii)
+        assert carleson._ball_spectra(make_grid(2, 16), radii)[1] is spec
+        for r, count, row in zip(radii, counts, spec):
+            mask = carleson._ball_mask(grid, r)
+            assert count == int(mask.sum())
+            assert row.tobytes() == np.conj(np.fft.fftn(mask.astype(float))).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            spec[0, 0, 0] = 0.0
 
 
 class TestMaximalRegularity:

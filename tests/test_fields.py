@@ -214,6 +214,13 @@ class TestDealias:
         fhat[..., ~dealias_keep_mask(g)] = 0.0
         assert_allclose(from_coeffs(fhat, g), once, atol=1e-14)
 
+    @pytest.mark.parametrize("n,N", [(1, 32), (2, 16)])
+    def test_keep_mask_cached_and_read_only(self, n, N):
+        keep = dealias_keep_mask(make_grid(n, N))
+        assert keep is dealias_keep_mask(make_grid(n, N))
+        with pytest.raises(ValueError, match="read-only"):
+            keep[(0,) * n] = False
+
     def test_keep_mask_2d(self):
         g = make_grid(2, 16)
         keep = dealias_keep_mask(g)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crossdiff import model as model_module
-from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
+from crossdiff.carleson import enumerate_cylinders, xp_norm, yp_norm
+from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, spectral_gradient
 from crossdiff.model import (
     NonlinearitySpec,
     RawCoefficients,
@@ -18,7 +19,7 @@ from crossdiff.model import (
     reduce_coefficients,
 )
 from crossdiff.semigroup import heat_flow_trajectory
-from crossdiff.trajectory import TimeGrid, Trajectory
+from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
 
 
 class TestRawCoefficients:
@@ -161,6 +162,23 @@ class TestFluxTrajectory:
         assert np.array_equal(out, per_node)
 
 
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_given_gradient_equals_computed(self, n, N, truncated):
+        g = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
+        alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
+        m = ReducedModel.from_alpha(alpha, 0.05)
+        vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
+        grads = spectral_gradient(vals, g)
+        for k in (0, len(tg) - 1):
+            assert np.array_equal(flux(vals[k], g, m, truncated, grads[k]),
+                                  flux(vals[k], g, m, truncated))
+        traj = Trajectory(g, tg, vals)
+        assert np.array_equal(flux_trajectory(traj, m, truncated, grads).values,
+                              flux_trajectory(traj, m, truncated).values)
+
+
 class TestNonlinearitySpec:
     def test_defaults(self):
         spec = NonlinearitySpec()
@@ -210,6 +228,32 @@ class TestLipschitzProbe:
         ratios = [lipschitz_probe(traj(1.0), traj(0.8), m).ratio for _ in range(5)]
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 10.0
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_report_equals_unshared_formulation(self, n, N, truncated):
+        # one gradient per trajectory serves F and the Xp norm; the report
+        # must equal the one computed without sharing, bit for bit
+        g = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
+        rng = np.random.default_rng(3 + n)
+        m = ReducedModel.from_alpha(np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.05)
+
+        def traj():
+            # values straddle [0, delta], so truncation is active when asked for
+            vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, 3).values for _ in range(3)])
+            return heat_flow_trajectory(SpeciesVector.from_array(g, vals), tg)
+
+        v, w = traj(), traj()
+        p, cyls = 4.5, enumerate_cylinders(g, tg)
+        rep = lipschitz_probe(v, w, m, p, cyls, truncated=truncated)
+        fdiff = flux_trajectory(v, m, truncated).values - flux_trajectory(w, m, truncated).values
+        left = yp_norm(FluxTrajectory(g, tg, fdiff), p, cyls).seminorm
+        x_v, x_w = xp_norm(v, p, cyls), xp_norm(w, p, cyls)
+        x_diff = xp_norm(trajectory_difference(v, w), p, cyls)
+        bound = m.d * max(x_v, x_w, x_v**2, x_w**2) * x_diff
+        assert (rep.left, rep.x_v, rep.x_w, rep.x_diff) == (left, x_v, x_w, x_diff)
+        assert (rep.bound, rep.ratio) == (bound, left / bound)
 
     def test_flux_trajectory_shapes(self):
         g, tg, m, traj = self._setup()

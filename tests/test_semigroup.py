@@ -13,7 +13,7 @@ from crossdiff.semigroup import (
     kernel_scaling_report,
     scaling_exponent,
 )
-from crossdiff.trajectory import FluxTrajectory, TimeGrid
+from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 
 def kernel_gradient_norm_closed_form(t: float, p: float, n: int) -> float:
@@ -54,6 +54,28 @@ class TestTimeGrid:
             TimeGrid(np.array([0.0, 0.2, 0.2]))
         with pytest.raises(ValueError):
             TimeGrid.dyadic(-1.0)
+
+
+class TestTrajectoryValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trajectory_rejects_nonfinite(self, bad):
+        grid = make_grid(2, 8)
+        tg = TimeGrid.uniform(1.0, 2)
+        vals = np.zeros((len(tg), 2) + grid.shape)
+        Trajectory(grid, tg, vals)
+        vals[2, 1, 3, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(grid, tg, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_flux_trajectory_rejects_nonfinite(self, bad):
+        grid = make_grid(1, 8)
+        tg = TimeGrid.uniform(1.0, 2)
+        vals = np.zeros((len(tg), 2, 1) + grid.shape)
+        FluxTrajectory(grid, tg, vals)
+        vals[1, 0, 0, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FluxTrajectory(grid, tg, vals)
 
 
 class TestHeatPropagate:
