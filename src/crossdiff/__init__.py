@@ -24,6 +24,7 @@ from .semigroup import (
     kernel_scaling_report,
 )
 from .carleson import (
+    CylinderLadder,
     CylinderSpec,
     DecayProbe,
     NormReport,
@@ -38,7 +39,6 @@ from .carleson import (
 )
 from .model import (
     LipschitzReport,
-    NonlinearitySpec,
     RawCoefficients,
     ReducedModel,
     flux,

@@ -2,16 +2,16 @@
 derivative-decay probes for sampled trajectories.
 
 The continuum supremum over cylinder centers z and radii R is discretised
-by a geometric radius ladder (two radii per octave by default) and a
-strided set of node-aligned centers. Balls wrap periodically; once
-2R >= 1 the ball is the whole torus. Reported values are certified lower
-bounds of the discrete supremum over the scanned cylinder set.
+by a CylinderLadder: a geometric radius ladder (two radii per octave by
+default) crossed with the grid nodes every `stride` nodes along each axis.
+Balls wrap periodically; once 2R >= 1 the ball is the whole torus.
+Reported values are certified lower bounds of the discrete supremum over
+the scanned cylinder set.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,6 +31,7 @@ from .trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 __all__ = [
     "CylinderSpec",
+    "CylinderLadder",
     "NormReport",
     "DecayProbe",
     "default_exponent",
@@ -66,6 +67,31 @@ class CylinderSpec:
         return (self.radius**2 / 2.0, self.radius**2)
 
 
+@dataclass(frozen=True)
+class CylinderLadder:
+    """The cylinders of every radius in `radii` centered at the nodes whose
+    indices are multiples of `stride` along every axis of `grid`."""
+
+    grid: GridSpec
+    radii: tuple[float, ...]
+    stride: int
+
+    def __post_init__(self):
+        radii = tuple(float(r) for r in self.radii)
+        object.__setattr__(self, "radii", radii)
+        if not 1 <= self.stride <= self.grid.N:
+            raise ValueError(f"centers_stride must be in [1, N], got {self.stride}")
+        if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError(f"radii must be positive and strictly increasing, got {radii}")
+
+    @property
+    def centers_per_radius(self) -> int:
+        return len(range(0, self.grid.N, self.stride)) ** self.grid.n
+
+    def __len__(self) -> int:
+        return len(self.radii) * self.centers_per_radius
+
+
 @dataclass
 class NormReport:
     p: float
@@ -99,17 +125,15 @@ def enumerate_cylinders(
     tg: TimeGrid,
     radii_per_octave: int = 2,
     centers_stride: int | None = None,
-) -> list[CylinderSpec]:
+) -> CylinderLadder:
     """Geometric radius ladder crossed with strided node centers.
 
     The smallest radius resolves the first positive time (R_min^2 = 2 t_1);
     the ladder is capped at R = 1/2, beyond which the ball wraps the whole
-    torus, and at R^2 = t_end.
+    torus, and at R^2 = t_end. Centers default to every N/16-th node.
     """
     if centers_stride is None:
         centers_stride = max(1, grid.N // 16)
-    if centers_stride < 1 or centers_stride > grid.N:
-        raise ValueError(f"centers_stride must be in [1, N], got {centers_stride}")
     if radii_per_octave < 1:
         raise ValueError("radii_per_octave must be >= 1")
     t1 = float(tg.times[1])
@@ -126,12 +150,7 @@ def enumerate_cylinders(
         radii.append(r)
         j += 1
     radii.append(r_cap)
-    steps = range(0, grid.N, centers_stride)
-    if grid.n == 1:
-        centers = [(i / grid.N,) for i in steps]
-    else:
-        centers = [(i / grid.N, j_ / grid.N) for i, j_ in itertools.product(steps, steps)]
-    return [CylinderSpec(center=z, radius=r) for r in radii for z in centers]
+    return CylinderLadder(grid, tuple(radii), centers_stride)
 
 
 def _ball_mask(grid: GridSpec, radius: float) -> np.ndarray:
@@ -154,7 +173,6 @@ def _ball_spectra(grid: GridSpec, radii: tuple[float, ...]) -> tuple[list[int], 
     half of the runs measured.
     """
     masks = np.array([_ball_mask(grid, r) for r in radii], dtype=float)
-    masks = masks.reshape((len(radii),) + grid.shape)  # also for an empty ladder
     spec = np.conj(np.fft.fftn(masks, axes=tuple(range(1, 1 + grid.n))))
     spec.flags.writeable = False
     return [int(np.count_nonzero(m)) for m in masks], spec
@@ -176,49 +194,47 @@ def _scan_cylinders(
     times: np.ndarray,
     mags: np.ndarray,
     p: float,
-    cylinders: list[CylinderSpec],
+    ladder: CylinderLadder,
 ):
     """Max over cylinders and species of R * (cylinder average of mags^p)^(1/p).
 
     mags has shape (n_times, d, *grid.shape) and must be nonnegative.
-    Ties break deterministically toward the smallest radius, then the
-    lexicographically smallest center, then the first species (scan order
-    with strict improvement). A NaN in mags spreads through the transforms
-    to every center of its radius, and that radius never attains.
+    Ties break deterministically toward the smallest radius, then the first
+    center in C order, then the first species (scan order with strict
+    improvement). A NaN in mags spreads through the transforms to every
+    center of its radius, and that radius never attains.
     """
-    ordered = sorted(cylinders, key=lambda c: (c.radius, c.center))
+    if ladder.grid != grid:
+        raise ValueError(f"cylinder ladder is on {ladder.grid}, the trajectory on {grid}")
     axes = tuple(range(1, 1 + grid.n))
-    # node index of every center, one row per spatial axis
-    nodes = np.rint(np.array([c.center for c in ordered]).T * grid.N).astype(np.intp) % grid.N
-    best, best_cyl, best_sp = 0.0, None, None
-    skipped = stop = 0
-    groups = [(r, list(g)) for r, g in itertools.groupby(ordered, key=lambda c: c.radius)]
-    counts, spectra = _ball_spectra(grid, tuple(r for r, _ in groups))
-    for j, (radius, group) in enumerate(groups):
-        start, stop = stop, stop + len(group)
-        lo, hi = group[0].window
+    centers = (slice(None),) + (slice(None, None, ladder.stride),) * grid.n
+    best, best_at, best_sp = 0.0, None, None
+    skipped = 0
+    counts, spectra = _ball_spectra(grid, ladder.radii)
+    for j, radius in enumerate(ladder.radii):
+        lo, hi = radius**2 / 2.0, radius**2
         eps = 1e-12 * hi
         sel = np.nonzero((times >= lo - eps) & (times <= hi + eps))[0]
         if sel.size == 0:
-            skipped += len(group)
+            skipped += ladder.centers_per_radius
             continue
         w = _trap_weights(times[sel])
         q = np.tensordot(w, mags[sel] ** p, axes=(0, 0))  # (d, *shape)
         qhat = np.fft.fftn(q, axes=axes)
-        avg = np.fft.ifftn(qhat * spectra[j], axes=axes).real / counts[j]
-        np.maximum(avg, 0.0, out=avg)
-        vals = radius * avg ** (1.0 / p)
-        cols = vals[(slice(None),) + tuple(nodes[:, start:stop])]  # (d, len(group))
-        sps = np.argmax(cols, axis=0)
-        top = cols[sps, np.arange(len(group))]
-        k = int(np.argmax(top))
+        avg = np.fft.ifftn(qhat * spectra[j], axes=axes).real[centers] / counts[j]
+        vals = radius * np.maximum(avg, 0.0) ** (1.0 / p)  # (d, *strided shape)
+        top = vals.max(axis=0)
+        k = np.unravel_index(int(np.argmax(top)), top.shape)
         if top[k] > best:
-            best, best_cyl, best_sp = float(top[k]), group[k], int(sps[k])
+            best, best_at = float(top[k]), (k, radius)
+            best_sp = int(np.argmax(vals[(slice(None),) + k]))
     if skipped:
         warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
-        if skipped == len(ordered):
+        if skipped == len(ladder):
             raise ValueError("no cylinder window contains a stored time")
-    return best, best_cyl, best_sp, len(ordered) - skipped, skipped
+    cyl = None if best_at is None else CylinderSpec(
+        tuple(int(i) * ladder.stride / grid.N for i in best_at[0]), best_at[1])
+    return best, cyl, best_sp, len(ladder) - skipped, skipped
 
 
 def gradient_flux(traj: Trajectory) -> FluxTrajectory:
@@ -229,7 +245,7 @@ def gradient_flux(traj: Trajectory) -> FluxTrajectory:
 def xp_seminorm(
     traj: Trajectory,
     p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
+    cylinders: CylinderLadder | None = None,
 ) -> NormReport:
     """Scale-invariant cylinder supremum of L^p averages of |grad w|,
     plus the trajectory sup norm (reported alongside)."""
@@ -257,7 +273,7 @@ def xp_seminorm(
 def yp_norm(
     flux: FluxTrajectory,
     p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
+    cylinders: CylinderLadder | None = None,
 ) -> NormReport:
     """Cylinder supremum of L^p averages of |F| (the flux-space norm)."""
     grid = flux.grid
@@ -284,7 +300,7 @@ def yp_norm(
 def xp_norm(
     traj: Trajectory,
     p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
+    cylinders: CylinderLadder | None = None,
 ) -> float:
     """Full solution-space norm: sup norm plus the gradient seminorm."""
     return xp_seminorm(traj, p, cylinders).xp_total
@@ -295,7 +311,7 @@ def maximal_regularity_ratio(
     flux: FluxTrajectory,
     tg: TimeGrid,
     p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
+    cylinders: CylinderLadder | None = None,
 ) -> float:
     """Solve the linear problem with datum h and forcing div F, then return
     ||w||_Xp / (||F||_Yp + ||h||_inf)."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .carleson import enumerate_cylinders, xp_seminorm
+from .carleson import xp_seminorm
 from .harness import (
     ExperimentConfig,
     VerificationReport,
@@ -101,7 +101,8 @@ def cmd_solve(args) -> int:
             traj = imex_solve(h, model, tg, truncated=cfg.truncated)
         else:
             traj, report = picard_solve(h, model, tg, tol=cfg.tol, max_iter=cfg.max_iter,
-                                        truncated=cfg.truncated, metric=cfg.metric, p=cfg.p)
+                                        truncated=cfg.truncated, metric=cfg.metric, p=cfg.p,
+                                        cylinders=cfg.cylinders(grid, tg))
             print(f"fixed-point iteration: {report.iterates} steps, "
                   f"theta_hat={report.theta_hat:.4g}, converged={report.converged}")
     except DivergedError as exc:
@@ -141,9 +142,11 @@ def cmd_verify(args) -> int:
 
 def cmd_norms(args) -> int:
     traj = Trajectory.load(args.traj)
-    p = args.p
-    cylinders = enumerate_cylinders(traj.grid, traj.tg)
-    rep = xp_seminorm(traj, p, cylinders)
+    # the cylinder ladder and p of the run's config.ini; an explicit --p wins
+    saved = Path(args.traj) / "config.ini"
+    args.config = saved if saved.exists() else None
+    cfg = _build_config(args)
+    rep = xp_seminorm(traj, cfg.p, cfg.cylinders(traj.grid, traj.tg))
     path = Path(args.traj) / "norms.csv"
     rep.to_csv(path, manifest_hash=traj.manifest_hash(), content_hash=traj.content_hash())
     z = ",".join(f"{c:.4g}" for c in rep.attaining.center) if rep.attaining else "-"

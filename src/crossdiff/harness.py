@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .carleson import (
+    CylinderLadder,
     decay_probe,
     default_exponent,
     enumerate_cylinders,
@@ -139,9 +140,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
         if self.d < 2:
             raise ValueError("need at least two species")
-        for name in ("delta", "t_end", "tol", "max_iter"):
+        for name in ("delta", "t_end", "tol", "max_iter", "radii_per_octave"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.centers_stride is not None and not 1 <= self.centers_stride <= self.N:
+            raise ValueError(f"centers_stride must be in [1, N], got {self.centers_stride}")
 
     def grid(self) -> GridSpec:
         return make_grid(self.n, self.N)
@@ -151,6 +154,11 @@ class ExperimentConfig:
 
     def exponent(self) -> float:
         return self.p if self.p is not None else float(default_exponent(self.grid()))
+
+    def cylinders(self, grid: GridSpec, tg: TimeGrid) -> CylinderLadder:
+        """The configured cylinder ladder on a grid and time grid: the one
+        place that reads radii_per_octave and centers_stride."""
+        return enumerate_cylinders(grid, tg, self.radii_per_octave, self.centers_stride)
 
     def initial_spec(self) -> "InitialDataSpec":
         return InitialDataSpec(
@@ -432,9 +440,7 @@ class SuiteContext:
         self.grid = self.config.grid()
         self.tg = self.config.time_grid()
         self.p = self.config.exponent()
-        self.cylinders = enumerate_cylinders(
-            self.grid, self.tg, self.config.radii_per_octave, self.config.centers_stride
-        )
+        self.cylinders = self.config.cylinders(self.grid, self.tg)
         self._picard: dict = {}
         self._imex: dict = {}
 
@@ -594,33 +600,39 @@ def check_stability(ctx: SuiteContext) -> list[Check]:
     return checks
 
 
+def _with_refinement(ctx: SuiteContext, name: str, measure) -> tuple:
+    """measure(grid) -> (value, extra) on the suite grid and, when the config
+    refines, on the grid with 2N nodes. Returns the suite grid's (value, extra)
+    and the checks that value moves by at most 20% under N -> 2N (none
+    without refinement)."""
+    base = measure(ctx.grid)
+    if not ctx.config.refine:
+        return base, []
+    fine = measure(make_grid(ctx.grid.n, 2 * ctx.grid.N))
+    rel = abs(fine[0] / base[0] - 1.0)
+    return base, [make_check(f"{name} stability under N -> 2N", rel, 0.2, "<=")]
+
+
 def check_gradient_decay(ctx: SuiteContext) -> list[Check]:
     delta = 0.05
     beta = (1,) + (0,) * (ctx.grid.n - 1)
-    qs = {}
-    slopes = {}
-    factors = (1, 2) if ctx.config.refine else (1,)
     # the target fit range needs the time grid to resolve it
     fit = (1e-4, 1e-2) if float(ctx.tg.times[1]) <= 1e-3 else None
-    for refine in factors:
-        grid = make_grid(ctx.grid.n, ctx.grid.N * refine)
+
+    def measure(grid):
         h = ctx.datum(delta, grid=grid, generator="step-like")
         traj, _ = picard_solve(h, ctx.model(delta), ctx.tg, tol=1e-11,
                                truncated=ctx.config.truncated, metric="sup")
         probe = decay_probe(traj, k=0, beta=beta, fit_window=fit)
-        qs[refine] = probe.max_scaled / h.sup_norm()
-        slopes[refine] = probe.slope
+        return probe.max_scaled / h.sup_norm(), probe.slope
+
+    (_, slope), refined = _with_refinement(ctx, "sup_t sqrt(t)||grad w||/||h||", measure)
     window = f"[{fit[0]:g}, {fit[1]:g}]" if fit else "first two decades"
-    checks = [
-        make_check("gradient decay slope for step-like data", abs(slopes[1] + 0.5), 0.1, "<=",
-                   note=f"fitted slope {slopes[1]:.4f} over t in {window}"),
+    return [
+        make_check("gradient decay slope for step-like data", abs(slope + 0.5), 0.1, "<=",
+                   note=f"fitted slope {slope:.4f} over t in {window}"),
+        *refined,
     ]
-    if ctx.config.refine:
-        rel = abs(qs[2] / qs[1] - 1.0)
-        checks.append(make_check(
-            "sup_t sqrt(t)||grad w||/||h|| stability under N -> 2N", rel, 0.2, "<=",
-        ))
-    return checks
 
 
 def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int) -> FluxTrajectory:
@@ -638,12 +650,8 @@ def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int) -> 
 
 
 def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
-    maxima = {}
-    factors = (1, 2) if ctx.config.refine else (1,)
-    for refine in factors:
-        grid = make_grid(ctx.grid.n, ctx.grid.N * refine)
-        cyls = enumerate_cylinders(grid, ctx.tg, ctx.config.radii_per_octave,
-                                   ctx.config.centers_stride)
+    def measure(grid):
+        cyls = ctx.config.cylinders(grid, ctx.tg)
         ratios = []
         for j in range(ctx.config.sweep_samples):
             seed = ctx.config.seed + 2000 + j
@@ -654,56 +662,41 @@ def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
             ]))
             flux = _random_flux(grid, ctx.tg, ctx.config.d, seed + 500, ctx.config.kmax)
             ratios.append(maximal_regularity_ratio(h, flux, ctx.tg, ctx.p, cyls))
-        maxima[refine] = max(ratios)
-    checks = [make_check("maximal-regularity ratio maximum", maxima[1], math.inf, "<",
-                         note="||w||_Xp / (||F||_Yp + ||h||_inf) over seeded linear problems")]
-    if ctx.config.refine:
-        rel = abs(maxima[2] / maxima[1] - 1.0)
-        checks.append(make_check(
-            "maximal-regularity maximum stability under N -> 2N", rel, 0.2, "<=",
-        ))
-    return checks
+        return max(ratios), None
+
+    (maximum, _), refined = _with_refinement(ctx, "maximal-regularity maximum", measure)
+    return [
+        make_check("maximal-regularity ratio maximum", maximum, math.inf, "<",
+                   note="||w||_Xp / (||F||_Yp + ||h||_inf) over seeded linear problems"),
+        *refined,
+    ]
 
 
 def check_lipschitz(ctx: SuiteContext) -> list[Check]:
     delta = ctx.config.delta
-    maxima = {}
-    zero_ratio = None
-    factors = (1, 2) if ctx.config.refine else (1,)
-    for refine in factors:
-        grid = make_grid(ctx.grid.n, ctx.grid.N * refine)
-        cyls = enumerate_cylinders(grid, ctx.tg, ctx.config.radii_per_octave,
-                                   ctx.config.centers_stride)
-        model = ctx.model(delta)
-        ratios = []
+    model = ctx.model(delta)
+
+    def measure(grid):
+        cyls = ctx.config.cylinders(grid, ctx.tg)
+        ratios, zero_ratio = [], None
         for j in range(ctx.config.sweep_samples):
             seed = ctx.config.seed + 3000 + j
-            v = heat_flow_trajectory(_seeded_datum(ctx, grid, delta, seed), ctx.tg)
-            w = heat_flow_trajectory(_seeded_datum(ctx, grid, delta, seed + 250), ctx.tg)
-            rep = lipschitz_probe(v, w, model, ctx.p, cyls)
-            ratios.append(rep.ratio)
-            if j == 0 and refine == 1:
+            v = heat_flow_trajectory(ctx.datum(delta, grid, seed=seed), ctx.tg)
+            w = heat_flow_trajectory(ctx.datum(delta, grid, seed=seed + 250), ctx.tg)
+            ratios.append(lipschitz_probe(v, w, model, ctx.p, cyls).ratio)
+            if j == 0 and grid == ctx.grid:
                 zero = Trajectory(grid, ctx.tg, np.zeros_like(v.values))
                 zero_ratio = lipschitz_probe(v, zero, model, ctx.p, cyls).ratio
-        maxima[refine] = max(ratios)
-    checks = [
-        make_check("flux-map Lipschitz constant maximum", maxima[1], math.inf, "<",
+        return max(ratios), zero_ratio
+
+    (maximum, zero_ratio), refined = _with_refinement(ctx, "Lipschitz constant maximum", measure)
+    return [
+        make_check("flux-map Lipschitz constant maximum", maximum, math.inf, "<",
                    note="||F(v)-F(w)||_Yp / (d max{...} ||v-w||_Xp) over seeded pairs"),
         make_check("flux-map quadratic bound at w=0", zero_ratio, math.inf, "<",
                    note="||F(v)||_Yp / (d ||v||_Xp^2)"),
+        *refined,
     ]
-    if ctx.config.refine:
-        rel = abs(maxima[2] / maxima[1] - 1.0)
-        checks.append(make_check(
-            "Lipschitz constant maximum stability under N -> 2N", rel, 0.2, "<=",
-        ))
-    return checks
-
-
-def _seeded_datum(ctx: SuiteContext, grid: GridSpec, delta: float, seed: int) -> SpeciesVector:
-    return generate_initial_data(
-        replace(ctx.config.initial_spec(), seed=seed), grid, ctx.config.d, delta
-    )
 
 
 def check_norm_identities(ctx: SuiteContext) -> list[Check]:
@@ -718,8 +711,8 @@ def check_norm_identities(ctx: SuiteContext) -> list[Check]:
     worst_tri, worst_hom = 0.0, 0.0
     for j in range(5):
         rng = np.random.default_rng(ctx.config.seed + 4000 + j)
-        u = heat_flow_trajectory(_seeded_datum(ctx, ctx.grid, 0.05, ctx.config.seed + 4100 + j), ctx.tg)
-        v = heat_flow_trajectory(_seeded_datum(ctx, ctx.grid, 0.05, ctx.config.seed + 4200 + j), ctx.tg)
+        u = heat_flow_trajectory(ctx.datum(0.05, ctx.grid, seed=ctx.config.seed + 4100 + j), ctx.tg)
+        v = heat_flow_trajectory(ctx.datum(0.05, ctx.grid, seed=ctx.config.seed + 4200 + j), ctx.tg)
         s = Trajectory(ctx.grid, ctx.tg, u.values + v.values)
         nu = xp_norm(u, ctx.p, ctx.cylinders)
         nv = xp_norm(v, ctx.p, ctx.cylinders)

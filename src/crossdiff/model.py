@@ -10,14 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import CylinderSpec, default_exponent, enumerate_cylinders, xp_norm, yp_norm
+from .carleson import CylinderLadder, default_exponent, enumerate_cylinders, xp_norm, yp_norm
 from .fields import GridSpec, dealias_keep_mask, from_coeffs, spectral_gradient, to_coeffs
 from .trajectory import FluxTrajectory, Trajectory, trajectory_difference
 
 __all__ = [
     "RawCoefficients",
     "ReducedModel",
-    "NonlinearitySpec",
     "LipschitzReport",
     "reduce_coefficients",
     "flux",
@@ -145,19 +144,6 @@ def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) 
     return model
 
 
-@dataclass(frozen=True)
-class NonlinearitySpec:
-    """Growth and difference exponents of the coupling matrix (both 1 for the
-    concrete quadratic model)."""
-
-    mu: float = 1.0
-    nu: float = 1.0
-
-    def __post_init__(self):
-        if self.mu <= 0 or self.nu <= 0:
-            raise ValueError("exponents must be positive")
-
-
 # flux_trajectory evaluates at most this many bytes of flux output per call
 # (at least one node). One call over a whole trajectory would hold several
 # trajectory-sized temporaries at once; with this budget a 2-D trajectory at
@@ -228,7 +214,7 @@ def _flux_and_xp_norm(
     model: ReducedModel,
     truncated: bool,
     p: float,
-    cylinders: list[CylinderSpec],
+    cylinders: CylinderLadder,
 ) -> tuple[np.ndarray, float]:
     """F(traj) values and ||traj||_Xp from one spectral gradient of the trajectory.
 
@@ -245,12 +231,12 @@ def lipschitz_probe(
     w: Trajectory,
     model: ReducedModel,
     p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
-    spec: NonlinearitySpec = NonlinearitySpec(),
+    cylinders: CylinderLadder | None = None,
     truncated: bool = False,
 ) -> LipschitzReport:
-    """Compare ||F(v) - F(w)||_Yp against d * max{||v||^mu, ||w||^mu,
-    ||v||^(nu+1), ||w||^(nu+1)} * ||v - w||_Xp and report left/right.
+    """Compare ||F(v) - F(w)||_Yp against d * max{||v||, ||w||, ||v||^2,
+    ||w||^2} * ||v - w||_Xp (the growth and difference exponents mu = nu = 1
+    of the quadratic flux) and report left/right.
 
     Identical trajectories report ratio 0 by convention.
     """
@@ -269,7 +255,7 @@ def lipschitz_probe(
     x_diff = xp_norm(trajectory_difference(v, w), p, cylinders)
     if x_diff == 0.0:
         return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)
-    factor = max(x_v**spec.mu, x_w**spec.mu, x_v ** (spec.nu + 1), x_w ** (spec.nu + 1))
+    factor = max(x_v, x_w, x_v**2, x_w**2)
     bound = model.d * factor * x_diff
     ratio = left / bound if bound > 0.0 else 0.0
     return LipschitzReport(left=left, bound=bound, ratio=ratio, x_v=x_v, x_w=x_w, x_diff=x_diff)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleson import CylinderSpec, default_exponent, enumerate_cylinders, xp_norm
+from .carleson import CylinderLadder, default_exponent, enumerate_cylinders, xp_norm
 from .fields import (
     SpeciesVector,
     dealias_keep_mask,
@@ -166,7 +166,7 @@ def picard_solve(
     truncated: bool = True,
     metric: str = "xp",
     p: float | None = None,
-    cylinders: list[CylinderSpec] | None = None,
+    cylinders: CylinderLadder | None = None,
 ) -> tuple[Trajectory, ContractionReport]:
     """Iterate the solution map from the homogeneous heat flow of h until
     successive iterates are closer than tol.

@@ -7,6 +7,7 @@ import pytest
 
 from crossdiff import carleson
 from crossdiff.carleson import (
+    CylinderLadder,
     CylinderSpec,
     decay_probe,
     default_exponent,
@@ -61,6 +62,14 @@ def _scan_per_cylinder(grid, times, mags, p, cylinders):
     return best, best_cyl, best_sp, len(ordered) - skipped, skipped
 
 
+def _expand(ladder):
+    """The ladder as the list of cylinders it stands for, radius by radius with
+    the centers in C order: the input of the per-cylinder reference scan."""
+    steps = range(0, ladder.grid.N, ladder.stride)
+    centers = list(itertools.product(steps, repeat=ladder.grid.n))
+    return [CylinderSpec(tuple(i / ladder.grid.N for i in z), r) for r in ladder.radii for z in centers]
+
+
 def _species(grid, *arrays):
     return SpeciesVector.from_array(grid, np.stack(arrays))
 
@@ -75,26 +84,27 @@ def setup():
 
 class TestEnumerateCylinders:
     def test_default_ladder(self, setup):
-        grid, tg, cylinders = setup
-        radii = sorted({c.radius for c in cylinders})
+        grid, tg, ladder = setup
+        radii = ladder.radii
         assert radii[0] == pytest.approx(math.sqrt(2 * tg.times[1]))
         assert radii[-1] == 0.5
         # two radii per octave
         assert radii[2] / radii[0] == pytest.approx(2.0, rel=1e-12)
-        centers = {c.center for c in cylinders}
-        assert len(centers) == 16
+        assert ladder.stride == grid.N // 16
+        assert ladder.centers_per_radius == 16
+        assert len({c.center for c in _expand(ladder)}) == 16
 
     def test_stride_full_gives_single_center(self):
         grid = make_grid(1, 64)
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
-        cylinders = enumerate_cylinders(grid, tg, centers_stride=64)
-        assert {c.center for c in cylinders} == {(0.0,)}
+        ladder = enumerate_cylinders(grid, tg, centers_stride=64)
+        assert ladder.centers_per_radius == 1
+        assert {c.center for c in _expand(ladder)} == {(0.0,)}
 
     def test_radius_capped_at_half(self):
         grid = make_grid(1, 64)
         tg = TimeGrid.dyadic(16.0, levels=8, steps_per_level=4)
-        radii = {c.radius for c in enumerate_cylinders(grid, tg)}
-        assert max(radii) == 0.5
+        assert max(enumerate_cylinders(grid, tg).radii) == 0.5
 
     def test_unresolvable_grid_rejected(self):
         grid = make_grid(1, 64)
@@ -107,6 +117,41 @@ class TestEnumerateCylinders:
         lo, hi = cyl.window
         assert lo == pytest.approx(0.02)
         assert hi == pytest.approx(0.04)
+
+
+class TestCylinderLadder:
+    @pytest.mark.parametrize("stride", [0, -1, 17])
+    def test_stride_out_of_range_rejected(self, stride):
+        grid = make_grid(2, 16)
+        with pytest.raises(ValueError, match="centers_stride"):
+            CylinderLadder(grid, (0.1, 0.2), stride)
+        with pytest.raises(ValueError, match="centers_stride"):
+            enumerate_cylinders(grid, TimeGrid.dyadic(1.0, 4, 4), centers_stride=stride)
+
+    @pytest.mark.parametrize("radii", [(), (0.0, 0.1), (-0.1, 0.1), (0.2, 0.1), (0.1, 0.1)])
+    def test_radii_positive_and_increasing(self, radii):
+        with pytest.raises(ValueError, match="radii"):
+            CylinderLadder(make_grid(1, 16), radii, 1)
+
+    def test_frozen_and_sized(self):
+        grid = make_grid(2, 16)
+        ladder = CylinderLadder(grid, (0.1, 0.25, 0.5), 3)
+        assert ladder.radii == (0.1, 0.25, 0.5)
+        assert ladder.centers_per_radius == 6 * 6  # nodes 0, 3, ..., 15 on each axis
+        assert len(ladder) == 3 * 36 == len(_expand(ladder))
+        with pytest.raises(AttributeError):
+            ladder.stride = 1
+
+    def test_scan_on_other_grid_rejected(self):
+        tg = TimeGrid.dyadic(1.0, levels=4, steps_per_level=4)
+        ladder = enumerate_cylinders(make_grid(1, 64), tg)
+        for grid in (make_grid(1, 32), make_grid(2, 64)):
+            traj = Trajectory(grid, tg, np.zeros((len(tg), 1) + grid.shape))
+            with pytest.raises(ValueError, match="ladder"):
+                xp_seminorm(traj, 4.0, ladder)
+            flux = FluxTrajectory(grid, tg, np.zeros((len(tg), 1, grid.n) + grid.shape))
+            with pytest.raises(ValueError, match="ladder"):
+                yp_norm(flux, 4.0, ladder)
 
 
 class TestSeminorms:
@@ -130,7 +175,7 @@ class TestSeminorms:
         lam = 4 * math.pi**2 * p
         xs = np.linspace(0.0, 1.0, 200001)
         best = 0.0
-        for cyl in cylinders:
+        for cyl in _expand(cylinders):
             lo, hi = cyl.window
             t_avg = (math.exp(-lam * lo) - math.exp(-lam * hi)) / (lam * (hi - lo))
             dist = np.abs(xs - cyl.center[0])
@@ -209,7 +254,7 @@ class TestSeminorms:
         grid = make_grid(1, 64)
         tg = TimeGrid.dyadic(1.0, levels=4, steps_per_level=4)
         traj = Trajectory(grid, tg, np.zeros((len(tg), 1, grid.N)))
-        bad = [CylinderSpec(center=(0.0,), radius=1e-4)]
+        bad = CylinderLadder(grid, (1e-4,), grid.N)
         with pytest.raises(ValueError, match="no cylinder window"):
             with pytest.warns(UserWarning, match="skipped"):
                 xp_seminorm(traj, 4.0, bad)
@@ -219,89 +264,118 @@ class TestSeminorms:
         assert default_exponent(make_grid(2, 16)) == 5
 
 
+def _magnitudes(kind, tg, ladder, d=3):
+    """(n_times, d, *shape) magnitudes of one of five kinds on the ladder's grid."""
+    grid = ladder.grid
+    shape = (len(tg), d) + grid.shape
+    if kind == "random":
+        return np.random.default_rng(11 + grid.n).random(shape)
+    if kind == "constant":  # exact ties between species and between centers
+        return np.full(shape, 0.75)
+    mags = np.zeros(shape)
+    if kind == "spike":
+        mags[(len(tg) // 2, 1) + (grid.N // 4,) * grid.n] = 3.0
+    elif kind == "nan":
+        mags = np.random.default_rng(9).random(shape)
+        r_max = ladder.radii[-1]
+        k = np.nonzero(tg.times > r_max**2 / 2)[0][0]  # inside the largest window
+        mags[(k, 2) + (0,) * grid.n] = np.nan
+    return mags
+
+
 class TestScanMatchesPerCylinderLoop:
     @staticmethod
-    def _case(n, N, d=3):
+    def _case(n, N, stride=None, d=3):
         grid = make_grid(n, N)
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
-        return grid, tg, enumerate_cylinders(grid, tg), (len(tg), d) + grid.shape
+        return grid, tg, enumerate_cylinders(grid, tg, centers_stride=stride), (len(tg), d) + grid.shape
 
     @staticmethod
-    def _assert_same(grid, tg, mags, p, cylinders):
-        ref = _scan_per_cylinder(grid, tg.times, mags, p, cylinders)
-        assert carleson._scan_cylinders(grid, tg.times, mags, p, cylinders) == ref
-        # the cylinder order of the list does not matter
-        rev = carleson._scan_cylinders(grid, tg.times, mags, p, cylinders[::-1])
-        assert rev == ref
+    def _assert_same(grid, tg, mags, p, ladder):
+        ref = _scan_per_cylinder(grid, tg.times, mags, p, _expand(ladder))
+        assert carleson._scan_cylinders(grid, tg.times, mags, p, ladder) == ref
         return ref
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("p", [2.5, 5.0])
     def test_random_magnitudes(self, n, N, p):
-        grid, tg, cylinders, shape = self._case(n, N)
-        mags = np.random.default_rng(11 + n).random(shape)
-        best, cyl, sp, scanned, skipped = self._assert_same(grid, tg, mags, p, cylinders)
-        assert best > 0.0 and cyl in cylinders and sp in range(3)
-        assert (scanned, skipped) == (len(cylinders), 0)
-
-    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
-    def test_off_node_centers_round_to_nearest_node(self, n, N):
-        grid, tg, cylinders, shape = self._case(n, N)
-        mags = np.random.default_rng(17).random(shape)
-        # halves round to even, as round() does; 1.0 and -0.5/N wrap to node 0
-        offsets = [0.3, 0.5, 1.5, 2.5, 2.7, N - 0.4, -0.5, float(N)]
-        shifted = [CylinderSpec(center=tuple((o + (m % 2)) / N for m in range(n)), radius=c.radius)
-                   for c in cylinders[:: len(cylinders) // 8] for o in offsets]
-        self._assert_same(grid, tg, mags, 4.0, shifted)
+        grid, tg, ladder, _ = self._case(n, N)
+        mags = _magnitudes("random", tg, ladder)
+        best, cyl, sp, scanned, skipped = self._assert_same(grid, tg, mags, p, ladder)
+        assert best > 0.0 and cyl in _expand(ladder) and sp in range(3)
+        assert (scanned, skipped) == (len(ladder), 0)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_constant_magnitudes_all_ties(self, n, N):
-        # every species equal and every cylinder listed twice: exact ties
-        # between species and between centers
-        grid, tg, cylinders, shape = self._case(n, N)
-        mags = np.full(shape, 0.75)
-        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, cylinders + cylinders)
-        # R * (average)^(1/p) grows with R, so the largest ball attains
-        assert sp == 0 and cyl.radius == max(c.radius for c in cylinders)
+        # every species and every center equal: exact ties
+        grid, tg, ladder, _ = self._case(n, N)
+        mags = _magnitudes("constant", tg, ladder)
+        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
+        # R * (average)^(1/p) grows with R, so the largest ball attains,
+        # at the first center and the first species
+        assert (cyl, sp) == (CylinderSpec((0.0,) * n, ladder.radii[-1]), 0)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_single_spike(self, n, N):
-        grid, tg, cylinders, shape = self._case(n, N)
-        mags = np.zeros(shape)
-        mags[(len(tg) // 2, 1) + (N // 4,) * n] = 3.0
-        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, cylinders)
+        grid, tg, ladder, _ = self._case(n, N)
+        mags = _magnitudes("spike", tg, ladder)
+        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
         assert best > 0.0 and sp == 1
 
     def test_nan_cylinders_never_attain(self):
         # a NaN spreads over every center of the radii whose window holds it
-        grid, tg, cylinders, shape = self._case(2, 16)
+        grid, tg, ladder, shape = self._case(2, 16)
         mags = np.random.default_rng(9).random(shape)
-        r_max = max(c.radius for c in cylinders)
-        assert self._assert_same(grid, tg, mags, 4.0, cylinders)[1].radius == r_max
+        r_max = ladder.radii[-1]
+        assert self._assert_same(grid, tg, mags, 4.0, ladder)[1].radius == r_max
         k = np.nonzero(tg.times > r_max**2 / 2)[0][0]  # inside the largest window
         mags[k, 2, 0, 0] = np.nan
-        best, cyl, _, _, _ = self._assert_same(grid, tg, mags, 4.0, cylinders)
+        best, cyl, _, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
         assert math.isfinite(best) and cyl.radius < r_max
 
     def test_zero_magnitudes_attain_nothing(self):
-        grid, tg, cylinders, shape = self._case(2, 16)
-        ref = self._assert_same(grid, tg, np.zeros(shape), 4.0, cylinders)
+        grid, tg, ladder, shape = self._case(2, 16)
+        ref = self._assert_same(grid, tg, np.zeros(shape), 4.0, ladder)
         assert ref[:3] == (0.0, None, None)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_partly_empty_windows_warn(self, n, N):
-        grid, tg, cylinders, shape = self._case(n, N)
+        grid, tg, ladder, shape = self._case(n, N)
         mags = np.random.default_rng(5).random(shape)
         # radii whose windows end before the first positive time
-        tiny = [CylinderSpec(center=c.center, radius=r)
-                for r in (1e-4, 2e-4) for c in cylinders[:3]]
-        with pytest.warns(UserWarning, match="skipped 6 cylinders"):
-            ref = self._assert_same(grid, tg, mags, 4.0, tiny + cylinders)
-        assert ref[3:] == (len(cylinders), 6)
+        tiny = CylinderLadder(grid, (1e-4, 2e-4) + ladder.radii, ladder.stride)
+        skipped = 2 * ladder.centers_per_radius
+        with pytest.warns(UserWarning, match=f"skipped {skipped} cylinders"):
+            ref = self._assert_same(grid, tg, mags, 4.0, tiny)
+        assert ref[3:] == (len(ladder), skipped)
 
-    def test_empty_cylinder_list(self):
-        grid, tg, _, shape = self._case(2, 16)
-        assert self._assert_same(grid, tg, np.ones(shape), 4.0, []) == (0.0, None, None, 0, 0)
+    # the tests above scan the default stride
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("stride", [1, 3, "N/2", "N"])
+    @pytest.mark.parametrize("kind", ["random", "constant", "spike", "nan", "zero"])
+    def test_every_stride(self, n, N, stride, kind):
+        stride = {"N/2": N // 2, "N": N}.get(stride, stride)
+        grid, tg, ladder, _ = self._case(n, N, stride)
+        mags = _magnitudes(kind, tg, ladder)
+        best, cyl, sp, scanned, skipped = self._assert_same(grid, tg, mags, 4.0, ladder)
+        assert (scanned, skipped) == (len(ladder), 0)
+        assert (cyl is None) == (kind == "zero")
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("stride", [1, 3, "N/2", "N"])
+    def test_every_stride_empty_windows(self, n, N, stride):
+        stride = {"N/2": N // 2, "N": N}.get(stride, stride)
+        grid, tg, ladder, _ = self._case(n, N, stride)
+        mags = _magnitudes("random", tg, ladder)
+        partly = CylinderLadder(grid, (1e-4, 2e-4) + ladder.radii, ladder.stride)
+        with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius} cylinders"):
+            self._assert_same(grid, tg, mags, 4.0, partly)
+        empty = CylinderLadder(grid, (1e-4, 2e-4), ladder.stride)
+        for scan in (_scan_per_cylinder, carleson._scan_cylinders):
+            cylinders = _expand(empty) if scan is _scan_per_cylinder else empty
+            with pytest.raises(ValueError, match="no cylinder window"):
+                with pytest.warns(UserWarning, match="skipped"):
+                    scan(grid, tg.times, mags, 4.0, cylinders)
 
     def test_ball_spectra_cached_and_read_only(self):
         grid = make_grid(2, 16)

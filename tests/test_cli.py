@@ -1,5 +1,6 @@
 import pytest
 
+from crossdiff.carleson import enumerate_cylinders
 from crossdiff.cli import EXIT_DIVERGED, main
 from crossdiff.harness import ExperimentConfig
 from crossdiff.trajectory import Trajectory
@@ -105,3 +106,37 @@ def test_config_flag_overrides_file(tmp_path):
     assert code == 0
     saved = ExperimentConfig.load(out_dir / "config.ini")
     assert saved.N == 16
+
+
+LADDER_ARGS = ["--N", "16", "--t-end", "0.25", "--levels", "3", "--steps-per-level", "3",
+               "--kmax", "3", "--seed", "7"]
+
+
+def test_solve_uses_configured_cylinder_ladder(tmp_path, capsys):
+    # the xp contraction metric is a cylinder supremum, so a sparser ladder
+    # (one center instead of every node) changes the measured factor
+    thetas = {}
+    for stride in (1, 16):
+        out = tmp_path / f"stride{stride}"
+        assert main(["solve", "--metric", "xp", "--centers-stride", str(stride),
+                     "--out", str(out)] + LADDER_ARGS) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        thetas[stride] = line.split("theta_hat=")[1].split(",")[0]
+    assert thetas == {1: "0.02331", 16: "0.02454"}
+
+
+def test_norms_reads_run_config(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--metric", "sup", "--centers-stride", "16", "--radii-per-octave", "3",
+                 "--p", "3.5", "--out", str(run_dir)] + LADDER_ARGS) == 0
+    capsys.readouterr()
+    traj = Trajectory.load(run_dir)
+    scanned = len(enumerate_cylinders(traj.grid, traj.tg, 3, 16))
+    assert scanned == 7  # seven radii, one center
+
+    assert main(["norms", "--traj", str(run_dir)]) == 0
+    assert f"cylinders     {scanned} scanned, 0 skipped" in capsys.readouterr().out
+    assert (run_dir / "norms.csv").read_text().startswith("# p=3.5 ")
+    # an explicit --p wins over the run's config
+    assert main(["norms", "--traj", str(run_dir), "--p", "6"]) == 0
+    assert (run_dir / "norms.csv").read_text().startswith("# p=6.0 ")

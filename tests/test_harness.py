@@ -1,10 +1,13 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crossdiff import harness
+from crossdiff.carleson import enumerate_cylinders
 from crossdiff.fields import make_grid
 from crossdiff.harness import (
     _SECTIONS,
@@ -86,6 +89,9 @@ class TestConfig:
         ("tol", 0.0, "tol must be positive"),
         ("max_iter", 0, "max_iter must be positive"),
         ("delta", math.nan, "delta must be positive"),
+        ("centers_stride", 0, "centers_stride"),
+        ("centers_stride", 129, "centers_stride"),
+        ("radii_per_octave", 0, "radii_per_octave"),
     ])
     def test_invalid_values_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -267,6 +273,25 @@ class TestSuite:
         fine = ctx.imex(0.05, refine=4)
         assert fine.tg is ctx.tg
         assert fine.metadata["dt"] < ctx.imex(0.05).metadata["dt"]
+
+
+    def test_refinement_adds_one_last_check_per_group(self):
+        # N -> 2N only appends a stability check; the suite-grid checks are
+        # the same with or without refinement
+        coarse, fine = SuiteContext(TINY), SuiteContext(replace(TINY, refine=True))
+        for group in ("check_gradient_decay", "check_maximal_regularity", "check_lipschitz"):
+            base = getattr(harness, group)(coarse)
+            refined = getattr(harness, group)(fine)
+            assert refined[:-1] == base
+            assert refined[-1].name.endswith(" stability under N -> 2N")
+            assert refined[-1].threshold == 0.2 and refined[-1].op == "<="
+
+    def test_ladder_built_from_config(self):
+        cfg = ExperimentConfig(N=32, radii_per_octave=3, centers_stride=8)
+        ctx = SuiteContext(cfg)
+        assert ctx.cylinders == enumerate_cylinders(ctx.grid, ctx.tg, 3, 8)
+        fine = make_grid(1, 64)
+        assert cfg.cylinders(fine, ctx.tg) == enumerate_cylinders(fine, ctx.tg, 3, 8)
 
 
 class TestReference:

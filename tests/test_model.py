@@ -10,7 +10,6 @@ from crossdiff import model as model_module
 from crossdiff.carleson import enumerate_cylinders, xp_norm, yp_norm
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, spectral_gradient
 from crossdiff.model import (
-    NonlinearitySpec,
     RawCoefficients,
     ReducedModel,
     flux,
@@ -177,16 +176,6 @@ class TestFluxTrajectory:
         traj = Trajectory(g, tg, vals)
         assert np.array_equal(flux_trajectory(traj, m, truncated, grads).values,
                               flux_trajectory(traj, m, truncated).values)
-
-
-class TestNonlinearitySpec:
-    def test_defaults(self):
-        spec = NonlinearitySpec()
-        assert spec.mu == 1.0 and spec.nu == 1.0
-
-    def test_positive_exponents_required(self):
-        with pytest.raises(ValueError):
-            NonlinearitySpec(mu=0.0)
 
 
 class TestLipschitzProbe:
