@@ -49,7 +49,6 @@ from .model import (
 from .solver import (
     ContractionReport,
     DivergedError,
-    apply_fixed_point_map,
     imex_solve,
     picard_solve,
 )

@@ -23,6 +23,7 @@ from .fields import (
     SpeciesVector,
     derivative_symbol,
     from_coeffs,
+    rfft_shape,
     spectral_gradient,
     to_coeffs,
 )
@@ -242,13 +243,43 @@ def gradient_flux(traj: Trajectory) -> FluxTrajectory:
     return FluxTrajectory(traj.grid, traj.tg, spectral_gradient(traj.values, traj.grid))
 
 
+# _gradient_magnitudes transforms at most this many bytes of one gradient
+# component per call (at least one node)
+MAGNITUDE_BLOCK_BYTES = 1 << 20
+
+
+def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """|grad w| per (time, species) from the coefficients of w: shape
+    (n_times, d, *rfft_shape(grid)) -> (n_times, d, *grid.shape).
+
+    The gradient is built one component at a time over blocks of time nodes,
+    so it is never held whole; on coefficients from to_coeffs the result is
+    bit for bit gradient_flux(traj).magnitudes().
+    """
+    mags = np.zeros(coeffs.shape[:2] + grid.shape)
+    step = max(1, MAGNITUDE_BLOCK_BYTES // mags[0].nbytes)
+    for k in range(0, len(coeffs), step):
+        sq = mags[k:k + step]  # the squares are summed in place, then rooted
+        for m in range(grid.n):
+            comp = from_coeffs(derivative_symbol(grid, m) * coeffs[k:k + step], grid)
+            comp *= comp
+            sq += comp
+        np.sqrt(sq, out=sq)
+    return mags
+
+
 def xp_seminorm(
     traj: Trajectory,
     p: float | None = None,
     cylinders: CylinderLadder | None = None,
+    coeffs: np.ndarray | None = None,
 ) -> NormReport:
     """Scale-invariant cylinder supremum of L^p averages of |grad w|,
-    plus the trajectory sup norm (reported alongside)."""
+    plus the trajectory sup norm (reported alongside).
+
+    coeffs, when given, are the coefficients of traj.values (for instance
+    kept by the solver that made them); they are then not recomputed.
+    """
     grid = traj.grid
     if p is None:
         p = default_exponent(grid)
@@ -256,7 +287,11 @@ def xp_seminorm(
         raise ValueError(f"gradient seminorm requires p in (1, inf), got {p}")
     if cylinders is None:
         cylinders = enumerate_cylinders(grid, traj.tg)
-    mags = gradient_flux(traj).magnitudes()
+    if coeffs is None:
+        coeffs = to_coeffs(traj.values, grid)
+    elif coeffs.shape != traj.values.shape[:2] + rfft_shape(grid):
+        raise ValueError(f"coefficients of shape {coeffs.shape} do not match {traj.values.shape}")
+    mags = _gradient_magnitudes(coeffs, grid)
     semi, cyl, sp, scanned, skipped = _scan_cylinders(grid, traj.tg.times, mags, p, cylinders)
     return NormReport(
         p=p,
@@ -301,9 +336,10 @@ def xp_norm(
     traj: Trajectory,
     p: float | None = None,
     cylinders: CylinderLadder | None = None,
+    coeffs: np.ndarray | None = None,
 ) -> float:
     """Full solution-space norm: sup norm plus the gradient seminorm."""
-    return xp_seminorm(traj, p, cylinders).xp_total
+    return xp_seminorm(traj, p, cylinders, coeffs).xp_total
 
 
 def maximal_regularity_ratio(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -96,6 +97,7 @@ def cmd_solve(args) -> int:
     model = cfg.reduced_model()
     h = generate_initial_data(cfg.initial_spec(), grid, cfg.d, model.delta)
     t0 = time.perf_counter()
+    report = None
     try:
         if cfg.scheme == "imex":
             traj = imex_solve(h, model, tg, truncated=cfg.truncated)
@@ -103,8 +105,6 @@ def cmd_solve(args) -> int:
             traj, report = picard_solve(h, model, tg, tol=cfg.tol, max_iter=cfg.max_iter,
                                         truncated=cfg.truncated, metric=cfg.metric, p=cfg.p,
                                         cylinders=cfg.cylinders(grid, tg))
-            print(f"fixed-point iteration: {report.iterates} steps, "
-                  f"theta_hat={report.theta_hat:.4g}, converged={report.converged}")
     except DivergedError as exc:
         print(f"crossdiff solve: {exc}; nothing written", file=sys.stderr)
         return EXIT_DIVERGED
@@ -114,6 +114,11 @@ def cmd_solve(args) -> int:
     out = _out_dir(cfg, args, f"solve-{cfg.scheme}-{cfg.config_hash()}")
     traj.save(out)
     cfg.save(out / "config.ini")
+    # report only once the run is on disk, so a reader that closes the pipe
+    # early cannot cut the run short
+    if report is not None:
+        print(f"fixed-point iteration: {report.iterates} steps, "
+              f"theta_hat={report.theta_hat:.4g}, converged={report.converged}")
     print(f"solved {cfg.scheme} to t={tg.t_end:g} in {elapsed:.2f}s; "
           f"trajectory written to {out}")
     print(f"partition deviation {verify_partition(traj, model.delta).value:.3e}, "
@@ -213,7 +218,17 @@ def main(argv=None) -> int:
     p_suite.set_defaults(fn=cmd_suite)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (`crossdiff solve | head -1`): send what is
+        # left to devnull so the flush at exit does not raise again, and exit
+        # with 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

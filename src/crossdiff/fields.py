@@ -19,6 +19,8 @@ __all__ = [
     "ScalarField",
     "SpeciesVector",
     "make_grid",
+    "gradient_from_coeffs",
+    "divergence_from_coeffs",
     "spectral_gradient",
     "spectral_divergence",
     "random_band_limited",
@@ -139,15 +141,29 @@ def rfft_shape(grid: GridSpec) -> tuple[int, ...]:
     return grid.shape[:-1] + (grid.N // 2 + 1,)
 
 
+# numpy.fft takes out= from numpy 2.0 on
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
 def to_coeffs(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Normalised rfftn over the trailing n axes (leading axes pass through)."""
+    """Normalised rfftn over the trailing n axes (leading axes pass through).
+
+    N is a power of two, so the 1/N^n of norm="forward" is exact: the result
+    is bit for bit rfftn(values) / N^n, without its temporary.
+    """
     axes = tuple(range(values.ndim - grid.n, values.ndim))
-    return np.fft.rfftn(values, axes=axes) / grid.num_nodes
+    return np.fft.rfftn(values, axes=axes, norm="forward")
 
 
-def from_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+def from_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of to_coeffs, written into out (shape (..., *grid.shape)) when given."""
     axes = tuple(range(coeffs.ndim - grid.n, coeffs.ndim))
-    return np.fft.irfftn(coeffs * grid.num_nodes, s=grid.shape, axes=axes)
+    if out is None:
+        return np.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward")
+    if _FFT_OUT:
+        return np.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward", out=out)
+    out[...] = np.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward")
+    return out
 
 
 def frequencies(grid: GridSpec) -> tuple[np.ndarray, ...]:
@@ -194,14 +210,36 @@ def dealias_keep_mask(grid: GridSpec) -> np.ndarray:
     return keep
 
 
+def gradient_from_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Nodal gradient of fields given by their to_coeffs coefficients.
+
+    Shapes: (..., *rfft_shape(grid)) -> (..., n, *grid.shape); leading axes are
+    a batch. Each component is transformed straight into one preallocated
+    output, so no stacked copy of the gradient is made.
+    """
+    out = np.empty(coeffs.shape[: coeffs.ndim - grid.n] + (grid.n,) + grid.shape)
+    spatial = (slice(None),) * grid.n
+    for m in range(grid.n):
+        from_coeffs(derivative_symbol(grid, m) * coeffs, grid, out=out[(..., m) + spatial])
+    return out
+
+
 def spectral_gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exact gradient of the band-limited interpolant of nodal fields.
 
     Shapes: (..., *grid.shape) -> (..., n, *grid.shape); leading axes are a batch.
     """
-    chat = to_coeffs(values, grid)
-    comps = [from_coeffs(derivative_symbol(grid, m) * chat, grid) for m in range(grid.n)]
-    return np.stack(comps, axis=-1 - grid.n)
+    return gradient_from_coeffs(to_coeffs(values, grid), grid)
+
+
+def divergence_from_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Spectral coefficients of the divergence of vector fields given by theirs.
+
+    Shapes: (..., n, *rfft_shape(grid)) -> (..., *rfft_shape(grid)); leading
+    axes are a batch. The mean mode is identically zero.
+    """
+    spatial = (slice(None),) * grid.n
+    return sum(derivative_symbol(grid, m) * coeffs[(..., m) + spatial] for m in range(grid.n))
 
 
 def spectral_divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -212,9 +250,7 @@ def spectral_divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     if values.shape[-1 - grid.n] != grid.n:
         raise ValueError(f"expected {grid.n} components, got {values.shape[-1 - grid.n]}")
-    fhat = to_coeffs(values, grid)
-    spatial = (slice(None),) * grid.n
-    return sum(derivative_symbol(grid, m) * fhat[(..., m) + spatial] for m in range(grid.n))
+    return divergence_from_coeffs(to_coeffs(values, grid), grid)
 
 
 def random_band_limited(

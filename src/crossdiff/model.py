@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleson import CylinderLadder, default_exponent, enumerate_cylinders, xp_norm, yp_norm
-from .fields import GridSpec, dealias_keep_mask, from_coeffs, spectral_gradient, to_coeffs
+from .fields import (
+    GridSpec,
+    dealias_keep_mask,
+    divergence_from_coeffs,
+    from_coeffs,
+    gradient_from_coeffs,
+    spectral_gradient,
+    to_coeffs,
+)
 from .trajectory import FluxTrajectory, Trajectory, trajectory_difference
 
 __all__ = [
@@ -19,8 +27,10 @@ __all__ = [
     "ReducedModel",
     "LipschitzReport",
     "reduce_coefficients",
+    "flux_coeffs",
     "flux",
     "flux_trajectory",
+    "flux_divergence",
     "lipschitz_probe",
 ]
 
@@ -144,27 +154,29 @@ def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) 
     return model
 
 
-# flux_trajectory evaluates at most this many bytes of flux output per call
-# (at least one node). One call over a whole trajectory would hold several
-# trajectory-sized temporaries at once; with this budget a 2-D trajectory at
-# N=64 still goes one node per call, while a 1-D one needs one or two calls.
+# flux_trajectory and flux_divergence evaluate at most this many bytes of
+# flux per call (at least one node). One call over a whole trajectory would
+# hold several trajectory-sized temporaries at once; with this budget a 2-D
+# trajectory at N=64 still goes one node per call, while a 1-D one needs one
+# or two calls.
 FLUX_BLOCK_BYTES = 1 << 18
 
 
-def flux(
+def flux_coeffs(
     values: np.ndarray,
     grid: GridSpec,
     model: ReducedModel,
     truncated: bool = True,
     grads: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fluxes F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) of nodal states.
+    """Dealiased spectral coefficients of the fluxes
+    F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) of nodal states.
 
     c = w clamped to [0, delta] when truncated, else c = w; gradients are
     always taken from the unclamped state. Products are formed nodally and
     dealiased by the 2/3 rule. Shapes: (..., d, *grid.shape) ->
-    (..., d, n, *grid.shape); leading axes are a batch. grads, when given,
-    must be spectral_gradient(values, grid); it is then not recomputed.
+    (..., d, n, *rfft_shape(grid)); leading axes are a batch. grads, when
+    given, must be the nodal gradient of values; it is then not recomputed.
     """
     if grads is None:
         grads = spectral_gradient(values, grid)
@@ -176,7 +188,24 @@ def flux(
     out = grads * np.expand_dims(mixed_c, comp) - np.expand_dims(coef, comp) * mixed_g
     fhat = to_coeffs(out, grid)
     fhat[..., ~dealias_keep_mask(grid)] = 0.0
-    return from_coeffs(fhat, grid)
+    return fhat
+
+
+def flux(
+    values: np.ndarray,
+    grid: GridSpec,
+    model: ReducedModel,
+    truncated: bool = True,
+    grads: np.ndarray | None = None,
+) -> np.ndarray:
+    """Nodal values of flux_coeffs: (..., d, *grid.shape) -> (..., d, n, *grid.shape)."""
+    return from_coeffs(flux_coeffs(values, grid, model, truncated, grads), grid)
+
+
+def _time_blocks(num_times: int, node_bytes: int) -> list[slice]:
+    """Runs of time nodes that hold at most FLUX_BLOCK_BYTES of flux each."""
+    step = max(1, FLUX_BLOCK_BYTES // node_bytes)
+    return [slice(k, k + step) for k in range(0, num_times, step)]
 
 
 def flux_trajectory(
@@ -189,12 +218,32 @@ def flux_trajectory(
 
     grads, when given, must be spectral_gradient(traj.values, traj.grid).
     """
-    node_bytes = traj.values[0].nbytes * traj.grid.n
-    step = max(1, FLUX_BLOCK_BYTES // node_bytes)
-    blocks = [flux(traj.values[k:k + step], traj.grid, model, truncated,
-                   None if grads is None else grads[k:k + step])
-              for k in range(0, len(traj.tg), step)]
+    blocks = [flux(traj.values[b], traj.grid, model, truncated, None if grads is None else grads[b])
+              for b in _time_blocks(len(traj.tg), traj.values[0].nbytes * traj.grid.n)]
     return FluxTrajectory(traj.grid, traj.tg, np.concatenate(blocks))
+
+
+def flux_divergence(
+    values: np.ndarray,
+    coeffs: np.ndarray,
+    grid: GridSpec,
+    model: ReducedModel,
+    truncated: bool = True,
+) -> np.ndarray:
+    """Spectral coefficients of div F_i along a trajectory held as nodal
+    values (n_times, d, *grid.shape) and their coefficients (n_times, d,
+    *rfft_shape(grid)), FLUX_BLOCK_BYTES of flux at a time.
+
+    The gradients come from the coefficients and the flux never returns to
+    the nodes, which saves the forward transform of the state and the
+    inverse and forward transforms of the flux that flux_trajectory followed
+    by spectral_divergence would take.
+    """
+    out = np.empty(coeffs.shape, dtype=complex)
+    for b in _time_blocks(len(values), values[0].nbytes * grid.n):
+        fhat = flux_coeffs(values[b], grid, model, truncated, gradient_from_coeffs(coeffs[b], grid))
+        out[b] = divergence_from_coeffs(fhat, grid)
+    return out
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .fields import (
     SpeciesVector,
     from_coeffs,
     laplacian_symbol,
+    rfft_shape,
     spectral_divergence,
     to_coeffs,
 )
@@ -27,7 +28,9 @@ from .trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 __all__ = [
     "heat_propagate",
+    "heat_flow_coeffs",
     "heat_flow_trajectory",
+    "duhamel_coeffs",
     "duhamel_solve",
     "kernel_gradient_lp",
     "kernel_scaling_report",
@@ -48,14 +51,21 @@ def heat_propagate(field: ScalarField, t: float) -> ScalarField:
     return ScalarField(grid, from_coeffs(chat, grid))
 
 
+def heat_flow_coeffs(h: SpeciesVector, tg: TimeGrid) -> np.ndarray:
+    """Coefficients of the pure heat flow of every species at all time nodes,
+    shape (n_times, d, *rfft_shape(grid))."""
+    what = to_coeffs(h.stack(), h.grid)
+    return np.stack([what * heat_multiplier(h.grid, float(t)) for t in tg.times])
+
+
 def heat_flow_trajectory(h: SpeciesVector, tg: TimeGrid) -> Trajectory:
     """Pure heat flow of every species, sampled at all time nodes."""
     grid = h.grid
-    what = to_coeffs(h.stack(), grid)
+    coeffs = heat_flow_coeffs(h, tg)
     values = np.empty((len(tg), h.d) + grid.shape)
     values[0] = h.stack()
     for k in range(1, len(tg)):
-        values[k] = from_coeffs(what * heat_multiplier(grid, float(tg.times[k])), grid)
+        values[k] = from_coeffs(coeffs[k], grid)
     return Trajectory(grid, tg, values, metadata={"scheme": "heat-flow"})
 
 
@@ -82,15 +92,42 @@ def _segment_weights(grid: GridSpec, dt: float):
     return ez, dt * (phi1 - phi2), dt * phi2
 
 
-def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
-    """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h.
+def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Mild solution of d/dt w_i = Lap(w_i) + g_i with datum h, where
+    div_coeffs (n_times, d, *rfft_shape(grid)) holds the coefficients of the
+    forcing g_i = div F_i at every node of tg.
 
-    The forcing is a FluxTrajectory aligned with tg, or None (homogeneous
-    flow). Between consecutive output times the Duhamel convolution uses
+    Between consecutive output times the Duhamel convolution uses
     trapezoidal nodes (linear interpolation of the forcing) integrated
     exactly against the heat kernel, accumulated incrementally so the cost
     is linear in the number of steps; the scheme is second order in the
-    step size.
+    step size. Returns the nodal values (n_times, d, *grid.shape) and the
+    coefficients of the solution at every node.
+    """
+    grid, d = h.grid, h.d
+    if div_coeffs.shape != (len(tg), d) + rfft_shape(grid):
+        raise ValueError(f"forcing coefficients of shape {div_coeffs.shape} do not match "
+                         f"{len(tg)} times x {d} species on {grid}")
+    values = np.empty((len(tg), d) + grid.shape)
+    coeffs = np.empty_like(div_coeffs)
+    values[0] = h.stack()
+    coeffs[0] = to_coeffs(values[0], grid)
+    last_dt, weights = None, None
+    for k in range(1, len(tg)):
+        dt = float(tg.times[k] - tg.times[k - 1])
+        if dt != last_dt:
+            weights = _segment_weights(grid, dt)
+            last_dt = dt
+        E, w_left, w_right = weights
+        coeffs[k] = E * coeffs[k - 1] + w_left * div_coeffs[k - 1] + w_right * div_coeffs[k]
+        values[k] = from_coeffs(coeffs[k], grid)
+    return values, coeffs
+
+
+def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
+    """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
+    duhamel_coeffs recurrence on the divergence of a nodal FluxTrajectory
+    aligned with tg, or the homogeneous flow when forcing is None.
     """
     grid, d = h.grid, h.d
     if forcing is None:
@@ -99,22 +136,12 @@ def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != d:
         raise ValueError(f"forcing has {forcing.d} species, datum has {d}")
-
-    values = np.empty((len(tg), d) + grid.shape)
-    values[0] = h.stack()
-    what = to_coeffs(values[0], grid)
-    g_prev = spectral_divergence(forcing.values[0], grid)
-    last_dt, weights = None, None
-    for k in range(1, len(tg)):
-        dt = float(tg.times[k] - tg.times[k - 1])
-        if dt != last_dt:
-            weights = _segment_weights(grid, dt)
-            last_dt = dt
-        E, w_left, w_right = weights
-        g_next = spectral_divergence(forcing.values[k], grid)
-        what = E * what + w_left * g_prev + w_right * g_next
-        values[k] = from_coeffs(what, grid)
-        g_prev = g_next
+    # one node at a time: a batched divergence would hold the flux's
+    # coefficients for the whole trajectory at once
+    div_coeffs = np.empty((len(tg), d) + rfft_shape(grid), dtype=complex)
+    for k in range(len(tg)):
+        div_coeffs[k] = spectral_divergence(forcing.values[k], grid)
+    values, _ = duhamel_coeffs(h, div_coeffs, tg)
     return Trajectory(grid, tg, values, metadata={"scheme": "duhamel"})
 
 

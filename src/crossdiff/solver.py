@@ -19,15 +19,14 @@ from .fields import (
     from_coeffs,
     to_coeffs,
 )
-from .model import ReducedModel, flux_trajectory
-from .semigroup import duhamel_solve, heat_flow_trajectory, heat_multiplier
-from .trajectory import TimeGrid, Trajectory, trajectory_difference
+from .model import ReducedModel, flux_divergence
+from .semigroup import duhamel_coeffs, heat_flow_coeffs, heat_flow_trajectory, heat_multiplier
+from .trajectory import TimeGrid, Trajectory
 
 __all__ = [
     "DivergedError",
     "ContractionReport",
     "imex_solve",
-    "apply_fixed_point_map",
     "picard_solve",
 ]
 
@@ -116,20 +115,6 @@ def imex_solve(
     return traj
 
 
-def apply_fixed_point_map(
-    h: SpeciesVector,
-    w: Trajectory,
-    model: ReducedModel,
-    truncated: bool = True,
-) -> Trajectory:
-    """One application of the solution map: evaluate the nonlinear fluxes
-    along w, then solve the linear problem with datum h."""
-    flux = flux_trajectory(w, model, truncated)
-    out = duhamel_solve(h, flux, w.tg)
-    out.metadata.update({"scheme": "fixed-point-map", "truncated": truncated})
-    return out
-
-
 @dataclass
 class ContractionReport:
     """Successive iterate distances and the empirical contraction factor
@@ -171,8 +156,15 @@ def picard_solve(
     """Iterate the solution map from the homogeneous heat flow of h until
     successive iterates are closer than tol.
 
+    One application of the map evaluates the nonlinear fluxes along the
+    iterate and solves the linear problem with datum h. Every iterate is held
+    as nodal values and their coefficients: gradients come from the
+    coefficients, and the flux reaches Duhamel as the coefficients of its
+    divergence, so only the products go through the nodes.
+
     metric "xp" compares iterates in the full solution-space norm
-    (sup + gradient seminorm, the contraction metric); "sup" is a cheaper
+    (sup + gradient seminorm, the contraction metric), the seminorm taken
+    from the difference of their coefficients; "sup" is a cheaper
     sup-norm-only mode for quick runs. An iterate whose sup exceeds
     BLOWUP_FACTOR * sup(h), or is not finite, raises DivergedError.
     """
@@ -188,20 +180,30 @@ def picard_solve(
             p = default_exponent(h.grid)
         if cylinders is None:
             cylinders = enumerate_cylinders(h.grid, tg)
-        dist = lambda a, b: xp_norm(trajectory_difference(a, b), p, cylinders)
-    else:
-        dist = lambda a, b: float(np.max(np.abs(a.values - b.values)))
 
+    grid = h.grid
     cap = BLOWUP_FACTOR * max(h.sup_norm(), 1e-300)
-    w = heat_flow_trajectory(h, tg)
+    # the first iterate's values as heat_flow_trajectory gives them; its
+    # coefficients cost one more transform, of the datum only
+    w, w_hat = heat_flow_trajectory(h, tg), heat_flow_coeffs(h, tg)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        w_next = apply_fixed_point_map(h, w, model, truncated)
+        div_hat = flux_divergence(w.values, w_hat, grid, model, truncated)
+        values, next_hat = duhamel_coeffs(h, div_hat, tg)
+        del div_hat
+        w_next = Trajectory(grid, tg, values)
         _check_bounded(w_next, cap)
-        dmn = dist(w_next, w)
+        # the difference of the iterates overwrites the previous one, which
+        # is not used again: no trajectory-sized temporary
+        diff = Trajectory(grid, tg, np.subtract(values, w.values, out=w.values))
+        if metric == "xp":
+            dmn = xp_norm(diff, p, cylinders, coeffs=np.subtract(next_hat, w_hat, out=w_hat))
+        else:
+            dmn = diff.sup_norm()
+        del diff  # with w below, frees the previous iterate before the next flux
         distances.append(dmn)
-        w = w_next
+        w, w_hat = w_next, next_hat
         if dmn < tol:
             converged = True
             break

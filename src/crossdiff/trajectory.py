@@ -93,7 +93,8 @@ class Trajectory:
         return SpeciesVector.from_array(self.grid, self.values[k])
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        # max |v| without the temporary np.abs(values) would allocate
+        return float(np.maximum(self.values.max(), -self.values.min()))
 
     def species_means(self) -> np.ndarray:
         """Per-time, per-species spatial mean, shape (n_times, d)."""

@@ -18,7 +18,7 @@ from crossdiff.carleson import (
     xp_seminorm,
     yp_norm,
 )
-from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
+from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
 from crossdiff.harness import InitialDataSpec, generate_initial_data
 from crossdiff.semigroup import heat_flow_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
@@ -262,6 +262,29 @@ class TestSeminorms:
     def test_default_exponent(self):
         assert default_exponent(make_grid(1, 64)) == 4
         assert default_exponent(make_grid(2, 16)) == 5
+
+
+class TestGradientMagnitudes:
+    @pytest.mark.parametrize("n,N", [(1, 128), (2, 64)])
+    @pytest.mark.parametrize("block_nodes", [None, 1, 3])
+    def test_bit_equal_to_gradient_flux(self, n, N, block_nodes, monkeypatch):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
+        vals = np.random.default_rng(n).standard_normal((len(tg), 3) + grid.shape)
+        if block_nodes is not None:
+            node = 3 * grid.num_nodes * 8
+            monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", block_nodes * node)
+        mags = carleson._gradient_magnitudes(to_coeffs(vals, grid), grid)
+        assert np.array_equal(mags, gradient_flux(Trajectory(grid, tg, vals)).magnitudes())
+
+    def test_given_coefficients_equal_computed(self, setup):
+        grid, tg, cylinders = setup
+        vals = np.random.default_rng(6).standard_normal((len(tg), 2) + grid.shape)
+        traj = Trajectory(grid, tg, vals)
+        given_coeffs = xp_seminorm(traj, 4.0, cylinders, coeffs=to_coeffs(vals, grid))
+        assert given_coeffs == xp_seminorm(traj, 4.0, cylinders)
+        with pytest.raises(ValueError, match="coefficients"):
+            xp_seminorm(traj, 4.0, cylinders, coeffs=to_coeffs(vals[:, :1], grid))
 
 
 def _magnitudes(kind, tg, ladder, d=3):

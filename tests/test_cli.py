@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from crossdiff.carleson import enumerate_cylinders
@@ -140,3 +145,26 @@ def test_norms_reads_run_config(tmp_path, capsys):
     # an explicit --p wins over the run's config
     assert main(["norms", "--traj", str(run_dir), "--p", "6"]) == 0
     assert (run_dir / "norms.csv").read_text().startswith("# p=6.0 ")
+
+
+def test_solve_into_closed_pipe_keeps_run_and_prints_no_traceback(tmp_path):
+    # `crossdiff solve | head -1`: the reader is gone before the report is
+    # printed. The read end is closed before the child starts writing, so the
+    # first report line already meets a broken pipe.
+    run_dir = tmp_path / "run"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crossdiff.cli", "solve", "--metric", "sup",
+         "--out", str(run_dir)] + LADDER_ARGS,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=120)
+    proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert proc.returncode == 1
+    saved = ExperimentConfig.load(run_dir / "config.ini")
+    traj = Trajectory.load(run_dir)
+    assert len(list(run_dir.glob("state_t*_s*.txt"))) == len(traj.tg) * saved.d
+    assert traj.metadata["converged"]

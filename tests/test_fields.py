@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from crossdiff import fields
 from crossdiff.fields import (
     ScalarField,
     SpeciesVector,
     dealias_keep_mask,
     derivative_symbol,
+    divergence_from_coeffs,
     frequencies,
     from_coeffs,
+    gradient_from_coeffs,
     laplacian_symbol,
     make_grid,
     random_band_limited,
@@ -196,6 +200,62 @@ class TestDifferentiation:
             for i in range(2):
                 assert np.array_equal(grad[t, i], spectral_gradient(values[t, i], g))
                 assert np.array_equal(div[t, i], spectral_divergence(grad[t, i], g))
+
+
+class TestForwardNormalisation:
+    """to_coeffs/from_coeffs scale by norm="forward"; N^n is a power of two,
+    so that equals the division and multiplication by N^n bit for bit."""
+
+    @pytest.mark.parametrize("n,N", GRID_MATRIX + [(2, 64)])
+    @pytest.mark.parametrize("lead", [(), (3,), (5, 3)])
+    def test_bit_equal_to_explicit_scaling(self, n, N, lead):
+        g = make_grid(n, N)
+        axes = tuple(range(len(lead), len(lead) + n))
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            values = scale * _rng(N + len(lead)).standard_normal(lead + g.shape)
+            coeffs = np.fft.rfftn(values, axes=axes) / g.num_nodes
+            assert np.array_equal(to_coeffs(values, g), coeffs)
+            back = np.fft.irfftn(coeffs * g.num_nodes, s=g.shape, axes=axes)
+            assert np.array_equal(from_coeffs(coeffs, g), back)
+
+    @pytest.mark.parametrize("fft_out", [True, False])
+    def test_from_coeffs_into_out(self, monkeypatch, fft_out):
+        # numpy < 2.0 has no out= in numpy.fft; the fallback copies into out
+        monkeypatch.setattr(fields, "_FFT_OUT", fft_out and fields._FFT_OUT)
+        g = make_grid(2, 16)
+        coeffs = to_coeffs(_rng(8).standard_normal((3, 2) + g.shape), g)
+        out = np.empty((3, 2, 2) + g.shape)
+        got = from_coeffs(coeffs, g, out=out[:, :, 1])
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out[:, :, 1], from_coeffs(coeffs, g))
+
+
+class TestFromCoeffs:
+    @pytest.mark.parametrize("n,N", GRID_MATRIX)
+    def test_gradient_and_divergence_match_nodal_forms(self, n, N):
+        g = make_grid(n, N)
+        values = _rng(9).standard_normal((4, 2) + g.shape)
+        chat = to_coeffs(values, g)
+        grad = gradient_from_coeffs(chat, g)
+        assert np.array_equal(grad, spectral_gradient(values, g))
+        assert np.array_equal(divergence_from_coeffs(to_coeffs(grad, g), g),
+                              spectral_divergence(grad, g))
+
+    def test_gradient_peak_memory(self):
+        # each component goes straight into the output: besides the gradient
+        # itself the peak holds the coefficients, one component's symbol
+        # product and the inverse transform's complex intermediate (about
+        # 0.52 of the gradient each); numpy < 2.0 adds one nodal component
+        g = make_grid(2, 64)
+        values = _rng(10).standard_normal((16, 3) + g.shape)
+        tracemalloc.start()
+        try:
+            grad = spectral_gradient(values, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2.75 if fields._FFT_OUT else 3.25
+        assert peak <= bound * grad.nbytes
 
 
 class TestDealias:

@@ -8,11 +8,21 @@ from hypothesis.extra import numpy as hnp
 
 from crossdiff import model as model_module
 from crossdiff.carleson import enumerate_cylinders, xp_norm, yp_norm
-from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, spectral_gradient
+from crossdiff.fields import (
+    SpeciesVector,
+    from_coeffs,
+    make_grid,
+    random_band_limited,
+    spectral_divergence,
+    spectral_gradient,
+    to_coeffs,
+)
 from crossdiff.model import (
     RawCoefficients,
     ReducedModel,
     flux,
+    flux_coeffs,
+    flux_divergence,
     flux_trajectory,
     lipschitz_probe,
     reduce_coefficients,
@@ -176,6 +186,28 @@ class TestFluxTrajectory:
         traj = Trajectory(g, tg, vals)
         assert np.array_equal(flux_trajectory(traj, m, truncated, grads).values,
                               flux_trajectory(traj, m, truncated).values)
+
+
+class TestFluxDivergence:
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_matches_divergence_of_nodal_flux(self, n, N, truncated, monkeypatch):
+        g = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
+        alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
+        m = ReducedModel.from_alpha(alpha, 0.05)
+        vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
+        # blocks of five nodes, the last one short
+        monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", 5 * 3 * n * g.num_nodes * 8)
+        got = flux_divergence(vals, to_coeffs(vals, g), g, m, truncated)
+        ref = spectral_divergence(flux_trajectory(Trajectory(g, tg, vals), m, truncated).values, g)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_nodal_flux_is_its_coefficients_transformed_back(self):
+        g = make_grid(2, 16)
+        m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.05)
+        vals = 0.02 + 0.05 * np.random.default_rng(2).standard_normal((2,) + g.shape)
+        assert np.array_equal(flux(vals, g, m), from_coeffs(flux_coeffs(vals, g, m), g))
 
 
 class TestLipschitzProbe:

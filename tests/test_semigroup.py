@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from crossdiff.fields import ScalarField, SpeciesVector, make_grid, random_band_limited
+from crossdiff.fields import (
+    ScalarField,
+    SpeciesVector,
+    from_coeffs,
+    make_grid,
+    random_band_limited,
+    spectral_divergence,
+    to_coeffs,
+)
 from crossdiff.semigroup import (
     KernelEstimateReport,
+    duhamel_coeffs,
     duhamel_solve,
+    heat_flow_coeffs,
     heat_flow_trajectory,
     heat_propagate,
     kernel_gradient_lp,
@@ -184,6 +194,34 @@ class TestDuhamel:
         wrong = FluxTrajectory(g, tg, np.zeros((len(tg), 2, 1) + g.shape))
         with pytest.raises(ValueError, match="species"):
             duhamel_solve(h, wrong, tg)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_coefficients_are_those_of_the_values(self, n, N):
+        g = make_grid(n, N)
+        rng = np.random.default_rng(5)
+        h = _species(g, rng.standard_normal(g.shape), rng.standard_normal(g.shape))
+        tg = TimeGrid.dyadic(0.25, levels=3, steps_per_level=3)
+        flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 2, n) + g.shape))
+        values, coeffs = duhamel_coeffs(h, spectral_divergence(flux.values, g), tg)
+        assert np.array_equal(values, duhamel_solve(h, flux, tg).values)
+        assert np.max(np.abs(to_coeffs(values, g) - coeffs)) < 1e-14 * np.max(np.abs(coeffs))
+
+    def test_coefficient_shape_mismatch_rejected(self):
+        g = make_grid(1, 32)
+        h = _species(g, np.zeros(g.shape))
+        tg = TimeGrid.uniform(0.1, 4)
+        with pytest.raises(ValueError, match="forcing coefficients"):
+            duhamel_coeffs(h, np.zeros((len(tg) - 1, 1, g.N // 2 + 1), dtype=complex), tg)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_heat_flow_coeffs_give_heat_flow_values(self, n, N):
+        g = make_grid(n, N)
+        h = _species(g, np.random.default_rng(6).standard_normal(g.shape))
+        tg = TimeGrid.dyadic(0.25, levels=3, steps_per_level=3)
+        coeffs = heat_flow_coeffs(h, tg)
+        values = heat_flow_trajectory(h, tg).values
+        assert np.array_equal(coeffs[0], to_coeffs(h.stack(), g))
+        assert np.array_equal(from_coeffs(coeffs[1:], g), values[1:])
 
 
 class TestKernelGradient:
