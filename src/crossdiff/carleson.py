@@ -23,12 +23,13 @@ from .fields import (
     SpeciesVector,
     derivative_symbol,
     from_coeffs,
+    gradient_from_coeffs,
     rfft_shape,
     spectral_gradient,
     to_coeffs,
 )
-from .semigroup import duhamel_solve
-from .trajectory import FluxTrajectory, TimeGrid, Trajectory
+from .semigroup import _flux_duhamel
+from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
     "CylinderSpec",
@@ -252,19 +253,14 @@ def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """|grad w| per (time, species) from the coefficients of w: shape
     (n_times, d, *rfft_shape(grid)) -> (n_times, d, *grid.shape).
 
-    The gradient is built one component at a time over blocks of time nodes,
-    so it is never held whole; on coefficients from to_coeffs the result is
-    bit for bit gradient_flux(traj).magnitudes().
+    The gradient is built over blocks of time nodes, so it is never held
+    whole; on coefficients from to_coeffs the result is bit for bit
+    gradient_flux(traj).magnitudes().
     """
-    mags = np.zeros(coeffs.shape[:2] + grid.shape)
+    mags = np.empty(coeffs.shape[:2] + grid.shape)
     step = max(1, MAGNITUDE_BLOCK_BYTES // mags[0].nbytes)
     for k in range(0, len(coeffs), step):
-        sq = mags[k:k + step]  # the squares are summed in place, then rooted
-        for m in range(grid.n):
-            comp = from_coeffs(derivative_symbol(grid, m) * coeffs[k:k + step], grid)
-            comp *= comp
-            sq += comp
-        np.sqrt(sq, out=sq)
+        vector_magnitudes(gradient_from_coeffs(coeffs[k:k + step], grid), out=mags[k:k + step])
     return mags
 
 
@@ -350,11 +346,16 @@ def maximal_regularity_ratio(
     cylinders: CylinderLadder | None = None,
 ) -> float:
     """Solve the linear problem with datum h and forcing div F, then return
-    ||w||_Xp / (||F||_Yp + ||h||_inf)."""
-    w = duhamel_solve(h, flux, tg)
+    ||w||_Xp / (||F||_Yp + ||h||_inf).
+
+    The Xp seminorm of w is taken from the coefficients the Duhamel
+    recurrence returns, so w is never transformed forward again.
+    """
+    values, coeffs = _flux_duhamel(h, flux, tg)
     if cylinders is None:
         cylinders = enumerate_cylinders(h.grid, tg)
-    num = xp_seminorm(w, p, cylinders).xp_total
+    num = xp_seminorm(Trajectory(h.grid, tg, values), p, cylinders, coeffs=coeffs).xp_total
+    del values, coeffs  # released before the flux magnitudes are formed
     den = yp_norm(flux, p, cylinders).seminorm + h.sup_norm()
     if den == 0.0:
         raise ValueError("trivial problem: zero forcing and zero datum")

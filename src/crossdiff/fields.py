@@ -270,23 +270,22 @@ def random_band_limited(
     coeffs = np.zeros(rfft_shape(grid), dtype=complex)
     scale = amplitude / (2.0 * math.sqrt(kmax))
     if grid.n == 1:
-        for k in range(1, kmax + 1):
-            a, b = rng.standard_normal(2)
-            coeffs[k] = scale * (a + 1j * b)
+        z = rng.standard_normal((kmax, 2))
+        coeffs[1:kmax + 1] = scale * (z[:, 0] + 1j * z[:, 1])
     else:
         N = grid.N
-        # half-plane k2 > 0, plus the k2 = 0 column with k1 > 0; that column
-        # needs its explicit axis-0 conjugate partner (the rfft layout only
-        # implies symmetry along the last axis)
-        for k1 in range(-kmax, kmax + 1):
-            for k2 in range(0, kmax + 1):
-                if k2 == 0 and k1 <= 0:
-                    continue
-                a, b = rng.standard_normal(2)
-                c = scale * (a + 1j * b) / math.sqrt(2.0 * kmax)
-                coeffs[k1 % N, k2] = c
-                if k2 == 0:
-                    coeffs[(-k1) % N, 0] = np.conj(c)
+        # half-plane k2 > 0, plus the k2 = 0 column with k1 > 0, drawn in
+        # C order of (k1, k2); that column needs its explicit axis-0
+        # conjugate partner (the rfft layout only implies symmetry along the
+        # last axis)
+        k1, k2 = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(kmax + 1), indexing="ij")
+        drawn = (k2 > 0) | (k1 > 0)
+        k1, k2 = k1[drawn], k2[drawn]
+        z = rng.standard_normal((k1.size, 2))
+        c = scale * (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0 * kmax)
+        coeffs[k1 % N, k2] = c
+        column = k2 == 0
+        coeffs[-k1[column] % N, 0] = np.conj(c[column])
     coeffs[(0,) * grid.n] = mean
     return ScalarField(grid, from_coeffs(coeffs, grid))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import CylinderLadder, default_exponent, enumerate_cylinders, xp_norm, yp_norm
+from .carleson import CylinderLadder, _scan_cylinders, default_exponent, enumerate_cylinders
 from .fields import (
     GridSpec,
     dealias_keep_mask,
@@ -20,7 +20,7 @@ from .fields import (
     spectral_gradient,
     to_coeffs,
 )
-from .trajectory import FluxTrajectory, Trajectory, trajectory_difference
+from .trajectory import FluxTrajectory, Trajectory, vector_magnitudes
 
 __all__ = [
     "RawCoefficients",
@@ -162,6 +162,34 @@ def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) 
 FLUX_BLOCK_BYTES = 1 << 18
 
 
+def _flux_products(
+    values: np.ndarray,
+    grid: GridSpec,
+    model: ReducedModel,
+    truncated: bool,
+    grads: np.ndarray,
+) -> np.ndarray:
+    """Nodal products sum_j alpha_ij (c_j grad w_i - c_i grad w_j), not yet
+    dealiased: (..., d, *grid.shape) -> (..., d, n, *grid.shape).
+
+    c = w clamped to [0, delta] when truncated, else c = w; grads is the
+    nodal gradient of the unclamped values.
+    """
+    coef = np.clip(values, 0.0, model.delta) if truncated else values
+    x = "xy"[: grid.n]  # the spatial axes
+    mixed_c = np.einsum(f"ij,...j{x}->...i{x}", model.alpha, coef)
+    mixed_g = np.einsum(f"ij,...jm{x}->...im{x}", model.alpha, grads)
+    comp = -1 - grid.n  # the vector-component axis of a flux
+    return grads * np.expand_dims(mixed_c, comp) - np.expand_dims(coef, comp) * mixed_g
+
+
+def _dealiased_coeffs(products: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients of nodal products with the modes the 2/3 rule drops zeroed."""
+    fhat = to_coeffs(products, grid)
+    fhat[..., ~dealias_keep_mask(grid)] = 0.0
+    return fhat
+
+
 def flux_coeffs(
     values: np.ndarray,
     grid: GridSpec,
@@ -180,15 +208,7 @@ def flux_coeffs(
     """
     if grads is None:
         grads = spectral_gradient(values, grid)
-    coef = np.clip(values, 0.0, model.delta) if truncated else values
-    x = "xy"[: grid.n]  # the spatial axes
-    mixed_c = np.einsum(f"ij,...j{x}->...i{x}", model.alpha, coef)
-    mixed_g = np.einsum(f"ij,...jm{x}->...im{x}", model.alpha, grads)
-    comp = -1 - grid.n  # the vector-component axis of a flux
-    out = grads * np.expand_dims(mixed_c, comp) - np.expand_dims(coef, comp) * mixed_g
-    fhat = to_coeffs(out, grid)
-    fhat[..., ~dealias_keep_mask(grid)] = 0.0
-    return fhat
+    return _dealiased_coeffs(_flux_products(values, grid, model, truncated, grads), grid)
 
 
 def flux(
@@ -258,23 +278,6 @@ class LipschitzReport:
     x_diff: float
 
 
-def _flux_and_xp_norm(
-    traj: Trajectory,
-    model: ReducedModel,
-    truncated: bool,
-    p: float,
-    cylinders: CylinderLadder,
-) -> tuple[np.ndarray, float]:
-    """F(traj) values and ||traj||_Xp from one spectral gradient of the trajectory.
-
-    The seminorm is the Yp norm of the gradient as a flux, which equals
-    xp_norm(traj) bit for bit (the gradient-as-flux identity).
-    """
-    grads = spectral_gradient(traj.values, traj.grid)
-    x = traj.sup_norm() + yp_norm(FluxTrajectory(traj.grid, traj.tg, grads), p, cylinders).seminorm
-    return flux_trajectory(traj, model, truncated, grads).values, x
-
-
 def lipschitz_probe(
     v: Trajectory,
     w: Trajectory,
@@ -287,21 +290,45 @@ def lipschitz_probe(
     ||w||^2} * ||v - w||_Xp (the growth and difference exponents mu = nu = 1
     of the quadratic flux) and report left/right.
 
+    One pass over blocks of time nodes takes the gradients of v and w from
+    one forward transform of each, F(v) - F(w) from one dealiased transform
+    of the difference of the nodal products, and grad(v - w) as the
+    difference of the nodal gradients; only the magnitudes of those four
+    vector fields are held for the whole trajectory.
+
     Identical trajectories report ratio 0 by convention.
     """
     if v.grid != w.grid or not np.array_equal(v.tg.times, w.tg.times):
         raise ValueError("trajectories must share grid and time grid")
+    grid = v.grid
     if p is None:
-        p = default_exponent(v.grid)
+        p = default_exponent(grid)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"gradient seminorm requires p in (1, inf), got {p}")
     if cylinders is None:
-        cylinders = enumerate_cylinders(v.grid, v.tg)
-    fv, x_v = _flux_and_xp_norm(v, model, truncated, p, cylinders)
-    fw, x_w = _flux_and_xp_norm(w, model, truncated, p, cylinders)
-    fv -= fw  # F(v) - F(w), in place; both are released before the x_diff norm
-    del fw
-    left = yp_norm(FluxTrajectory(v.grid, v.tg, fv), p, cylinders).seminorm
-    del fv
-    x_diff = xp_norm(trajectory_difference(v, w), p, cylinders)
+        cylinders = enumerate_cylinders(grid, v.tg)
+    # |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
+    mags = np.empty((4,) + v.values.shape)
+    sup_diff = 0.0
+    for b in _time_blocks(len(v.tg), v.values[0].nbytes * grid.n):
+        gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
+        gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
+        prod = _flux_products(v.values[b], grid, model, truncated, gv)
+        prod -= _flux_products(w.values[b], grid, model, truncated, gw)
+        vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[0, b])
+        vector_magnitudes(gv, out=mags[1, b])
+        vector_magnitudes(gw, out=mags[2, b])
+        gv -= gw
+        vector_magnitudes(gv, out=mags[3, b])
+        diff = v.values[b] - w.values[b]
+        sup_diff = max(sup_diff, float(np.maximum(diff.max(), -diff.min())))
+    # magnitudes are >= 0, so the maximum shows any NaN or infinity
+    if not np.isfinite(mags.max()):
+        raise ValueError("gradient and flux values must be finite")
+    left, semi_v, semi_w, semi_diff = (_scan_cylinders(grid, v.tg.times, m, p, cylinders)[0]
+                                       for m in mags)
+    x_v, x_w = v.sup_norm() + semi_v, w.sup_norm() + semi_w
+    x_diff = sup_diff + semi_diff
     if x_diff == 0.0:
         return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)
     factor = max(x_v, x_w, x_v**2, x_w**2)

@@ -124,14 +124,10 @@ def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tu
     return values, coeffs
 
 
-def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
-    """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
-    duhamel_coeffs recurrence on the divergence of a nodal FluxTrajectory
-    aligned with tg, or the homogeneous flow when forcing is None.
-    """
+def _flux_duhamel(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """duhamel_coeffs on the divergence of a nodal FluxTrajectory aligned
+    with tg: the values and coefficients of the mild solution."""
     grid, d = h.grid, h.d
-    if forcing is None:
-        return heat_flow_trajectory(h, tg)
     if forcing.grid != grid or not np.array_equal(forcing.tg.times, tg.times):
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != d:
@@ -141,8 +137,18 @@ def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid
     div_coeffs = np.empty((len(tg), d) + rfft_shape(grid), dtype=complex)
     for k in range(len(tg)):
         div_coeffs[k] = spectral_divergence(forcing.values[k], grid)
-    values, _ = duhamel_coeffs(h, div_coeffs, tg)
-    return Trajectory(grid, tg, values, metadata={"scheme": "duhamel"})
+    return duhamel_coeffs(h, div_coeffs, tg)
+
+
+def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
+    """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
+    duhamel_coeffs recurrence on the divergence of a nodal FluxTrajectory
+    aligned with tg, or the homogeneous flow when forcing is None.
+    """
+    if forcing is None:
+        return heat_flow_trajectory(h, tg)
+    values, _ = _flux_duhamel(h, forcing, tg)
+    return Trajectory(h.grid, tg, values, metadata={"scheme": "duhamel"})
 
 
 # -- heat-kernel gradient norms on R^n ---------------------------------------

@@ -43,13 +43,20 @@ class DivergedError(RuntimeError):
         self.time = time
 
 
-def _check_bounded(traj: Trajectory, cap: float) -> None:
-    """Raise DivergedError at the first node whose sup exceeds cap or is not finite."""
-    sups = np.max(np.abs(traj.values.reshape(len(traj.tg), -1)), axis=1)
+def _check_bounded(values: np.ndarray, tg: TimeGrid, cap: float) -> None:
+    """Raise DivergedError at the first node of values (n_times, ...) whose
+    sup exceeds cap or is not finite.
+
+    Called before the values become a Trajectory, whose own finiteness check
+    would raise a ValueError first.
+    """
+    flat = values.reshape(len(tg), -1)
+    # max and -min propagate NaN, and allocate no temporary of |values|
+    sups = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     bad = ~(sups <= cap)
     if bad.any():
         k = int(np.argmax(bad))
-        raise DivergedError(float(traj.tg.times[k]), float(sups[k]), cap)
+        raise DivergedError(float(tg.times[k]), float(sups[k]), cap)
 
 
 def imex_solve(
@@ -110,9 +117,8 @@ def imex_solve(
         values[k] = from_coeffs(what, grid)
     meta = {"scheme": "imex", "dt": dt, "truncated": truncated,
             "delta": delta, "K": model.K, "alpha": model.alpha.tolist()}
-    traj = Trajectory(grid, tg, values, metadata=meta)
-    _check_bounded(traj, cap)
-    return traj
+    _check_bounded(values, tg, cap)
+    return Trajectory(grid, tg, values, metadata=meta)
 
 
 @dataclass
@@ -192,8 +198,8 @@ def picard_solve(
         div_hat = flux_divergence(w.values, w_hat, grid, model, truncated)
         values, next_hat = duhamel_coeffs(h, div_hat, tg)
         del div_hat
+        _check_bounded(values, tg, cap)
         w_next = Trajectory(grid, tg, values)
-        _check_bounded(w_next, cap)
         # the difference of the iterates overwrites the previous one, which
         # is not used again: no trajectory-sized temporary
         diff = Trajectory(grid, tg, np.subtract(values, w.values, out=w.values))

@@ -179,7 +179,21 @@ class FluxTrajectory:
 
     def magnitudes(self) -> np.ndarray:
         """Euclidean |F| per (time, species), shape (n_times, d, *grid.shape)."""
-        return np.sqrt((self.values**2).sum(axis=2))
+        return vector_magnitudes(self.values)
+
+
+def vector_magnitudes(vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm over axis 2 of (n_times, d, n, *shape) vector fields,
+    written into out (shape (n_times, d, *shape)) when given.
+
+    The squares are summed in place, one component at a time, so no
+    temporary the size of the vectors is made; for n <= 2 the result is bit
+    for bit np.sqrt((vectors**2).sum(axis=2)).
+    """
+    out = np.square(vectors[:, :, 0], out=out)
+    for m in range(1, vectors.shape[2]):
+        out += np.square(vectors[:, :, m])
+    return np.sqrt(out, out=out)
 
 
 def _check_finite(values: np.ndarray, kind: str):

@@ -20,7 +20,7 @@ from crossdiff.carleson import (
 )
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
 from crossdiff.harness import InitialDataSpec, generate_initial_data
-from crossdiff.semigroup import heat_flow_trajectory
+from crossdiff.semigroup import duhamel_solve, heat_flow_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 
@@ -427,6 +427,37 @@ class TestMaximalRegularity:
         flux = FluxTrajectory(grid, tg, np.zeros((len(tg), 1, 1, grid.N)))
         ratio = maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
         assert np.isfinite(ratio) and ratio > 0
+
+    @staticmethod
+    def _problem(n, N):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
+        rng = np.random.default_rng(9 + n)
+        h = _species(grid, *(random_band_limited(grid, rng, 3, mean=0.3).values for _ in range(2)))
+        shape = (len(tg), 2, n) + grid.shape
+        envelope = np.exp(-3.0 * tg.times).reshape((-1,) + (1,) * (len(shape) - 1))
+        flux = FluxTrajectory(grid, tg, envelope * np.stack(
+            [random_band_limited(grid, rng, 3).values for _ in range(2 * n)]).reshape(shape[1:]))
+        return h, flux, tg, enumerate_cylinders(grid, tg)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_equals_nodal_formulation(self, n, N):
+        # the Xp seminorm of w comes from the Duhamel coefficients instead of
+        # a forward transform of w: equal up to round-off
+        h, flux, tg, cylinders = self._problem(n, N)
+        w = duhamel_solve(h, flux, tg)
+        ref = xp_seminorm(w, 4.0, cylinders).xp_total / (
+            yp_norm(flux, 4.0, cylinders).seminorm + h.sup_norm())
+        ratio = maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        assert ratio == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_transform_budget(self, transform_bytes):
+        # the divergence of F forward (d x n), w back, |grad w| back (n);
+        # the datum's own forward transform is one node of the trajectory
+        h, flux, tg, cylinders = self._problem(2, 16)
+        transform_bytes.clear()
+        maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        assert sum(transform_bytes) <= 5 * len(tg) * h.stack().nbytes
 
     def test_trivial_problem_rejected(self, setup):
         grid, tg, cylinders = setup

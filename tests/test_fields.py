@@ -317,7 +317,42 @@ class TestSpeciesVector:
         assert_allclose(sv.total().values, 3.0)
 
 
+def _random_band_limited_per_mode(grid, rng, kmax, amplitude=1.0, mean=0.0):
+    """Reference generator: the per-mode loop that defined the draw order."""
+    coeffs = np.zeros(rfft_shape(grid), dtype=complex)
+    scale = amplitude / (2.0 * math.sqrt(kmax))
+    if grid.n == 1:
+        for k in range(1, kmax + 1):
+            a, b = rng.standard_normal(2)
+            coeffs[k] = scale * (a + 1j * b)
+    else:
+        N = grid.N
+        for k1 in range(-kmax, kmax + 1):
+            for k2 in range(0, kmax + 1):
+                if k2 == 0 and k1 <= 0:
+                    continue
+                a, b = rng.standard_normal(2)
+                c = scale * (a + 1j * b) / math.sqrt(2.0 * kmax)
+                coeffs[k1 % N, k2] = c
+                if k2 == 0:
+                    coeffs[(-k1) % N, 0] = np.conj(c)
+    coeffs[(0,) * grid.n] = mean
+    return from_coeffs(coeffs, grid)
+
+
 class TestRandomBandLimited:
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64), (2, 128)])
+    def test_bit_equal_to_per_mode_loop(self, n, N):
+        g = make_grid(n, N)
+        for kmax in sorted({1, 3, N // 3, N // 2 - 1}):
+            rng, ref_rng = _rng(kmax), _rng(kmax)
+            for amplitude, mean in ((1.0, 0.0), (0.3, -0.2)):
+                got = random_band_limited(g, rng, kmax, amplitude, mean).values
+                ref = _random_band_limited_per_mode(g, ref_rng, kmax, amplitude, mean)
+                assert got.tobytes() == ref.tobytes()
+            # both consumed the same stretch of the stream
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
     def test_resolution_independent(self):
         # same seed: the N=64 field is the N=128 field sampled on coarser nodes
         coarse = random_band_limited(make_grid(1, 64), _rng(42), 8)

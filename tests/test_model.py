@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from crossdiff.model import (
 )
 from crossdiff.semigroup import heat_flow_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
+
+ALPHA3 = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 class TestRawCoefficients:
@@ -253,8 +256,10 @@ class TestLipschitzProbe:
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("truncated", [True, False])
     def test_report_equals_unshared_formulation(self, n, N, truncated):
-        # one gradient per trajectory serves F and the Xp norm; the report
-        # must equal the one computed without sharing, bit for bit
+        # one gradient per trajectory serves F and the Xp norm, so x_v and x_w
+        # equal the unshared ones bit for bit; F(v) - F(w) is one transform
+        # of the difference of the products and grad(v - w) the difference of
+        # the gradients, which moves left, x_diff, bound and ratio by round-off
         g = make_grid(n, N)
         tg = TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
         rng = np.random.default_rng(3 + n)
@@ -273,8 +278,63 @@ class TestLipschitzProbe:
         x_v, x_w = xp_norm(v, p, cyls), xp_norm(w, p, cyls)
         x_diff = xp_norm(trajectory_difference(v, w), p, cyls)
         bound = m.d * max(x_v, x_w, x_v**2, x_w**2) * x_diff
-        assert (rep.left, rep.x_v, rep.x_w, rep.x_diff) == (left, x_v, x_w, x_diff)
-        assert (rep.bound, rep.ratio) == (bound, left / bound)
+        assert (rep.x_v, rep.x_w) == (x_v, x_w)
+        for got, want in ((rep.left, left), (rep.x_diff, x_diff), (rep.bound, bound),
+                          (rep.ratio, left / bound)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _pair(g, tg, seed=5, kmax=3):
+        rng = np.random.default_rng(seed)
+
+        def traj():
+            vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, kmax).values for _ in range(3)])
+            return heat_flow_trajectory(SpeciesVector.from_array(g, vals), tg)
+
+        return traj(), traj()
+
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_transform_budget(self, truncated, transform_bytes):
+        # in trajectories' worth: one forward transform of v and of w, n
+        # inverse for each gradient, and one forward and one inverse of the
+        # d x n flux difference (separate fluxes and norms took 17)
+        g, tg = make_grid(2, 16), TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
+        v, w = self._pair(g, tg)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        transform_bytes.clear()
+        lipschitz_probe(v, w, m, 4.5, cyls, truncated=truncated)
+        assert sum(transform_bytes) <= 10 * v.values.nbytes
+
+    def test_peak_memory(self):
+        # only the four magnitude fields are held whole (4.6x the trajectory
+        # measured); holding F(v), F(w) and a gradient together peaked at 8.1x
+        g, tg = make_grid(2, 64), TimeGrid.dyadic(0.25, levels=6, steps_per_level=8)
+        v, w = self._pair(g, tg, kmax=6)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        tracemalloc.start()
+        try:
+            lipschitz_probe(v, w, m, None, cyls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * v.values.nbytes
+
+    def test_nonfinite_flux_rejected(self):
+        g, tg = make_grid(1, 16), TimeGrid.uniform(0.1, 2)
+        v, w = self._pair(g, tg)
+        # finite states whose products overflow
+        huge = Trajectory(g, tg, 1e200 * v.values)
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+            lipschitz_probe(huge, w, ReducedModel.from_alpha(ALPHA3, 0.05))
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_exponent_validated(self, p):
+        g, tg = make_grid(1, 16), TimeGrid.dyadic(0.05, levels=3, steps_per_level=3)
+        v, w = self._pair(g, tg)
+        with pytest.raises(ValueError, match="p in"):
+            lipschitz_probe(v, w, ReducedModel.from_alpha(ALPHA3, 0.05), p)
 
     def test_flux_trajectory_shapes(self):
         g, tg, m, traj = self._setup()

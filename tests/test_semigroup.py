@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from crossdiff.semigroup import (
     kernel_scaling_report,
     scaling_exponent,
 )
-from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
+from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 
 def kernel_gradient_norm_closed_form(t: float, p: float, n: int) -> float:
@@ -87,6 +88,32 @@ class TestTrajectoryValues:
         with pytest.raises(ValueError, match="finite"):
             FluxTrajectory(grid, tg, vals)
 
+
+class TestFluxMagnitudes:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bit_equal_to_summed_squares(self, n):
+        grid = make_grid(n, 16)
+        tg = TimeGrid.uniform(1.0, 3)
+        vals = np.random.default_rng(n).standard_normal((len(tg), 2, n) + grid.shape)
+        ref = np.sqrt((vals**2).sum(axis=2))
+        assert np.array_equal(FluxTrajectory(grid, tg, vals).magnitudes(), ref)
+        out = np.empty(ref.shape)
+        assert vector_magnitudes(vals, out=out) is out
+        assert np.array_equal(out, ref)
+
+    def test_no_temporary_of_the_flux_size(self):
+        grid = make_grid(2, 64)
+        tg = TimeGrid.uniform(1.0, 8)
+        flux = FluxTrajectory(grid, tg, np.random.default_rng(0).standard_normal((len(tg), 3, 2) + grid.shape))
+        tracemalloc.start()
+        try:
+            mags = flux.magnitudes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result plus one squared component (2.1x measured); squaring the
+        # whole flux first peaked at 3.0x
+        assert peak <= 2.5 * mags.nbytes
 
 class TestHeatPropagate:
     def test_constant_is_equilibrium(self):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossdiff import solver
+from crossdiff import semigroup, solver
 from crossdiff.carleson import default_exponent, enumerate_cylinders, xp_norm
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
 from crossdiff.harness import InitialDataSpec, generate_initial_data
@@ -220,6 +220,31 @@ class TestPicard:
         wild = ReducedModel.from_alpha(ALPHA3, 3.0)
         with pytest.raises(DivergedError, match="diverged"):
             picard_solve(h, wild, tg, metric="sup", max_iter=40)
+
+    def test_nonfinite_iterate_diverges(self, small, monkeypatch):
+        # the heat flow (first iterate) is clean; every inverse transform of
+        # the Duhamel recurrence after it returns NaN
+        grid, tg, model, h = small
+        real_from, real_heat = semigroup.from_coeffs, solver.heat_flow_trajectory
+        poisoned = []
+
+        def heat_flow(*args):
+            poisoned.clear()
+            out = real_heat(*args)
+            poisoned.append(True)
+            return out
+
+        def from_coeffs(c, g, out=None):
+            res = real_from(c, g, out)
+            if poisoned:
+                res[...] = np.nan
+            return res
+
+        monkeypatch.setattr(solver, "heat_flow_trajectory", heat_flow)
+        monkeypatch.setattr(semigroup, "from_coeffs", from_coeffs)
+        for metric in ("xp", "sup"):
+            with pytest.raises(DivergedError, match="sup nan"):
+                picard_solve(h, model, tg, metric=metric)
 
     def test_unknown_metric(self, small):
         grid, tg, model, h = small
