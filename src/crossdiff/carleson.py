@@ -24,6 +24,7 @@ from .fields import (
     derivative_symbol,
     from_coeffs,
     gradient_from_coeffs,
+    index_blocks,
     rfft_shape,
     spectral_gradient,
     to_coeffs,
@@ -191,6 +192,35 @@ def _trap_weights(times: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+# _gradient_magnitudes transforms at most this many bytes of one gradient
+# component per call (at least one node), and _scan_cylinders this many
+# bytes of ball-average spectra
+MAGNITUDE_BLOCK_BYTES = 1 << 20
+
+
+@functools.lru_cache(maxsize=16)
+def _cylinder_windows(times: tuple[float, ...], radii: tuple[float, ...]) -> tuple:
+    """Per radius, the stored times in its window [R^2/2, R^2]: a slice of
+    node indices and their trapezoid weights as a (1, nodes) row, or None
+    when the window holds no stored time. times must be increasing.
+
+    Cached per (times, radii); the weight rows are shared, hence read-only.
+    """
+    t = np.array(times)
+    windows = []
+    for radius in radii:
+        lo, hi = radius**2 / 2.0, radius**2
+        eps = 1e-12 * hi
+        sel = np.nonzero((t >= lo - eps) & (t <= hi + eps))[0]
+        if sel.size == 0:
+            windows.append(None)
+            continue
+        w = _trap_weights(t[sel])[None]
+        w.flags.writeable = False
+        windows.append((slice(int(sel[0]), int(sel[-1]) + 1), w))
+    return tuple(windows)
+
+
 def _scan_cylinders(
     grid: GridSpec,
     times: np.ndarray,
@@ -208,32 +238,38 @@ def _scan_cylinders(
     """
     if ladder.grid != grid:
         raise ValueError(f"cylinder ladder is on {ladder.grid}, the trajectory on {grid}")
-    axes = tuple(range(1, 1 + grid.n))
-    centers = (slice(None),) + (slice(None, None, ladder.stride),) * grid.n
-    best, best_at, best_sp = 0.0, None, None
-    skipped = 0
-    counts, spectra = _ball_spectra(grid, ladder.radii)
-    for j, radius in enumerate(ladder.radii):
-        lo, hi = radius**2 / 2.0, radius**2
-        eps = 1e-12 * hi
-        sel = np.nonzero((times >= lo - eps) & (times <= hi + eps))[0]
-        if sel.size == 0:
-            skipped += ladder.centers_per_radius
-            continue
-        w = _trap_weights(times[sel])
-        q = np.tensordot(w, mags[sel] ** p, axes=(0, 0))  # (d, *shape)
-        qhat = np.fft.fftn(q, axes=axes)
-        avg = np.fft.ifftn(qhat * spectra[j], axes=axes).real[centers] / counts[j]
-        vals = radius * np.maximum(avg, 0.0) ** (1.0 / p)  # (d, *strided shape)
-        top = vals.max(axis=0)
-        k = np.unravel_index(int(np.argmax(top)), top.shape)
-        if top[k] > best:
-            best, best_at = float(top[k]), (k, radius)
-            best_sp = int(np.argmax(vals[(slice(None),) + k]))
+    windows = _cylinder_windows(tuple(times.tolist()), ladder.radii)
+    live = [j for j, win in enumerate(windows) if win is not None]
+    skipped = (len(windows) - len(live)) * ladder.centers_per_radius
     if skipped:
         warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
-        if skipped == len(ladder):
+        if not live:
             raise ValueError("no cylinder window contains a stored time")
+    counts, spectra = _ball_spectra(grid, ladder.radii)
+    axes = tuple(range(2, 2 + grid.n))
+    centers = (slice(None), slice(None)) + (slice(None, None, ladder.stride),) * grid.n
+    scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
+    counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
+    best, best_at, best_sp = 0.0, None, None
+    # live radii in increasing order, MAGNITUDE_BLOCK_BYTES of spectra at a time
+    for block in index_blocks(len(live), 2 * mags[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+        js = live[block]
+        # the time quadrature of mags^p: what tensordot(w, x, axes=(0, 0))
+        # computes, without its reshaping
+        q = np.empty((len(js),) + mags.shape[1:])
+        for i, j in enumerate(js):
+            nodes, w = windows[j]
+            x = mags[nodes] ** p
+            q[i] = np.dot(w, x.reshape(len(x), -1)).reshape(q.shape[1:])
+        avg = np.fft.ifftn(np.fft.fftn(q, axes=axes) * spectra[js][:, None], axes=axes).real
+        avg = avg[centers] / counts[js][scale]
+        vals = radii[js][scale] * np.maximum(avg, 0.0) ** (1.0 / p)  # (radius, d, *centers)
+        top = vals.max(axis=1).reshape(len(js), -1)
+        for i, k in enumerate(top.argmax(axis=1)):
+            if top[i, k] > best:
+                center = np.unravel_index(int(k), vals.shape[2:])
+                best, best_at = float(top[i, k]), (center, ladder.radii[js[i]])
+                best_sp = int(np.argmax(vals[(i, slice(None)) + center]))
     cyl = None if best_at is None else CylinderSpec(
         tuple(int(i) * ladder.stride / grid.N for i in best_at[0]), best_at[1])
     return best, cyl, best_sp, len(ladder) - skipped, skipped
@@ -242,11 +278,6 @@ def _scan_cylinders(
 def gradient_flux(traj: Trajectory) -> FluxTrajectory:
     """Spectral gradients of every species packaged as a flux trajectory."""
     return FluxTrajectory(traj.grid, traj.tg, spectral_gradient(traj.values, traj.grid))
-
-
-# _gradient_magnitudes transforms at most this many bytes of one gradient
-# component per call (at least one node)
-MAGNITUDE_BLOCK_BYTES = 1 << 20
 
 
 def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -258,9 +289,8 @@ def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     gradient_flux(traj).magnitudes().
     """
     mags = np.empty(coeffs.shape[:2] + grid.shape)
-    step = max(1, MAGNITUDE_BLOCK_BYTES // mags[0].nbytes)
-    for k in range(0, len(coeffs), step):
-        vector_magnitudes(gradient_from_coeffs(coeffs[k:k + step], grid), out=mags[k:k + step])
+    for b in index_blocks(len(coeffs), mags[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+        vector_magnitudes(gradient_from_coeffs(coeffs[b], grid), out=mags[b])
     return mags
 
 

@@ -166,6 +166,21 @@ def from_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = Non
     return out
 
 
+# Blocked transforms over time nodes take at most this many bytes of flux
+# (or of states) per call, and at least one node. One call over a whole
+# trajectory would hold several trajectory-sized temporaries at once; with
+# this budget a 2-D flux trajectory at N=64 still goes one node per call,
+# while a 1-D one needs one or two calls.
+FLUX_BLOCK_BYTES = 1 << 18
+
+
+def index_blocks(count: int, item_bytes: int, block_bytes: int, start: int = 0) -> list[slice]:
+    """Runs of consecutive indices from start up to count, each holding at
+    most block_bytes at item_bytes per item (at least one item per run)."""
+    step = max(1, block_bytes // item_bytes)
+    return [slice(k, k + step) for k in range(start, count, step)]
+
+
 def frequencies(grid: GridSpec) -> tuple[np.ndarray, ...]:
     """Integer wavenumber array per axis, broadcastable over rfft_shape."""
     N, n = grid.N, grid.n
@@ -176,10 +191,16 @@ def frequencies(grid: GridSpec) -> tuple[np.ndarray, ...]:
     return (full[:, None], half[None, :])
 
 
+@functools.lru_cache(maxsize=8)
 def laplacian_symbol(grid: GridSpec) -> np.ndarray:
+    """Multiplier -4*pi^2*|k|^2 of the Laplacian.
+
+    Cached per grid; the returned array is shared, hence read-only.
+    """
     ks = frequencies(grid)
-    k2 = sum(k**2 for k in ks)
-    return -4.0 * math.pi**2 * k2
+    sym = -4.0 * math.pi**2 * sum(k**2 for k in ks)
+    sym.flags.writeable = False
+    return sym
 
 
 @functools.lru_cache(maxsize=8)

@@ -6,6 +6,7 @@ everything it writes goes under the configured output directory.
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
 import math
@@ -140,9 +141,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
         if self.d < 2:
             raise ValueError("need at least two species")
-        for name in ("delta", "t_end", "tol", "max_iter", "radii_per_octave"):
+        for name in ("delta", "t_end", "tol", "max_iter", "radii_per_octave", "levels",
+                     "steps_per_level", "stability_pairs", "sweep_samples"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.p is not None and not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be in (1, inf), got {self.p}")
+        if not self.contraction_deltas or not all(x > 0 for x in self.contraction_deltas):
+            raise ValueError(f"contraction_deltas must be one or more positive spreads, "
+                             f"got {self.contraction_deltas}")
         if self.centers_stride is not None and not 1 <= self.centers_stride <= self.N:
             raise ValueError(f"centers_stride must be in [1, N], got {self.centers_stride}")
 
@@ -425,10 +432,12 @@ class VerificationReport:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "summary.txt").write_text(self.to_text())
-        with open(directory / "checks.csv", "w") as fh:
-            fh.write("name,value,op,threshold,passed,note\n")
+        # csv quotes the fields that hold a comma, such as a note's interval
+        with open(directory / "checks.csv", "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["name", "value", "op", "threshold", "passed", "note"])
             for c in self.checks:
-                fh.write(f"{c.name},{c.value:.17g},{c.op},{c.threshold:.17g},{c.passed},{c.note}\n")
+                out.writerow([c.name, f"{c.value:.17g}", c.op, f"{c.threshold:.17g}", c.passed, c.note])
         return directory
 
 

@@ -12,11 +12,13 @@ import numpy as np
 
 from .carleson import CylinderLadder, _scan_cylinders, default_exponent, enumerate_cylinders
 from .fields import (
+    FLUX_BLOCK_BYTES,
     GridSpec,
     dealias_keep_mask,
     divergence_from_coeffs,
     from_coeffs,
     gradient_from_coeffs,
+    index_blocks,
     spectral_gradient,
     to_coeffs,
 )
@@ -154,14 +156,6 @@ def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) 
     return model
 
 
-# flux_trajectory and flux_divergence evaluate at most this many bytes of
-# flux per call (at least one node). One call over a whole trajectory would
-# hold several trajectory-sized temporaries at once; with this budget a 2-D
-# trajectory at N=64 still goes one node per call, while a 1-D one needs one
-# or two calls.
-FLUX_BLOCK_BYTES = 1 << 18
-
-
 def _flux_products(
     values: np.ndarray,
     grid: GridSpec,
@@ -222,12 +216,6 @@ def flux(
     return from_coeffs(flux_coeffs(values, grid, model, truncated, grads), grid)
 
 
-def _time_blocks(num_times: int, node_bytes: int) -> list[slice]:
-    """Runs of time nodes that hold at most FLUX_BLOCK_BYTES of flux each."""
-    step = max(1, FLUX_BLOCK_BYTES // node_bytes)
-    return [slice(k, k + step) for k in range(0, num_times, step)]
-
-
 def flux_trajectory(
     traj: Trajectory,
     model: ReducedModel,
@@ -239,7 +227,8 @@ def flux_trajectory(
     grads, when given, must be spectral_gradient(traj.values, traj.grid).
     """
     blocks = [flux(traj.values[b], traj.grid, model, truncated, None if grads is None else grads[b])
-              for b in _time_blocks(len(traj.tg), traj.values[0].nbytes * traj.grid.n)]
+              for b in index_blocks(len(traj.tg), traj.values[0].nbytes * traj.grid.n,
+                                   FLUX_BLOCK_BYTES)]
     return FluxTrajectory(traj.grid, traj.tg, np.concatenate(blocks))
 
 
@@ -260,7 +249,7 @@ def flux_divergence(
     by spectral_divergence would take.
     """
     out = np.empty(coeffs.shape, dtype=complex)
-    for b in _time_blocks(len(values), values[0].nbytes * grid.n):
+    for b in index_blocks(len(values), values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
         fhat = flux_coeffs(values[b], grid, model, truncated, gradient_from_coeffs(coeffs[b], grid))
         out[b] = divergence_from_coeffs(fhat, grid)
     return out
@@ -310,7 +299,7 @@ def lipschitz_probe(
     # |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
     mags = np.empty((4,) + v.values.shape)
     sup_diff = 0.0
-    for b in _time_blocks(len(v.tg), v.values[0].nbytes * grid.n):
+    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
         gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
         gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
         prod = _flux_products(v.values[b], grid, model, truncated, gv)

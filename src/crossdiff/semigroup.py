@@ -8,6 +8,7 @@ for the band-limited interpolant; only the Duhamel time quadrature
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,10 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .fields import (
+    FLUX_BLOCK_BYTES,
     GridSpec,
     ScalarField,
     SpeciesVector,
     from_coeffs,
+    index_blocks,
     laplacian_symbol,
     rfft_shape,
     spectral_divergence,
@@ -53,22 +56,29 @@ def heat_propagate(field: ScalarField, t: float) -> ScalarField:
 
 def heat_flow_coeffs(h: SpeciesVector, tg: TimeGrid) -> np.ndarray:
     """Coefficients of the pure heat flow of every species at all time nodes,
-    shape (n_times, d, *rfft_shape(grid))."""
+    shape (n_times, d, *rfft_shape(grid)): one exp over the table of symbol
+    times time node, each entry the heat_multiplier of its node."""
     what = to_coeffs(h.stack(), h.grid)
-    return np.stack([what * heat_multiplier(h.grid, float(t)) for t in tg.times])
+    return what * np.exp(np.multiply.outer(tg.times, laplacian_symbol(h.grid)))[:, None]
+
+
+def _fill_values(coeffs: np.ndarray, grid: GridSpec, values: np.ndarray) -> None:
+    """Write the inverse transforms of coeffs[1:] into values[1:], over blocks
+    of FLUX_BLOCK_BYTES of values; values[0] holds the datum already."""
+    for b in index_blocks(len(values), values[0].nbytes, FLUX_BLOCK_BYTES, start=1):
+        from_coeffs(coeffs[b], grid, out=values[b])
 
 
 def heat_flow_trajectory(h: SpeciesVector, tg: TimeGrid) -> Trajectory:
     """Pure heat flow of every species, sampled at all time nodes."""
     grid = h.grid
-    coeffs = heat_flow_coeffs(h, tg)
     values = np.empty((len(tg), h.d) + grid.shape)
     values[0] = h.stack()
-    for k in range(1, len(tg)):
-        values[k] = from_coeffs(coeffs[k], grid)
+    _fill_values(heat_flow_coeffs(h, tg), grid, values)
     return Trajectory(grid, tg, values, metadata={"scheme": "heat-flow"})
 
 
+@functools.lru_cache(maxsize=64)
 def _segment_weights(grid: GridSpec, dt: float):
     """Exact per-mode weights for one Duhamel segment of length dt.
 
@@ -78,6 +88,8 @@ def _segment_weights(grid: GridSpec, dt: float):
     trapezoid dt/2, dt/2 as z -> 0 and stay damped like 1/|lambda| in the
     stiff limit (a plain endpoint trapezoid would leave the stiffest modes
     undamped and lets the fixed-point iteration amplify round-off).
+
+    Cached per (grid, dt); the returned arrays are shared, hence read-only.
     """
     z = laplacian_symbol(grid) * dt
     ez = np.exp(z)
@@ -89,7 +101,10 @@ def _segment_weights(grid: GridSpec, dt: float):
         0.5 + z / 6.0 + z * z / 24.0,
         (np.expm1(z) - z) / (zs * zs),
     )
-    return ez, dt * (phi1 - phi2), dt * phi2
+    weights = ez, dt * (phi1 - phi2), dt * phi2
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +127,10 @@ def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tu
     coeffs = np.empty_like(div_coeffs)
     values[0] = h.stack()
     coeffs[0] = to_coeffs(values[0], grid)
-    last_dt, weights = None, None
     for k in range(1, len(tg)):
-        dt = float(tg.times[k] - tg.times[k - 1])
-        if dt != last_dt:
-            weights = _segment_weights(grid, dt)
-            last_dt = dt
-        E, w_left, w_right = weights
+        E, w_left, w_right = _segment_weights(grid, float(tg.times[k] - tg.times[k - 1]))
         coeffs[k] = E * coeffs[k - 1] + w_left * div_coeffs[k - 1] + w_right * div_coeffs[k]
-        values[k] = from_coeffs(coeffs[k], grid)
+    _fill_values(coeffs, grid, values)
     return values, coeffs
 
 
@@ -132,11 +142,11 @@ def _flux_duhamel(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> tu
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != d:
         raise ValueError(f"forcing has {forcing.d} species, datum has {d}")
-    # one node at a time: a batched divergence would hold the flux's
+    # over blocks of nodes: one batched divergence would hold the flux's
     # coefficients for the whole trajectory at once
     div_coeffs = np.empty((len(tg), d) + rfft_shape(grid), dtype=complex)
-    for k in range(len(tg)):
-        div_coeffs[k] = spectral_divergence(forcing.values[k], grid)
+    for b in index_blocks(len(tg), forcing.values[0].nbytes, FLUX_BLOCK_BYTES):
+        div_coeffs[b] = spectral_divergence(forcing.values[b], grid)
     return duhamel_coeffs(h, div_coeffs, tg)
 
 

@@ -413,6 +413,55 @@ class TestScanMatchesPerCylinderLoop:
             spec[0, 0, 0] = 0.0
 
 
+class TestScanBlocksAndWindows:
+    """The scan takes the radii in blocks of MAGNITUDE_BLOCK_BYTES of spectra
+    and reads each radius's time window from one cached table."""
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("kind", ["random", "constant", "spike", "nan", "zero"])
+    def test_one_radius_per_block(self, n, N, kind, monkeypatch):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        ladder = enumerate_cylinders(grid, tg)
+        mags = _magnitudes(kind, tg, ladder)
+        ref = _scan_per_cylinder(grid, tg.times, mags, 4.0, _expand(ladder))
+        monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", 1)
+        assert carleson._scan_cylinders(grid, tg.times, mags, 4.0, ladder) == ref
+
+    def test_several_blocks_at_2d_n64(self):
+        # about five radii of 3 species per block of spectra
+        grid = make_grid(2, 64)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        ladder = enumerate_cylinders(grid, tg)
+        assert 2 * 3 * grid.num_nodes * 8 * len(ladder.radii) > carleson.MAGNITUDE_BLOCK_BYTES
+        mags = _magnitudes("random", tg, ladder)
+        ref = _scan_per_cylinder(grid, tg.times, mags, 5.0, _expand(ladder))
+        assert carleson._scan_cylinders(grid, tg.times, mags, 5.0, ladder) == ref
+
+    def test_window_table_cached_and_read_only(self, setup):
+        grid, tg, ladder = setup
+        key = (tuple(tg.times.tolist()), ladder.radii)
+        windows = carleson._cylinder_windows(*key)
+        assert carleson._cylinder_windows(*key) is windows
+        for radius, (nodes, w) in zip(ladder.radii, windows):
+            lo, hi = radius**2 / 2.0, radius**2
+            eps = 1e-12 * hi
+            sel = np.nonzero((tg.times >= lo - eps) & (tg.times <= hi + eps))[0]
+            assert np.array_equal(np.arange(len(tg))[nodes], sel)
+            assert np.array_equal(w, carleson._trap_weights(tg.times[sel])[None])
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 1.0
+
+    def test_scans_share_the_window_table(self, setup):
+        grid, tg, ladder = setup
+        mags = np.random.default_rng(4).random((len(tg), 2) + grid.shape)
+        carleson._cylinder_windows.cache_clear()
+        carleson._scan_cylinders(grid, tg.times, mags, 4.0, ladder)
+        carleson._scan_cylinders(grid, tg.times, 2.0 * mags, 4.0, ladder)
+        info = carleson._cylinder_windows.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
 class TestMaximalRegularity:
     def test_constant_datum_gives_ratio_one(self, setup):
         grid, tg, cylinders = setup

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -60,8 +61,9 @@ def test_lemma_checks(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
-    lines = (out_dir / "checks.csv").read_text().splitlines()
-    groups = {line.split(":")[0] for line in lines[1:]}
+    with open(out_dir / "checks.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    groups = {row[0].split(":")[0] for row in rows[1:]}
     assert groups == {"kernel-scaling", "maximal-regularity", "lipschitz"}
     assert (out_dir / "summary.txt").read_text() in out
     assert (out_dir / "config.ini").exists()
@@ -81,6 +83,18 @@ def test_invalid_config_exits_with_usage_code(tiny_args, capsys):
         main(["solve", "--scheme", "rk4"] + tiny_args)
     assert exc.value.code == 2
     assert "unknown scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,match", [("--p", "1", "p must be in"),
+                                              ("--levels", "0", "levels must be positive")])
+def test_out_of_range_value_exits_with_usage_code(tmp_path, flag, value, match, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--N", "64", flag, value, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert match in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_suite_with_config_file(tmp_path, capsys):

@@ -18,6 +18,7 @@ from crossdiff.fields import (
     frequencies,
     from_coeffs,
     gradient_from_coeffs,
+    index_blocks,
     laplacian_symbol,
     make_grid,
     random_band_limited,
@@ -114,6 +115,16 @@ class TestTransform:
         assert np.max(np.abs(combo - parts)) < 1e-10
 
 
+class TestIndexBlocks:
+    def test_runs_cover_the_range_within_the_budget(self):
+        assert index_blocks(13, 8, 40) == [slice(0, 5), slice(5, 10), slice(10, 15)]
+        assert index_blocks(13, 8, 40, start=1) == [slice(1, 6), slice(6, 11), slice(11, 16)]
+
+    def test_at_least_one_item_per_run(self):
+        assert index_blocks(3, 100, 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert index_blocks(1, 8, 40, start=1) == []
+
+
 class TestDifferentiation:
     @pytest.mark.parametrize("n,N", [(1, 8), (1, 64), (2, 8), (2, 64)])
     def test_derivative_symbol_cached_and_read_only(self, n, N):
@@ -128,6 +139,17 @@ class TestDifferentiation:
             assert sym.dtype == fresh.dtype and sym.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 sym[(0,) * n] = 1.0
+
+    @pytest.mark.parametrize("n,N", [(1, 8), (1, 64), (2, 8), (2, 64)])
+    def test_laplacian_symbol_cached_and_read_only(self, n, N):
+        g = make_grid(n, N)
+        # the symbol as built before it was cached
+        fresh = -4.0 * math.pi**2 * sum(k**2 for k in frequencies(g))
+        sym = laplacian_symbol(g)
+        assert sym is laplacian_symbol(make_grid(n, N))
+        assert sym.dtype == fresh.dtype and sym.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            sym[(0,) * n] = 1.0
 
     def test_gradient_of_constant(self):
         g = make_grid(2, 16)

@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from dataclasses import replace
@@ -92,6 +93,14 @@ class TestConfig:
         ("centers_stride", 0, "centers_stride"),
         ("centers_stride", 129, "centers_stride"),
         ("radii_per_octave", 0, "radii_per_octave"),
+        ("p", 1.0, "p must be in"),
+        ("p", 0.5, "p must be in"),
+        ("p", math.inf, "p must be in"),
+        ("p", math.nan, "p must be in"),
+        ("levels", 0, "levels must be positive"),
+        ("steps_per_level", 0, "steps_per_level must be positive"),
+        ("sweep_samples", 0, "sweep_samples must be positive"),
+        ("stability_pairs", 0, "stability_pairs must be positive"),
     ])
     def test_invalid_values_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -102,6 +111,13 @@ class TestConfig:
         text = f"[{section}]\n{field} = {value}\n"
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("deltas,text", [((), ""), ((0.01, -0.02), "0.01 -0.02")])
+    def test_contraction_deltas_rejected(self, deltas, text):
+        with pytest.raises(ValueError, match="contraction_deltas"):
+            ExperimentConfig(contraction_deltas=deltas)
+        with pytest.raises(ValueError, match="contraction_deltas"):
+            ExperimentConfig.from_text(f"[suite]\ncontraction_deltas = {text}\n")
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError, match="empty config"):
@@ -254,6 +270,31 @@ class TestSuite:
         names = [c.name for c in r1.checks]
         assert any(n.startswith("kernel-scaling") for n in names)
         assert any(n.startswith("negative-controls") for n in names)
+
+    def test_checks_csv_rows_parse_to_six_fields(self, tmp_path):
+        # a name and a note that hold commas, as the kernel-scaling check's
+        # name and the gradient-decay note's interval do
+        note = "fitted slope -0.5000 over t in (0.0001, 0.01)"
+        checks = [make_check("decay, order 1", -0.5, -0.4, "<=", note),
+                  make_check("plain", 1.0, 2.0, "<")]
+        VerificationReport(checks=checks).write(tmp_path)
+        with open(tmp_path / "checks.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["name", "value", "op", "threshold", "passed", "note"]
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert rows[1] == ["decay, order 1", "-0.5", "<=", "-0.40000000000000002", "True", note]
+        assert rows[2][0] == "plain" and rows[2][5] == ""
+
+    def test_suite_checks_csv_parses(self, tmp_path):
+        # levels=8 resolves the gradient-decay fit window [0.0001, 0.01]
+        cfg = replace(TINY, levels=8)
+        report = run_suite(cfg, out_dir=tmp_path, groups=("kernel-scaling", "gradient-decay"))
+        with open(tmp_path / "checks.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 6 for row in rows)
+        assert [(row[0], row[5]) for row in rows[1:]] == [(c.name, c.note) for c in report.checks]
+        assert any("," in c.name for c in report.checks)
+        assert any(c.note.endswith("over t in [0.0001, 0.01]") for c in report.checks)
 
     def test_report_text_lists_thresholds(self):
         rep = VerificationReport(checks=[make_check("x", 1.0, 2.0, "<=")],

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crossdiff import fields, semigroup
 from crossdiff.fields import (
     ScalarField,
     SpeciesVector,
@@ -15,10 +16,13 @@ from crossdiff.fields import (
 )
 from crossdiff.semigroup import (
     KernelEstimateReport,
+    _flux_duhamel,
+    _segment_weights,
     duhamel_coeffs,
     duhamel_solve,
     heat_flow_coeffs,
     heat_flow_trajectory,
+    heat_multiplier,
     heat_propagate,
     kernel_gradient_lp,
     kernel_scaling_report,
@@ -249,6 +253,117 @@ class TestDuhamel:
         values = heat_flow_trajectory(h, tg).values
         assert np.array_equal(coeffs[0], to_coeffs(h.stack(), g))
         assert np.array_equal(from_coeffs(coeffs[1:], g), values[1:])
+
+
+# -- the per-node loops the batched paths replaced: references bit for bit --
+
+
+def _heat_flow_coeffs_per_node(h, tg):
+    what = to_coeffs(h.stack(), h.grid)
+    return np.stack([what * heat_multiplier(h.grid, float(t)) for t in tg.times])
+
+
+def _values_per_node(coeffs, grid, datum):
+    values = np.empty((len(coeffs),) + datum.shape)
+    values[0] = datum
+    for k in range(1, len(coeffs)):
+        values[k] = from_coeffs(coeffs[k], grid)
+    return values
+
+
+def _duhamel_per_node(h, div_coeffs, tg):
+    grid = h.grid
+    coeffs = np.empty_like(div_coeffs)
+    coeffs[0] = to_coeffs(h.stack(), grid)
+    for k in range(1, len(tg)):
+        dt = float(tg.times[k] - tg.times[k - 1])
+        E, w_left, w_right = _segment_weights.__wrapped__(grid, dt)  # the uncached weights
+        coeffs[k] = E * coeffs[k - 1] + w_left * div_coeffs[k - 1] + w_right * div_coeffs[k]
+    return _values_per_node(coeffs, grid, h.stack()), coeffs
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBatchedTransforms:
+    """The heat flow and Duhamel paths take their inverse transforms and the
+    divergence over blocks of time nodes; each output must equal the
+    per-node loop's bit for bit, with numpy.fft's out= and with the copying
+    fallback numpy < 2.0 takes."""
+
+    @staticmethod
+    def _problem(n, N):
+        g = make_grid(n, N)
+        rng = np.random.default_rng(N)
+        tg = TimeGrid.dyadic(0.5, levels=4, steps_per_level=3)
+        h = SpeciesVector.from_array(g, rng.standard_normal((3,) + g.shape))
+        flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 3, n) + g.shape))
+        return g, tg, h, flux
+
+    @pytest.fixture(params=[True, False], ids=["fft-out", "copy-fallback"])
+    def fft_out(self, request, monkeypatch):
+        monkeypatch.setattr(fields, "_FFT_OUT", request.param and fields._FFT_OUT)
+
+    @staticmethod
+    def _set_blocks(monkeypatch, flux, block_nodes):
+        if block_nodes is not None:
+            # blocks of block_nodes flux nodes (the last one short), and of
+            # n times as many nodes of the values
+            monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", block_nodes * flux.values[0].nbytes)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("block_nodes", [None, 2])
+    def test_heat_flow(self, n, N, block_nodes, fft_out, monkeypatch):
+        g, tg, h, flux = self._problem(n, N)
+        self._set_blocks(monkeypatch, flux, block_nodes)
+        coeffs = _heat_flow_coeffs_per_node(h, tg)
+        assert _bit_equal(heat_flow_coeffs(h, tg), coeffs)
+        values = heat_flow_trajectory(h, tg).values
+        assert _bit_equal(values, _values_per_node(coeffs, g, h.stack()))
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("block_nodes", [None, 2])
+    def test_duhamel(self, n, N, block_nodes, fft_out, monkeypatch):
+        g, tg, h, flux = self._problem(n, N)
+        self._set_blocks(monkeypatch, flux, block_nodes)
+        div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
+        ref_values, ref_coeffs = _duhamel_per_node(h, div, tg)
+        values, coeffs = duhamel_coeffs(h, div, tg)
+        assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
+        values, coeffs = _flux_duhamel(h, flux, tg)
+        assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
+
+    def test_call_budget(self, transform_bytes):
+        # the acceptance battery's 1-D time grid: 89 nodes, 88 inverse
+        # transforms of one node each before the transforms were batched
+        g = make_grid(1, 64)
+        tg = TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        rng = np.random.default_rng(3)
+        h = SpeciesVector.from_array(g, rng.standard_normal((3,) + g.shape))
+        flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 3, 1) + g.shape))
+        node = h.stack().nbytes
+        div = spectral_divergence(flux.values, g)
+        for run in (lambda: heat_flow_trajectory(h, tg), lambda: duhamel_coeffs(h, div, tg)):
+            transform_bytes.clear()
+            run()
+            assert transform_bytes.calls["from_coeffs"] <= 2
+            # the datum forward, every later node back: the same bytes as node by node
+            assert sum(transform_bytes) == len(tg) * node
+        transform_bytes.clear()
+        _flux_duhamel(h, flux, tg)
+        assert transform_bytes.calls["to_coeffs"] <= 2
+        # the flux and the datum forward, every later node back
+        assert sum(transform_bytes) == 2 * len(tg) * node
+
+    def test_segment_weights_cached_read_only(self):
+        g = make_grid(2, 16)
+        weights = _segment_weights(g, 0.01)
+        assert _segment_weights(g, 0.01) is weights
+        for w in weights:
+            assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0][...] = 0.0
 
 
 class TestKernelGradient:
