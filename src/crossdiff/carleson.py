@@ -192,9 +192,9 @@ def _trap_weights(times: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-# _gradient_magnitudes transforms at most this many bytes of one gradient
-# component per call (at least one node), and _scan_cylinders this many
-# bytes of ball-average spectra
+# xp_seminorm and yp_norm form and scan at most this many bytes of
+# magnitudes at a time (at least one node), and the scan takes this many
+# bytes of ball-average spectra at a time
 MAGNITUDE_BLOCK_BYTES = 1 << 20
 
 
@@ -221,6 +221,88 @@ def _cylinder_windows(times: tuple[float, ...], radii: tuple[float, ...]) -> tup
     return tuple(windows)
 
 
+class _CylinderScan:
+    """The cylinder scan of _scan_cylinders, fed the magnitudes in
+    consecutive blocks of time nodes so that no trajectory of them is held.
+
+    add(block) takes the next nodes, shape (nodes, d, *grid.shape), in time
+    order. Each radius holds mags^p only over its own window, in a buffer
+    freed once the window's last node has arrived and its time quadrature is
+    formed. result() needs every node of times and returns what
+    _scan_cylinders does, bit for bit, however the nodes were blocked.
+    """
+
+    def __init__(self, grid: GridSpec, times: np.ndarray, p: float, ladder: CylinderLadder):
+        if ladder.grid != grid:
+            raise ValueError(f"cylinder ladder is on {ladder.grid}, the trajectory on {grid}")
+        self.grid, self.p, self.ladder = grid, p, ladder
+        self.n_times = len(times)
+        self.windows = _cylinder_windows(tuple(times.tolist()), ladder.radii)
+        self.live = [j for j, win in enumerate(self.windows) if win is not None]
+        self.fed = 0
+        self.first = 0  # the radii before it (in self.live) have their quadrature
+        self.buffers: dict[int, np.ndarray] = {}
+        self.q = None  # per live radius, the time quadrature of mags^p
+
+    def add(self, block: np.ndarray):
+        a, b = self.fed, self.fed + len(block)
+        self.fed = b
+        if self.q is None:
+            self.q = np.empty((len(self.live),) + block.shape[1:])
+        # windows start and end in radius order, so the radii done are a
+        # prefix and the radii not yet begun a suffix
+        for i in range(self.first, len(self.live)):
+            nodes, w = self.windows[self.live[i]]
+            if nodes.start >= b:
+                break
+            k = nodes.stop - nodes.start
+            buf = self.buffers.get(i)
+            if buf is None:
+                buf = self.buffers[i] = np.empty((k,) + block.shape[1:])
+            lo, hi = max(a, nodes.start), min(b, nodes.stop)
+            np.power(block[lo - a:hi - a], self.p, out=buf[lo - nodes.start:hi - nodes.start])
+            if hi == nodes.stop:
+                # the time quadrature of mags^p: what tensordot(w, x, axes=(0, 0))
+                # computes, without its reshaping
+                self.q[i] = np.dot(w, buf.reshape(k, -1)).reshape(self.q.shape[1:])
+                del self.buffers[i]
+                self.first = i + 1
+
+    def result(self):
+        """(best value, attaining CylinderSpec, its species, cylinders
+        scanned, cylinders skipped), as _scan_cylinders returns them."""
+        if self.fed != self.n_times:
+            raise ValueError(f"the scan was fed {self.fed} of {self.n_times} time nodes")
+        grid, p, ladder, live = self.grid, self.p, self.ladder, self.live
+        skipped = (len(self.windows) - len(live)) * ladder.centers_per_radius
+        if skipped:
+            warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
+            if not live:
+                raise ValueError("no cylinder window contains a stored time")
+        counts, spectra = _ball_spectra(grid, ladder.radii)
+        axes = tuple(range(2, 2 + grid.n))
+        centers = (slice(None), slice(None)) + (slice(None, None, ladder.stride),) * grid.n
+        scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
+        counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
+        best, best_at, best_sp = 0.0, None, None
+        # live radii in increasing order, MAGNITUDE_BLOCK_BYTES of spectra at a time
+        for block in index_blocks(len(live), 2 * self.q[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+            js = live[block]
+            avg = np.fft.ifftn(np.fft.fftn(self.q[block], axes=axes) * spectra[js][:, None],
+                               axes=axes).real
+            avg = avg[centers] / counts[js][scale]
+            vals = radii[js][scale] * np.maximum(avg, 0.0) ** (1.0 / p)  # (radius, d, *centers)
+            top = vals.max(axis=1).reshape(len(js), -1)
+            for i, k in enumerate(top.argmax(axis=1)):
+                if top[i, k] > best:
+                    center = np.unravel_index(int(k), vals.shape[2:])
+                    best, best_at = float(top[i, k]), (center, ladder.radii[js[i]])
+                    best_sp = int(np.argmax(vals[(i, slice(None)) + center]))
+        cyl = None if best_at is None else CylinderSpec(
+            tuple(int(i) * ladder.stride / grid.N for i in best_at[0]), best_at[1])
+        return best, cyl, best_sp, len(ladder) - skipped, skipped
+
+
 def _scan_cylinders(
     grid: GridSpec,
     times: np.ndarray,
@@ -236,43 +318,9 @@ def _scan_cylinders(
     improvement). A NaN in mags spreads through the transforms to every
     center of its radius, and that radius never attains.
     """
-    if ladder.grid != grid:
-        raise ValueError(f"cylinder ladder is on {ladder.grid}, the trajectory on {grid}")
-    windows = _cylinder_windows(tuple(times.tolist()), ladder.radii)
-    live = [j for j, win in enumerate(windows) if win is not None]
-    skipped = (len(windows) - len(live)) * ladder.centers_per_radius
-    if skipped:
-        warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
-        if not live:
-            raise ValueError("no cylinder window contains a stored time")
-    counts, spectra = _ball_spectra(grid, ladder.radii)
-    axes = tuple(range(2, 2 + grid.n))
-    centers = (slice(None), slice(None)) + (slice(None, None, ladder.stride),) * grid.n
-    scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
-    counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
-    best, best_at, best_sp = 0.0, None, None
-    # live radii in increasing order, MAGNITUDE_BLOCK_BYTES of spectra at a time
-    for block in index_blocks(len(live), 2 * mags[0].nbytes, MAGNITUDE_BLOCK_BYTES):
-        js = live[block]
-        # the time quadrature of mags^p: what tensordot(w, x, axes=(0, 0))
-        # computes, without its reshaping
-        q = np.empty((len(js),) + mags.shape[1:])
-        for i, j in enumerate(js):
-            nodes, w = windows[j]
-            x = mags[nodes] ** p
-            q[i] = np.dot(w, x.reshape(len(x), -1)).reshape(q.shape[1:])
-        avg = np.fft.ifftn(np.fft.fftn(q, axes=axes) * spectra[js][:, None], axes=axes).real
-        avg = avg[centers] / counts[js][scale]
-        vals = radii[js][scale] * np.maximum(avg, 0.0) ** (1.0 / p)  # (radius, d, *centers)
-        top = vals.max(axis=1).reshape(len(js), -1)
-        for i, k in enumerate(top.argmax(axis=1)):
-            if top[i, k] > best:
-                center = np.unravel_index(int(k), vals.shape[2:])
-                best, best_at = float(top[i, k]), (center, ladder.radii[js[i]])
-                best_sp = int(np.argmax(vals[(i, slice(None)) + center]))
-    cyl = None if best_at is None else CylinderSpec(
-        tuple(int(i) * ladder.stride / grid.N for i in best_at[0]), best_at[1])
-    return best, cyl, best_sp, len(ladder) - skipped, skipped
+    scan = _CylinderScan(grid, times, p, ladder)
+    scan.add(mags)
+    return scan.result()
 
 
 def gradient_flux(traj: Trajectory) -> FluxTrajectory:
@@ -282,16 +330,14 @@ def gradient_flux(traj: Trajectory) -> FluxTrajectory:
 
 def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """|grad w| per (time, species) from the coefficients of w: shape
-    (n_times, d, *rfft_shape(grid)) -> (n_times, d, *grid.shape).
+    (nodes, d, *rfft_shape(grid)) -> (nodes, d, *grid.shape).
 
-    The gradient is built over blocks of time nodes, so it is never held
-    whole; on coefficients from to_coeffs the result is bit for bit
-    gradient_flux(traj).magnitudes().
+    On coefficients from to_coeffs the result is bit for bit
+    gradient_flux(traj).magnitudes(), however the nodes are blocked;
+    xp_seminorm calls it on blocks of time nodes, so the gradient of a
+    whole trajectory is never held.
     """
-    mags = np.empty(coeffs.shape[:2] + grid.shape)
-    for b in index_blocks(len(coeffs), mags[0].nbytes, MAGNITUDE_BLOCK_BYTES):
-        vector_magnitudes(gradient_from_coeffs(coeffs[b], grid), out=mags[b])
-    return mags
+    return vector_magnitudes(gradient_from_coeffs(coeffs, grid))
 
 
 def xp_seminorm(
@@ -317,8 +363,10 @@ def xp_seminorm(
         coeffs = to_coeffs(traj.values, grid)
     elif coeffs.shape != traj.values.shape[:2] + rfft_shape(grid):
         raise ValueError(f"coefficients of shape {coeffs.shape} do not match {traj.values.shape}")
-    mags = _gradient_magnitudes(coeffs, grid)
-    semi, cyl, sp, scanned, skipped = _scan_cylinders(grid, traj.tg.times, mags, p, cylinders)
+    scan = _CylinderScan(grid, traj.tg.times, p, cylinders)
+    for b in index_blocks(len(coeffs), traj.values[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+        scan.add(_gradient_magnitudes(coeffs[b], grid))
+    semi, cyl, sp, scanned, skipped = scan.result()
     return NormReport(
         p=p,
         sup_norm=traj.sup_norm(),
@@ -344,11 +392,16 @@ def yp_norm(
         raise ValueError(f"flux norm requires finite p >= 1, got {p}")
     if cylinders is None:
         cylinders = enumerate_cylinders(grid, flux.tg)
-    mags = flux.magnitudes()
-    semi, cyl, sp, scanned, skipped = _scan_cylinders(grid, flux.tg.times, mags, p, cylinders)
+    scan = _CylinderScan(grid, flux.tg.times, p, cylinders)
+    sups = []
+    for b in index_blocks(len(flux.tg), flux.values[0].nbytes // grid.n, MAGNITUDE_BLOCK_BYTES):
+        mags = vector_magnitudes(flux.values[b])
+        sups.append(mags.max())
+        scan.add(mags)
+    semi, cyl, sp, scanned, skipped = scan.result()
     return NormReport(
         p=p,
-        sup_norm=float(np.max(mags)),
+        sup_norm=float(np.max(sups)),
         seminorm=semi,
         attaining=cyl,
         attaining_species=sp,

@@ -7,6 +7,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -73,8 +74,12 @@ def _build_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         return cfg.with_overrides(**overrides)
     except ValueError as exc:
-        print(f"crossdiff: invalid config: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _exit_invalid_config(exc)
+
+
+def _exit_invalid_config(exc: ValueError) -> NoReturn:
+    print(f"crossdiff: invalid config: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _out_dir(cfg: ExperimentConfig, args, default_name: str) -> Path:
@@ -95,7 +100,11 @@ def cmd_solve(args) -> int:
     cfg = _build_config(args)
     grid, tg = cfg.grid(), cfg.time_grid()
     model = cfg.reduced_model()
-    h = generate_initial_data(cfg.initial_spec(), grid, cfg.d, model.delta)
+    try:
+        # the config does not check kmax against N; the generator does
+        h = generate_initial_data(cfg.initial_spec(), grid, cfg.d, model.delta)
+    except ValueError as exc:
+        _exit_invalid_config(exc)
     t0 = time.perf_counter()
     report = None
     try:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import CylinderLadder, _scan_cylinders, default_exponent, enumerate_cylinders
+from .carleson import CylinderLadder, _CylinderScan, default_exponent, enumerate_cylinders
 from .fields import (
     FLUX_BLOCK_BYTES,
     GridSpec,
@@ -282,8 +282,10 @@ def lipschitz_probe(
     One pass over blocks of time nodes takes the gradients of v and w from
     one forward transform of each, F(v) - F(w) from one dealiased transform
     of the difference of the nodal products, and grad(v - w) as the
-    difference of the nodal gradients; only the magnitudes of those four
-    vector fields are held for the whole trajectory.
+    difference of the nodal gradients. The magnitudes of those four vector
+    fields are fed block by block to four cylinder scans, so none of them
+    is held for the whole trajectory; a non-finite magnitude raises in the
+    block where it appears.
 
     Identical trajectories report ratio 0 by convention.
     """
@@ -296,26 +298,28 @@ def lipschitz_probe(
         raise ValueError(f"gradient seminorm requires p in (1, inf), got {p}")
     if cylinders is None:
         cylinders = enumerate_cylinders(grid, v.tg)
-    # |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
-    mags = np.empty((4,) + v.values.shape)
+    # cylinder scans of |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
+    scans = [_CylinderScan(grid, v.tg.times, p, cylinders) for _ in range(4)]
     sup_diff = 0.0
     for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
         gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
         gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
         prod = _flux_products(v.values[b], grid, model, truncated, gv)
         prod -= _flux_products(w.values[b], grid, model, truncated, gw)
-        vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[0, b])
-        vector_magnitudes(gv, out=mags[1, b])
-        vector_magnitudes(gw, out=mags[2, b])
+        mags = np.empty((4,) + v.values[b].shape)
+        vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[0])
+        vector_magnitudes(gv, out=mags[1])
+        vector_magnitudes(gw, out=mags[2])
         gv -= gw
-        vector_magnitudes(gv, out=mags[3, b])
+        vector_magnitudes(gv, out=mags[3])
+        # magnitudes are >= 0, so the maximum shows any NaN or infinity
+        if not np.isfinite(mags.max()):
+            raise ValueError("gradient and flux values must be finite")
+        for scan, m in zip(scans, mags):
+            scan.add(m)
         diff = v.values[b] - w.values[b]
         sup_diff = max(sup_diff, float(np.maximum(diff.max(), -diff.min())))
-    # magnitudes are >= 0, so the maximum shows any NaN or infinity
-    if not np.isfinite(mags.max()):
-        raise ValueError("gradient and flux values must be finite")
-    left, semi_v, semi_w, semi_diff = (_scan_cylinders(grid, v.tg.times, m, p, cylinders)[0]
-                                       for m in mags)
+    left, semi_v, semi_w, semi_diff = (scan.result()[0] for scan in scans)
     x_v, x_w = v.sup_norm() + semi_v, w.sup_norm() + semi_w
     x_diff = sup_diff + semi_diff
     if x_diff == 0.0:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -460,6 +461,127 @@ class TestScanBlocksAndWindows:
         carleson._scan_cylinders(grid, tg.times, 2.0 * mags, 4.0, ladder)
         info = carleson._cylinder_windows.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+class TestTieBetweenRadii:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_radius_wins_an_exact_tie(self, n):
+        # magnitudes constant in space, 2 in the window of R = 1/4 and 1 in
+        # that of R = 1/2: with p = 4 both radii give R * (avg of mags^4)^(1/4)
+        # = 1/2 exactly (spatially constant averages are exact, and each
+        # window holds one node of weight 1)
+        grid = make_grid(n, 16)
+        times = np.array([0.0, 0.0625, 0.25])
+        ladder = CylinderLadder(grid, (0.25, 0.5), 4)
+        mags = np.zeros((3, 2) + grid.shape)
+        mags[1], mags[2] = 2.0, 1.0
+        best, cyl, sp, scanned, skipped = carleson._scan_cylinders(grid, times, mags, 4.0, ladder)
+        assert best == 0.5
+        assert (cyl, sp) == (CylinderSpec((0.0,) * n, 0.25), 0)
+        assert (scanned, skipped) == (len(ladder), 0)
+
+
+def _fed_in_blocks(grid, times, mags, p, ladder, nodes):
+    """The streaming scan fed `nodes` time nodes at a time (None: all at once)."""
+    scan = carleson._CylinderScan(grid, times, p, ladder)
+    for start in range(0, len(mags), nodes or len(mags)):
+        scan.add(mags[start:start + (nodes or len(mags))])
+    return scan.result()
+
+
+class TestStreamingScan:
+    """The scan fed blocks of time nodes returns _scan_cylinders' tuple bit
+    for bit, however the blocks fall across the windows."""
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("p", [2.5, 4.0, 5.0])
+    @pytest.mark.parametrize("nodes", [1, 3, None])
+    def test_blocks_equal_one_block(self, n, N, p, nodes):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        ladder = enumerate_cylinders(grid, tg)
+        windows = carleson._cylinder_windows(tuple(tg.times.tolist()), ladder.radii)
+        # blocks of 3 nodes split windows
+        assert any(win[0].start // 3 != (win[0].stop - 1) // 3 for win in windows)
+        mags = _magnitudes("random", tg, ladder)
+        ref = carleson._scan_cylinders(grid, tg.times, mags, p, ladder)
+        assert _fed_in_blocks(grid, tg.times, mags, p, ladder, nodes) == ref
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("kind", ["constant", "spike", "nan"])
+    @pytest.mark.parametrize("nodes", [1, 3])
+    def test_blocks_with_skipped_radii(self, n, N, kind, nodes):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        ladder = enumerate_cylinders(grid, tg)
+        partly = CylinderLadder(grid, (1e-4, 2e-4) + ladder.radii, ladder.stride)
+        mags = _magnitudes(kind, tg, ladder)
+        with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius}"):
+            ref = carleson._scan_cylinders(grid, tg.times, mags, 4.0, partly)
+        with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius}"):
+            assert _fed_in_blocks(grid, tg.times, mags, 4.0, partly, nodes) == ref
+
+    def test_every_node_must_be_fed(self):
+        grid = make_grid(1, 64)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        ladder = enumerate_cylinders(grid, tg)
+        scan = carleson._CylinderScan(grid, tg.times, 4.0, ladder)
+        scan.add(_magnitudes("random", tg, ladder)[:-1])
+        with pytest.raises(ValueError, match=f"fed {len(tg) - 1} of {len(tg)} time nodes"):
+            scan.result()
+
+
+def _xp_whole_array(traj, p, ladder):
+    """xp_seminorm with the magnitudes of the whole trajectory in one array."""
+    mags = carleson._gradient_magnitudes(to_coeffs(traj.values, traj.grid), traj.grid)
+    semi, cyl, sp, scanned, skipped = carleson._scan_cylinders(
+        traj.grid, traj.tg.times, mags, p, ladder)
+    return carleson.NormReport(p, traj.sup_norm(), semi, cyl, sp, scanned, skipped, traj.grid)
+
+
+def _yp_whole_array(flux, p, ladder):
+    """yp_norm with the magnitudes of the whole trajectory in one array."""
+    mags = flux.magnitudes()
+    semi, cyl, sp, scanned, skipped = carleson._scan_cylinders(
+        flux.grid, flux.tg.times, mags, p, ladder)
+    return carleson.NormReport(p, float(np.max(mags)), semi, cyl, sp, scanned, skipped, flux.grid)
+
+
+class TestNormsFedInBlocks:
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("nodes", [1, 3, None])
+    def test_equal_whole_array_formulation(self, n, N, nodes, monkeypatch):
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
+        ladder = enumerate_cylinders(grid, tg)
+        rng = np.random.default_rng(20 + n)
+        h = _species(grid, *(random_band_limited(grid, rng, 3).values for _ in range(3)))
+        traj = heat_flow_trajectory(h, tg)
+        flux = FluxTrajectory(grid, tg, rng.standard_normal((len(tg), 3, n) + grid.shape))
+        refs = [(_xp_whole_array(traj, p, ladder), _yp_whole_array(flux, p, ladder))
+                for p in (2.5, 5.0)]
+        if nodes is not None:
+            monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", nodes * 3 * grid.num_nodes * 8)
+        for p, (xp_ref, yp_ref) in zip((2.5, 5.0), refs):
+            assert xp_seminorm(traj, p, ladder) == xp_ref
+            assert yp_norm(flux, p, ladder) == yp_ref
+
+    def test_yp_peak_memory(self):
+        # blocks of magnitudes and one window of mags^p at a time: 0.57x the
+        # state trajectory measured; the magnitudes of the whole flux peaked
+        # at 2.0x
+        grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6).values
+                             for _ in range(3)))
+        traj = heat_flow_trajectory(h, tg)
+        flux, ladder = gradient_flux(traj), enumerate_cylinders(grid, tg)
+        tracemalloc.start()
+        try:
+            yp_norm(flux, None, ladder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * traj.values.nbytes
 
 
 class TestMaximalRegularity:

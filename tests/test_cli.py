@@ -97,6 +97,17 @@ def test_out_of_range_value_exits_with_usage_code(tmp_path, flag, value, match, 
     assert not (tmp_path / "run").exists()
 
 
+def test_kmax_too_large_for_grid_exits_with_usage_code(tmp_path, capsys):
+    # the default kmax=8 needs N >= 18; the generator, not the config, rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--N", "16", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: kmax must be in")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_suite_with_config_file(tmp_path, capsys):
     cfg = ExperimentConfig(
         N=16, t_end=0.25, levels=3, steps_per_level=3, kmax=3, smoothing=0.02,

@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from crossdiff import carleson
 from crossdiff import model as model_module
 from crossdiff.carleson import enumerate_cylinders, xp_norm, yp_norm
 from crossdiff.fields import (
     SpeciesVector,
     from_coeffs,
+    gradient_from_coeffs,
+    index_blocks,
     make_grid,
     random_band_limited,
     spectral_divergence,
@@ -19,6 +22,7 @@ from crossdiff.fields import (
     to_coeffs,
 )
 from crossdiff.model import (
+    LipschitzReport,
     RawCoefficients,
     ReducedModel,
     flux,
@@ -29,9 +33,43 @@ from crossdiff.model import (
     reduce_coefficients,
 )
 from crossdiff.semigroup import heat_flow_trajectory
-from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
+from crossdiff.trajectory import (
+    FluxTrajectory,
+    TimeGrid,
+    Trajectory,
+    trajectory_difference,
+    vector_magnitudes,
+)
 
 ALPHA3 = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+def _probe_whole_array(v, w, model, p, cylinders, truncated):
+    """lipschitz_probe with the magnitudes of |F(v) - F(w)|, |grad v|, |grad w|
+    and |grad v - grad w| held for the whole trajectory, then scanned."""
+    grid = v.grid
+    mags = np.empty((4,) + v.values.shape)
+    sup_diff = 0.0
+    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, model_module.FLUX_BLOCK_BYTES):
+        gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
+        gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
+        prod = model_module._flux_products(v.values[b], grid, model, truncated, gv)
+        prod -= model_module._flux_products(w.values[b], grid, model, truncated, gw)
+        vector_magnitudes(from_coeffs(model_module._dealiased_coeffs(prod, grid), grid),
+                          out=mags[0, b])
+        vector_magnitudes(gv, out=mags[1, b])
+        vector_magnitudes(gw, out=mags[2, b])
+        gv -= gw
+        vector_magnitudes(gv, out=mags[3, b])
+        diff = v.values[b] - w.values[b]
+        sup_diff = max(sup_diff, float(np.maximum(diff.max(), -diff.min())))
+    left, semi_v, semi_w, semi_diff = (
+        carleson._scan_cylinders(grid, v.tg.times, m, p, cylinders)[0] for m in mags)
+    x_v, x_w = v.sup_norm() + semi_v, w.sup_norm() + semi_w
+    x_diff = sup_diff + semi_diff
+    bound = model.d * max(x_v, x_w, x_v**2, x_w**2) * x_diff
+    return LipschitzReport(left=left, bound=bound, ratio=left / bound, x_v=x_v, x_w=x_w,
+                           x_diff=x_diff)
 
 
 class TestRawCoefficients:
@@ -320,6 +358,48 @@ class TestLipschitzProbe:
         finally:
             tracemalloc.stop()
         assert peak <= 6.0 * v.values.nbytes
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("nodes", [1, 3, None])
+    def test_report_equals_whole_array_formulation(self, n, N, nodes, monkeypatch):
+        # the four scans fed block by block equal the scans of the four
+        # magnitude fields held whole, bit for bit, with the same blocks of
+        # transforms (None: the default FLUX_BLOCK_BYTES)
+        g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
+        v, w = self._pair(g, tg, seed=6 + n)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        if nodes is not None:
+            monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", nodes * v.values[0].nbytes * n)
+        for p, truncated in ((4.5, False), (5.0, True)):
+            assert lipschitz_probe(v, w, m, p, cyls, truncated) == _probe_whole_array(
+                v, w, m, p, cyls, truncated)
+
+    def test_nan_in_last_block_rejected(self, monkeypatch):
+        g, tg = make_grid(1, 16), TimeGrid.dyadic(0.05, levels=3, steps_per_level=3)
+        v, w = self._pair(g, tg)
+        # finite states whose products overflow in the last node only
+        values = v.values.copy()
+        values[-1] *= 1e200
+        monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", v.values[0].nbytes)  # one node
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+            lipschitz_probe(Trajectory(g, tg, values), w, ReducedModel.from_alpha(ALPHA3, 0.05))
+
+    def test_peak_memory_streamed(self):
+        # the four magnitude fields go to the scans block by block and each
+        # radius holds mags^p over its own window only: 1.14x the trajectory
+        # measured on the default time grid (4.7x with the fields held whole)
+        g, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        v, w = self._pair(g, tg, kmax=6)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        tracemalloc.start()
+        try:
+            lipschitz_probe(v, w, m, None, cyls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * v.values.nbytes
 
     def test_nonfinite_flux_rejected(self):
         g, tg = make_grid(1, 16), TimeGrid.uniform(0.1, 2)
