@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
     derivative_symbol,
@@ -26,11 +27,12 @@ from .fields import (
     gradient_from_coeffs,
     index_blocks,
     rfft_shape,
+    spectral_divergence,
     spectral_gradient,
     to_coeffs,
 )
-from .semigroup import _flux_duhamel
-from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
+from .semigroup import _check_forcing, _duhamel_blocks
+from .trajectory import FluxTrajectory, TimeGrid, Trajectory, _abs_max, vector_magnitudes
 
 __all__ = [
     "CylinderSpec",
@@ -340,6 +342,20 @@ def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return vector_magnitudes(gradient_from_coeffs(coeffs, grid))
 
 
+def _gradient_exponent(
+    grid: GridSpec, tg: TimeGrid, p: float | None, cylinders: CylinderLadder | None,
+) -> tuple[float, CylinderLadder]:
+    """p and the cylinder ladder of a gradient (X^p) seminorm, each defaulted
+    for grid and tg when None; p must lie in (1, inf)."""
+    if p is None:
+        p = default_exponent(grid)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"gradient seminorm requires p in (1, inf), got {p}")
+    if cylinders is None:
+        cylinders = enumerate_cylinders(grid, tg)
+    return p, cylinders
+
+
 def xp_seminorm(
     traj: Trajectory,
     p: float | None = None,
@@ -353,12 +369,7 @@ def xp_seminorm(
     kept by the solver that made them); they are then not recomputed.
     """
     grid = traj.grid
-    if p is None:
-        p = default_exponent(grid)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"gradient seminorm requires p in (1, inf), got {p}")
-    if cylinders is None:
-        cylinders = enumerate_cylinders(grid, traj.tg)
+    p, cylinders = _gradient_exponent(grid, traj.tg, p, cylinders)
     if coeffs is None:
         coeffs = to_coeffs(traj.values, grid)
     elif coeffs.shape != traj.values.shape[:2] + rfft_shape(grid):
@@ -431,15 +442,32 @@ def maximal_regularity_ratio(
     """Solve the linear problem with datum h and forcing div F, then return
     ||w||_Xp / (||F||_Yp + ||h||_inf).
 
-    The Xp seminorm of w is taken from the coefficients the Duhamel
-    recurrence returns, so w is never transformed forward again.
+    One pass over FLUX_BLOCK_BYTES blocks of time nodes takes the divergence
+    of the flux block, steps the Duhamel recurrence over it and feeds |grad w|
+    (from the recurrence's coefficients) and |F| to two cylinder scans; the
+    nodal values of w serve only its sup norm. Neither w nor any magnitude
+    field is held for the whole trajectory.
     """
-    values, coeffs = _flux_duhamel(h, flux, tg)
-    if cylinders is None:
-        cylinders = enumerate_cylinders(h.grid, tg)
-    num = xp_seminorm(Trajectory(h.grid, tg, values), p, cylinders, coeffs=coeffs).xp_total
-    del values, coeffs  # released before the flux magnitudes are formed
-    den = yp_norm(flux, p, cylinders).seminorm + h.sup_norm()
+    _check_forcing(h, flux, tg)
+    grid = h.grid
+    # the Xp seminorm's range of p lies inside the Yp norm's
+    p, cylinders = _gradient_exponent(grid, tg, p, cylinders)
+    grad_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Xp seminorm of w
+    flux_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Yp norm of F
+    sup = h.sup_norm()  # node 0 of w is the datum
+    blocks = index_blocks(len(tg), flux.values[0].nbytes, FLUX_BLOCK_BYTES)
+    divs = (spectral_divergence(flux.values[b], grid) for b in blocks)
+    for b, coeffs in zip(blocks, _duhamel_blocks(h, divs, tg)):
+        later = coeffs[1:] if b.start == 0 else coeffs
+        if len(later):
+            block_sup = _abs_max(from_coeffs(later, grid))
+            if not math.isfinite(block_sup):
+                raise ValueError("trajectory values must be finite")
+            sup = max(sup, block_sup)
+        grad_scan.add(_gradient_magnitudes(coeffs, grid))
+        flux_scan.add(vector_magnitudes(flux.values[b]))
+    num = sup + grad_scan.result()[0]
+    den = flux_scan.result()[0] + h.sup_norm()
     if den == 0.0:
         raise ValueError("trivial problem: zero forcing and zero datum")
     return num / den

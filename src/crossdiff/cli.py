@@ -12,6 +12,7 @@ from typing import NoReturn
 import numpy as np
 
 from .carleson import xp_seminorm
+from .fields import check_kmax
 from .harness import (
     ExperimentConfig,
     VerificationReport,
@@ -75,6 +76,18 @@ def _build_config(args) -> ExperimentConfig:
         return cfg.with_overrides(**overrides)
     except ValueError as exc:
         _exit_invalid_config(exc)
+
+
+def _suite_config(args) -> ExperimentConfig:
+    """_build_config for the suite commands, whose sweeps always draw
+    band-limited data: the config leaves kmax to the generators, which would
+    raise it from inside a suite group."""
+    cfg = _build_config(args)
+    try:
+        check_kmax(cfg.grid(), cfg.kmax)
+    except ValueError as exc:
+        _exit_invalid_config(exc)
+    return cfg
 
 
 def _exit_invalid_config(exc: ValueError) -> NoReturn:
@@ -174,7 +187,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_lemma_checks(args) -> int:
-    cfg = _build_config(args)
+    cfg = _suite_config(args)
     out = _out_dir(cfg, args, f"lemma-checks-{cfg.config_hash()}")
     report = run_suite(cfg, out_dir=out, groups=LEMMA_GROUPS)
     print(report.to_text())
@@ -183,7 +196,7 @@ def cmd_lemma_checks(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = _build_config(args)
+    cfg = _suite_config(args)
     out = _out_dir(cfg, args, f"suite-{cfg.config_hash()}")
     t0 = time.perf_counter()
     report = run_suite(cfg, out_dir=out)

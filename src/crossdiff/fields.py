@@ -23,6 +23,7 @@ __all__ = [
     "divergence_from_coeffs",
     "spectral_gradient",
     "spectral_divergence",
+    "check_kmax",
     "random_band_limited",
     "write_snapshot",
     "read_snapshot",
@@ -274,6 +275,12 @@ def spectral_divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return divergence_from_coeffs(to_coeffs(values, grid), grid)
 
 
+def check_kmax(grid: GridSpec, kmax: int) -> None:
+    """Raise unless random_band_limited can draw the modes up to kmax on grid."""
+    if kmax < 1 or kmax > grid.N // 2 - 1:
+        raise ValueError(f"kmax must be in [1, N/2-1], got {kmax}")
+
+
 def random_band_limited(
     grid: GridSpec,
     rng: np.random.Generator,
@@ -286,8 +293,7 @@ def random_band_limited(
     The draw order is fixed and independent of N, so the same (seed, kmax)
     yields the same continuum field on every grid resolution.
     """
-    if kmax < 1 or kmax > grid.N // 2 - 1:
-        raise ValueError(f"kmax must be in [1, N/2-1], got {kmax}")
+    check_kmax(grid, kmax)
     coeffs = np.zeros(rfft_shape(grid), dtype=complex)
     scale = amplitude / (2.0 * math.sqrt(kmax))
     if grid.n == 1:

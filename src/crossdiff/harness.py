@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -39,7 +40,7 @@ from .fields import (
     random_band_limited,
     to_coeffs,
 )
-from .model import RawCoefficients, ReducedModel, lipschitz_probe, reduce_coefficients
+from .model import RawCoefficients, ReducedModel, _heat_flow_probes, reduce_coefficients
 from .semigroup import heat_flow_trajectory, heat_propagate, kernel_gradient_lp, kernel_scaling_report
 from .solver import imex_solve, picard_solve
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
@@ -658,11 +659,56 @@ def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int) -> 
     return FluxTrajectory(grid, tg, vals)
 
 
+# A sweep's samples run on a thread pool of up to MAX_SAMPLE_WORKERS, once
+# one sample's trajectory (times x species x nodes of float64) reaches this
+# many bytes: numpy's transforms, einsums and elementwise loops release the
+# GIL, so large samples overlap, while small ones spend their time in Python.
+# Both sweeps on 2 cores, threaded over serial time (medians of 8-12
+# interleaved pairs, 89 time nodes, d=3): 2-D N=8 (134 KiB) 0.88-1.15,
+# 2-D N=16 (534 KiB) 0.69-1.15, 1-D N=256 (534 KiB) 0.94, 1-D N=512
+# (1068 KiB) 0.94-1.07; from 2 MiB on a clear gain: 1-D N=1024 0.85-0.92,
+# 2-D N=32 0.63-0.74, 2-D N=64 (8.3 MiB) 0.64. With the threshold at 0,
+# the 1-D N=64 suite (134 KiB) gains no time and its peak RSS rises by a
+# tenth, most likely the threads' own malloc arenas (10 interleaved pairs:
+# 0.83 -> 0.87 s, 46.5 -> 51.9 MB).
+FANOUT_SAMPLE_BYTES = 1 << 20
+# At most this many workers: each sample in flight holds about 1.4 of its
+# trajectories, so the peak grows with the pool, and two is the largest pool
+# whose peak_rss_mb has been measured.
+MAX_SAMPLE_WORKERS = 2
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _map_samples(fn, count: int, sample_bytes: int) -> list:
+    """[fn(j) for j in range(count)], in sample order, on a thread pool when
+    sample_bytes reaches FANOUT_SAMPLE_BYTES. A sample that raises raises
+    from here, the first one in sample order, as in the serial loop."""
+    workers = min(count, MAX_SAMPLE_WORKERS, _usable_cores())
+    if workers < 2 or sample_bytes < FANOUT_SAMPLE_BYTES:
+        return [fn(j) for j in range(count)]
+    # imported here: it adds about 9 ms to importing crossdiff, which every
+    # command pays and most never fan out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def _sample_bytes(ctx: SuiteContext, grid: GridSpec) -> int:
+    return len(ctx.tg) * ctx.config.d * grid.num_nodes * 8
+
+
 def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
     def measure(grid):
         cyls = ctx.config.cylinders(grid, ctx.tg)
-        ratios = []
-        for j in range(ctx.config.sweep_samples):
+
+        def sample(j):
             seed = ctx.config.seed + 2000 + j
             rng = np.random.default_rng(seed)
             h = SpeciesVector.from_array(grid, np.stack([
@@ -670,8 +716,9 @@ def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
                 for _ in range(ctx.config.d)
             ]))
             flux = _random_flux(grid, ctx.tg, ctx.config.d, seed + 500, ctx.config.kmax)
-            ratios.append(maximal_regularity_ratio(h, flux, ctx.tg, ctx.p, cyls))
-        return max(ratios), None
+            return maximal_regularity_ratio(h, flux, ctx.tg, ctx.p, cyls)
+
+        return max(_map_samples(sample, ctx.config.sweep_samples, _sample_bytes(ctx, grid))), None
 
     (maximum, _), refined = _with_refinement(ctx, "maximal-regularity maximum", measure)
     return [
@@ -687,16 +734,18 @@ def check_lipschitz(ctx: SuiteContext) -> list[Check]:
 
     def measure(grid):
         cyls = ctx.config.cylinders(grid, ctx.tg)
-        ratios, zero_ratio = [], None
-        for j in range(ctx.config.sweep_samples):
+
+        def sample(j):
+            # the heat flows of two seeded data; the first pair on the suite
+            # grid also probes v against w = 0
             seed = ctx.config.seed + 3000 + j
-            v = heat_flow_trajectory(ctx.datum(delta, grid, seed=seed), ctx.tg)
-            w = heat_flow_trajectory(ctx.datum(delta, grid, seed=seed + 250), ctx.tg)
-            ratios.append(lipschitz_probe(v, w, model, ctx.p, cyls).ratio)
-            if j == 0 and grid == ctx.grid:
-                zero = Trajectory(grid, ctx.tg, np.zeros_like(v.values))
-                zero_ratio = lipschitz_probe(v, zero, model, ctx.p, cyls).ratio
-        return max(ratios), zero_ratio
+            v, w = (ctx.datum(delta, grid, seed=s) for s in (seed, seed + 250))
+            return _heat_flow_probes(v, w, ctx.tg, model, ctx.p, cyls,
+                                     against_zero=j == 0 and grid == ctx.grid)
+
+        reports = _map_samples(sample, ctx.config.sweep_samples, _sample_bytes(ctx, grid))
+        zero = reports[0][1]
+        return max(r.ratio for r, _ in reports), None if zero is None else zero.ratio
 
     (maximum, zero_ratio), refined = _with_refinement(ctx, "Lipschitz constant maximum", measure)
     return [

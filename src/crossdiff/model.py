@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carleson import CylinderLadder, _CylinderScan, default_exponent, enumerate_cylinders
+from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent
 from .fields import (
     FLUX_BLOCK_BYTES,
     GridSpec,
+    SpeciesVector,
     dealias_keep_mask,
     divergence_from_coeffs,
     from_coeffs,
@@ -22,7 +23,8 @@ from .fields import (
     spectral_gradient,
     to_coeffs,
 )
-from .trajectory import FluxTrajectory, Trajectory, vector_magnitudes
+from .semigroup import _heat_flow_blocks
+from .trajectory import FluxTrajectory, TimeGrid, Trajectory, _abs_max, vector_magnitudes
 
 __all__ = [
     "RawCoefficients",
@@ -267,6 +269,57 @@ class LipschitzReport:
     x_diff: float
 
 
+class _LipschitzPass:
+    """The pass of lipschitz_probe, fed two trajectories v and w in
+    consecutive blocks of time nodes so that neither is held whole.
+
+    add(v, w, gv, gw) takes the next nodes of v and w, shape (nodes, d,
+    *grid.shape), and their nodal gradients. F(v) - F(w) is one dealiased
+    transform of the difference of the nodal products, and grad(v - w) is
+    the difference of the gradients. The magnitudes of those four vector
+    fields go to four cylinder scans, and sup|v|, sup|w| and sup|v - w| are
+    taken per block; a non-finite magnitude raises in the block where it
+    appears. result() needs every node and returns the LipschitzReport.
+    """
+
+    def __init__(self, grid: GridSpec, tg: TimeGrid, model: ReducedModel,
+                 p: float | None, cylinders: CylinderLadder | None, truncated: bool):
+        p, cylinders = _gradient_exponent(grid, tg, p, cylinders)
+        self.grid, self.model, self.truncated = grid, model, truncated
+        # cylinder scans of |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
+        self.scans = [_CylinderScan(grid, tg.times, p, cylinders) for _ in range(4)]
+        self.sup_v = self.sup_w = self.sup_diff = 0.0
+
+    def add(self, v: np.ndarray, w: np.ndarray, gv: np.ndarray, gw: np.ndarray):
+        grid, model, truncated = self.grid, self.model, self.truncated
+        prod = _flux_products(v, grid, model, truncated, gv)
+        prod -= _flux_products(w, grid, model, truncated, gw)
+        mags = np.empty((4,) + v.shape)
+        vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[0])
+        vector_magnitudes(gv, out=mags[1])
+        vector_magnitudes(gw, out=mags[2])
+        vector_magnitudes(gv - gw, out=mags[3])
+        # magnitudes are >= 0, so the maximum shows any NaN or infinity
+        if not np.isfinite(mags.max()):
+            raise ValueError("gradient and flux values must be finite")
+        for scan, m in zip(self.scans, mags):
+            scan.add(m)
+        self.sup_v = max(self.sup_v, _abs_max(v))
+        self.sup_w = max(self.sup_w, _abs_max(w))
+        self.sup_diff = max(self.sup_diff, _abs_max(v - w))
+
+    def result(self) -> LipschitzReport:
+        left, semi_v, semi_w, semi_diff = (scan.result()[0] for scan in self.scans)
+        x_v, x_w = self.sup_v + semi_v, self.sup_w + semi_w
+        x_diff = self.sup_diff + semi_diff
+        if x_diff == 0.0:
+            return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)
+        factor = max(x_v, x_w, x_v**2, x_w**2)
+        bound = self.model.d * factor * x_diff
+        ratio = left / bound if bound > 0.0 else 0.0
+        return LipschitzReport(left=left, bound=bound, ratio=ratio, x_v=x_v, x_w=x_w, x_diff=x_diff)
+
+
 def lipschitz_probe(
     v: Trajectory,
     w: Trajectory,
@@ -292,39 +345,34 @@ def lipschitz_probe(
     if v.grid != w.grid or not np.array_equal(v.tg.times, w.tg.times):
         raise ValueError("trajectories must share grid and time grid")
     grid = v.grid
-    if p is None:
-        p = default_exponent(grid)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"gradient seminorm requires p in (1, inf), got {p}")
-    if cylinders is None:
-        cylinders = enumerate_cylinders(grid, v.tg)
-    # cylinder scans of |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
-    scans = [_CylinderScan(grid, v.tg.times, p, cylinders) for _ in range(4)]
-    sup_diff = 0.0
+    probe = _LipschitzPass(grid, v.tg, model, p, cylinders, truncated)
     for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
-        gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
-        gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
-        prod = _flux_products(v.values[b], grid, model, truncated, gv)
-        prod -= _flux_products(w.values[b], grid, model, truncated, gw)
-        mags = np.empty((4,) + v.values[b].shape)
-        vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[0])
-        vector_magnitudes(gv, out=mags[1])
-        vector_magnitudes(gw, out=mags[2])
-        gv -= gw
-        vector_magnitudes(gv, out=mags[3])
-        # magnitudes are >= 0, so the maximum shows any NaN or infinity
-        if not np.isfinite(mags.max()):
-            raise ValueError("gradient and flux values must be finite")
-        for scan, m in zip(scans, mags):
-            scan.add(m)
-        diff = v.values[b] - w.values[b]
-        sup_diff = max(sup_diff, float(np.maximum(diff.max(), -diff.min())))
-    left, semi_v, semi_w, semi_diff = (scan.result()[0] for scan in scans)
-    x_v, x_w = v.sup_norm() + semi_v, w.sup_norm() + semi_w
-    x_diff = sup_diff + semi_diff
-    if x_diff == 0.0:
-        return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)
-    factor = max(x_v, x_w, x_v**2, x_w**2)
-    bound = model.d * factor * x_diff
-    ratio = left / bound if bound > 0.0 else 0.0
-    return LipschitzReport(left=left, bound=bound, ratio=ratio, x_v=x_v, x_w=x_w, x_diff=x_diff)
+        vb, wb = v.values[b], w.values[b]
+        probe.add(vb, wb, spectral_gradient(vb, grid), spectral_gradient(wb, grid))
+    return probe.result()
+
+
+def _heat_flow_probes(
+    v0: SpeciesVector,
+    w0: SpeciesVector,
+    tg: TimeGrid,
+    model: ReducedModel,
+    p: float | None,
+    cylinders: CylinderLadder | None,
+    against_zero: bool = False,
+) -> tuple[LipschitzReport, LipschitzReport | None]:
+    """lipschitz_probe(v, w, model, p, cylinders) of the heat flows v and w
+    of the data v0 and w0, and with against_zero also lipschitz_probe(v, 0,
+    ...) (else None), holding neither flow whole: their blocks of time nodes
+    go from the heat-flow generator straight into the probes' passes, and
+    the probe against zero shares v's blocks and gradients.
+    """
+    grid = v0.grid
+    pair = _LipschitzPass(grid, tg, model, p, cylinders, False)
+    zero = _LipschitzPass(grid, tg, model, p, cylinders, False) if against_zero else None
+    for (_, v), (_, w) in zip(_heat_flow_blocks(v0, tg), _heat_flow_blocks(w0, tg)):
+        gv = spectral_gradient(v, grid)
+        pair.add(v, w, gv, spectral_gradient(w, grid))
+        if zero is not None:
+            zero.add(v, np.zeros_like(v), gv, np.zeros_like(gv))
+    return pair.result(), None if zero is None else zero.result()

@@ -69,13 +69,36 @@ def _fill_values(coeffs: np.ndarray, grid: GridSpec, values: np.ndarray) -> None
         from_coeffs(coeffs[b], grid, out=values[b])
 
 
+def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
+    """The pure heat flow of every species over consecutive blocks of time
+    nodes, FLUX_BLOCK_BYTES of states each: yields (nodes, values), values
+    of shape (nodes, d, *grid.shape).
+
+    Node 0 is the datum itself; every later node is the inverse transform
+    of one exp per block over its rows of the symbol x node-times table, so
+    no coefficients of the whole flow are held.
+    """
+    grid = h.grid
+    datum = h.stack()
+    what, symbol = to_coeffs(datum, grid), laplacian_symbol(grid)
+    for b in index_blocks(len(tg), datum.nbytes, FLUX_BLOCK_BYTES):
+        times = tg.times[b]
+        values = np.empty((len(times),) + datum.shape)
+        first = 0
+        if b.start == 0:
+            values[0], first = datum, 1
+        if len(times) > first:
+            chat = what * np.exp(np.multiply.outer(times[first:], symbol))[:, None]
+            from_coeffs(chat, grid, out=values[first:])
+        yield b, values
+
+
 def heat_flow_trajectory(h: SpeciesVector, tg: TimeGrid) -> Trajectory:
     """Pure heat flow of every species, sampled at all time nodes."""
-    grid = h.grid
-    values = np.empty((len(tg), h.d) + grid.shape)
-    values[0] = h.stack()
-    _fill_values(heat_flow_coeffs(h, tg), grid, values)
-    return Trajectory(grid, tg, values, metadata={"scheme": "heat-flow"})
+    values = np.empty((len(tg), h.d) + h.grid.shape)
+    for b, block in _heat_flow_blocks(h, tg):
+        values[b] = block
+    return Trajectory(h.grid, tg, values, metadata={"scheme": "heat-flow"})
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,6 +130,24 @@ def _segment_weights(grid: GridSpec, dt: float):
     return weights
 
 
+def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
+    """The Duhamel recurrence of duhamel_coeffs, fed the forcing
+    coefficients in consecutive blocks of time nodes from node 0 on: yields,
+    per block, the coefficients of the mild solution at its nodes."""
+    grid = h.grid
+    k = 0
+    for div in div_blocks:
+        coeffs = np.empty_like(div)
+        for i in range(len(div)):
+            if k == 0:
+                coeffs[0] = to_coeffs(h.stack(), grid)
+            else:
+                E, w_left, w_right = _segment_weights(grid, float(tg.times[k] - tg.times[k - 1]))
+                coeffs[i] = E * prev + w_left * prev_div + w_right * div[i]
+            prev, prev_div, k = coeffs[i], div[i], k + 1
+        yield coeffs
+
+
 def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Mild solution of d/dt w_i = Lap(w_i) + g_i with datum h, where
     div_coeffs (n_times, d, *rfft_shape(grid)) holds the coefficients of the
@@ -126,25 +167,28 @@ def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tu
     values = np.empty((len(tg), d) + grid.shape)
     coeffs = np.empty_like(div_coeffs)
     values[0] = h.stack()
-    coeffs[0] = to_coeffs(values[0], grid)
-    for k in range(1, len(tg)):
-        E, w_left, w_right = _segment_weights(grid, float(tg.times[k] - tg.times[k - 1]))
-        coeffs[k] = E * coeffs[k - 1] + w_left * div_coeffs[k - 1] + w_right * div_coeffs[k]
+    blocks = index_blocks(len(tg), div_coeffs[0].nbytes, FLUX_BLOCK_BYTES)
+    for b, block in zip(blocks, _duhamel_blocks(h, (div_coeffs[b] for b in blocks), tg)):
+        coeffs[b] = block
     _fill_values(coeffs, grid, values)
     return values, coeffs
+
+
+def _check_forcing(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> None:
+    if forcing.grid != h.grid or not np.array_equal(forcing.tg.times, tg.times):
+        raise ValueError("forcing must be sampled on the solution grid and time grid")
+    if forcing.d != h.d:
+        raise ValueError(f"forcing has {forcing.d} species, datum has {h.d}")
 
 
 def _flux_duhamel(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """duhamel_coeffs on the divergence of a nodal FluxTrajectory aligned
     with tg: the values and coefficients of the mild solution."""
-    grid, d = h.grid, h.d
-    if forcing.grid != grid or not np.array_equal(forcing.tg.times, tg.times):
-        raise ValueError("forcing must be sampled on the solution grid and time grid")
-    if forcing.d != d:
-        raise ValueError(f"forcing has {forcing.d} species, datum has {d}")
+    _check_forcing(h, forcing, tg)
+    grid = h.grid
     # over blocks of nodes: one batched divergence would hold the flux's
     # coefficients for the whole trajectory at once
-    div_coeffs = np.empty((len(tg), d) + rfft_shape(grid), dtype=complex)
+    div_coeffs = np.empty((len(tg), h.d) + rfft_shape(grid), dtype=complex)
     for b in index_blocks(len(tg), forcing.values[0].nbytes, FLUX_BLOCK_BYTES):
         div_coeffs[b] = spectral_divergence(forcing.values[b], grid)
     return duhamel_coeffs(h, div_coeffs, tg)

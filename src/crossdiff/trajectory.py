@@ -93,8 +93,7 @@ class Trajectory:
         return SpeciesVector.from_array(self.grid, self.values[k])
 
     def sup_norm(self) -> float:
-        # max |v| without the temporary np.abs(values) would allocate
-        return float(np.maximum(self.values.max(), -self.values.min()))
+        return _abs_max(self.values)
 
     def species_means(self) -> np.ndarray:
         """Per-time, per-species spatial mean, shape (n_times, d)."""
@@ -194,6 +193,11 @@ def vector_magnitudes(vectors: np.ndarray, out: np.ndarray | None = None) -> np.
     for m in range(1, vectors.shape[2]):
         out += np.square(vectors[:, :, m])
     return np.sqrt(out, out=out)
+
+
+def _abs_max(values: np.ndarray) -> float:
+    # max |v| without the temporary np.abs(values) would allocate
+    return float(np.maximum(values.max(), -values.min()))
 
 
 def _check_finite(values: np.ndarray, kind: str):

@@ -108,6 +108,28 @@ def test_kmax_too_large_for_grid_exits_with_usage_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("generator", ["uniform", "step-like"])
+def test_kmax_is_not_checked_where_no_data_is_band_limited(generator, tmp_path, capsys):
+    # neither generator reads kmax, and norms draws no data at all: the
+    # default kmax=8 on N=16 stays valid for both commands
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--N", "16", "--t-end", "0.01", "--levels", "2", "--steps-per-level", "2",
+                 "--generator", generator, "--out", str(run_dir)]) == 0
+    assert main(["norms", "--traj", str(run_dir)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["suite", "lemma-checks"])
+def test_kmax_too_large_for_grid_exits_before_the_suite(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--N", "16", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: kmax must be in")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_suite_with_config_file(tmp_path, capsys):
     cfg = ExperimentConfig(
         N=16, t_end=0.25, levels=3, steps_per_level=3, kmax=3, smoothing=0.02,

@@ -1,6 +1,9 @@
+import concurrent.futures
 import csv
 import math
 import re
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -343,3 +346,74 @@ class TestReference:
             coarse, fine = ctx.imex(delta, refine=4), ctx.imex(delta, refine=8)
             rel = np.max(np.abs(coarse.values - fine.values)) / np.max(np.abs(fine.values))
             assert rel <= 1e-4
+
+
+class TestSampleFanOut:
+    """The two 2-D sweeps map their samples over a thread pool above a size
+    threshold; the checks, and the errors, must not depend on the path."""
+
+    CFG = ExperimentConfig(n=2, N=16, kmax=3, levels=4, steps_per_level=4, sweep_samples=5,
+                           refine=False, seed=11)
+
+    @staticmethod
+    def _force(monkeypatch, threaded):
+        # more workers than this machine may have cores
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(harness, "FANOUT_SAMPLE_BYTES", 0 if threaded else math.inf)
+
+    def test_fans_out_from_the_threshold_in_sample_order(self, monkeypatch):
+        def fn(j):
+            return j, threading.get_ident()
+
+        main = threading.get_ident()
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+        below = harness._map_samples(fn, 6, harness.FANOUT_SAMPLE_BYTES - 1)
+        above = harness._map_samples(fn, 6, harness.FANOUT_SAMPLE_BYTES)
+        assert [j for j, _ in below] == [j for j, _ in above] == list(range(6))
+        assert {t for _, t in below} == {main}
+        assert main not in {t for _, t in above}
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+        assert {t for _, t in harness._map_samples(fn, 6, harness.FANOUT_SAMPLE_BYTES)} == {main}
+
+    def test_pool_is_capped_whatever_the_core_count(self, monkeypatch):
+        sizes = []
+        pool_class = concurrent.futures.ThreadPoolExecutor
+
+        def recording_pool(workers):
+            sizes.append(workers)
+            return pool_class(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 64)
+        samples = harness._map_samples(lambda j: j, 20, harness.FANOUT_SAMPLE_BYTES)
+        assert samples == list(range(20))
+        assert sizes == [harness.MAX_SAMPLE_WORKERS] == [2]
+
+    @pytest.mark.parametrize("check", ["check_maximal_regularity", "check_lipschitz"])
+    def test_threaded_equals_serial(self, check, monkeypatch):
+        values = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for threaded in (False, True):
+                self._force(monkeypatch, threaded)
+                values[threaded] = [(c.name, c.value) for c in getattr(harness, check)(SuiteContext(self.CFG))]
+        finally:
+            sys.setswitchinterval(interval)
+        assert values[True] == values[False]
+
+    @pytest.mark.parametrize("group", ["maximal-regularity", "lipschitz"])
+    @pytest.mark.parametrize("bad,match", [("p", "p in \\(1, inf\\), got 0.5"),
+                                           ("kmax", "kmax must be in")])
+    def test_worker_error_reads_as_serial(self, group, bad, match, monkeypatch):
+        cfg = replace(self.CFG, kmax=8) if bad == "kmax" else replace(self.CFG)
+        if bad == "p":
+            cfg.p = 0.5  # past the config's own check, as a caller may set it
+        messages = []
+        for threaded in (False, True):
+            self._force(monkeypatch, threaded)
+            with pytest.raises(RuntimeError, match=match) as exc:
+                run_suite(cfg, groups=[group])
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"suite group {group!r} failed to run: ")

@@ -29,6 +29,7 @@ from crossdiff.model import (
     flux_coeffs,
     flux_divergence,
     flux_trajectory,
+    _heat_flow_probes,
     lipschitz_probe,
     reduce_coefficients,
 )
@@ -421,3 +422,54 @@ class TestLipschitzProbe:
         v = traj(1.0)
         flux = flux_trajectory(v, m)
         assert flux.values.shape == (len(tg), 3, 1) + g.shape
+
+
+class TestHeatFlowProbes:
+    """The probes of check_lipschitz's samples, fed the heat flows block by
+    block, against lipschitz_probe on the flows held whole."""
+
+    @staticmethod
+    def _data(g, seed, kmax=3):
+        rng = np.random.default_rng(seed)
+        return [SpeciesVector.from_array(g, 0.02 + 0.04 * np.stack(
+            [random_band_limited(g, rng, kmax).values for _ in range(3)])) for _ in range(2)]
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    def test_equal_probes_of_the_flows(self, n, N):
+        g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
+        v0, w0 = self._data(g, 30 + n)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
+        zero = Trajectory(g, tg, np.zeros_like(v.values))
+        want = lipschitz_probe(v, w, m, 4.5, cyls), lipschitz_probe(v, zero, m, 4.5, cyls)
+        assert _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True) == want
+        assert _heat_flow_probes(v0, w0, tg, m, 4.5, cyls) == (want[0], None)
+
+    def test_transforms_no_more_than_held_flows(self, transform_bytes):
+        g, tg = make_grid(2, 16), TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
+        v0, w0 = self._data(g, 5)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
+        lipschitz_probe(v, w, m, 4.5, cyls)
+        lipschitz_probe(v, Trajectory(g, tg, np.zeros_like(v.values)), m, 4.5, cyls)
+        held = sum(transform_bytes)
+        transform_bytes.clear()
+        _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True)
+        assert sum(transform_bytes) <= held
+
+    def test_peak_memory_one_sample(self):
+        # the two heat flows and their probe on the default time grid: 1.40x
+        # the trajectory measured; with both flows held whole, 3.23x
+        g, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        v0, w0 = self._data(g, 5, kmax=6)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        tracemalloc.start()
+        try:
+            _heat_flow_probes(v0, w0, tg, m, None, cyls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * len(tg) * v0.stack().nbytes

@@ -9,6 +9,7 @@ from crossdiff.fields import (
     ScalarField,
     SpeciesVector,
     from_coeffs,
+    index_blocks,
     make_grid,
     random_band_limited,
     spectral_divergence,
@@ -16,7 +17,9 @@ from crossdiff.fields import (
 )
 from crossdiff.semigroup import (
     KernelEstimateReport,
+    _duhamel_blocks,
     _flux_duhamel,
+    _heat_flow_blocks,
     _segment_weights,
     duhamel_coeffs,
     duhamel_solve,
@@ -355,6 +358,35 @@ class TestBatchedTransforms:
         assert transform_bytes.calls["to_coeffs"] <= 2
         # the flux and the datum forward, every later node back
         assert sum(transform_bytes) == 2 * len(tg) * node
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("block_nodes", [1, 3, None])
+    def test_heat_flow_blocks(self, n, N, block_nodes, monkeypatch):
+        # consecutive blocks from node 0, the datum itself, on, which put
+        # together are the per-node heat flow and heat_flow_trajectory, bit
+        # for bit
+        g, tg, h, _ = self._problem(n, N)
+        want = _values_per_node(_heat_flow_coeffs_per_node(h, tg), g, h.stack())
+        assert _bit_equal(heat_flow_trajectory(h, tg).values, want)
+        if block_nodes is not None:
+            monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", block_nodes * h.stack().nbytes)
+        blocks = list(_heat_flow_blocks(h, tg))
+        assert [b for b, _ in blocks] == index_blocks(
+            len(tg), h.stack().nbytes, semigroup.FLUX_BLOCK_BYTES)
+        assert _bit_equal(np.concatenate([values for _, values in blocks]), want)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    @pytest.mark.parametrize("block_nodes", [1, 3, None])
+    def test_duhamel_blocks(self, n, N, block_nodes):
+        # the recurrence fed the forcing in blocks of any size, the first
+        # block short of a whole one or not, equals the per-node loop
+        g, tg, h, flux = self._problem(n, N)
+        div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
+        _, want = _duhamel_per_node(h, div, tg)
+        blocks = index_blocks(len(tg), div[0].nbytes, (block_nodes or len(tg)) * div[0].nbytes)
+        got = list(_duhamel_blocks(h, (div[b] for b in blocks), tg))
+        assert [len(c) for c in got] == [len(div[b]) for b in blocks]
+        assert _bit_equal(np.concatenate(got), want)
 
     def test_segment_weights_cached_read_only(self):
         g = make_grid(2, 16)
