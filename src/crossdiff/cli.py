@@ -78,13 +78,18 @@ def _build_config(args) -> ExperimentConfig:
         _exit_invalid_config(exc)
 
 
-def _suite_config(args) -> ExperimentConfig:
+def _suite_config(args, groups=None) -> ExperimentConfig:
     """_build_config for the suite commands, whose sweeps always draw
-    band-limited data: the config leaves kmax to the generators, which would
-    raise it from inside a suite group."""
+    band-limited data and whose gradient-decay group always draws step-like
+    data: the config leaves kmax and the smoothing width to the generators,
+    which would raise them from inside a suite group. groups are the suite
+    groups the command runs (None: all of them)."""
     cfg = _build_config(args)
     try:
         check_kmax(cfg.grid(), cfg.kmax)
+        if (groups is None or "gradient-decay" in groups) and not cfg.smoothing > 0:
+            raise ValueError(f"the gradient-decay group draws step-like data, which needs "
+                             f"a positive smoothing width, got {cfg.smoothing:g}")
     except ValueError as exc:
         _exit_invalid_config(exc)
     return cfg
@@ -187,7 +192,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_lemma_checks(args) -> int:
-    cfg = _suite_config(args)
+    cfg = _suite_config(args, LEMMA_GROUPS)
     out = _out_dir(cfg, args, f"lemma-checks-{cfg.config_hash()}")
     report = run_suite(cfg, out_dir=out, groups=LEMMA_GROUPS)
     print(report.to_text())

@@ -150,20 +150,29 @@ def to_coeffs(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Normalised rfftn over the trailing n axes (leading axes pass through).
 
     N is a power of two, so the 1/N^n of norm="forward" is exact: the result
-    is bit for bit rfftn(values) / N^n, without its temporary.
+    is bit for bit rfftn(values) / N^n, without its temporary. The transform
+    is rfftn's own sequence of one-axis transforms (rfft on the last axis,
+    then fft on the others), without the n-D wrapper's argument handling.
     """
-    axes = tuple(range(values.ndim - grid.n, values.ndim))
-    return np.fft.rfftn(values, axes=axes, norm="forward")
+    coeffs = np.fft.rfft(values, grid.N, axis=-1, norm="forward")
+    for axis in range(-2, -1 - grid.n, -1):
+        coeffs = np.fft.fft(coeffs, grid.N, axis=axis, norm="forward")
+    return coeffs
 
 
 def from_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of to_coeffs, written into out (shape (..., *grid.shape)) when given."""
-    axes = tuple(range(coeffs.ndim - grid.n, coeffs.ndim))
+    """Inverse of to_coeffs, written into out (shape (..., *grid.shape)) when given.
+
+    irfftn's sequence of one-axis transforms: ifft on the leading spatial
+    axes, then irfft on the last.
+    """
+    for axis in range(-grid.n, -1):
+        coeffs = np.fft.ifft(coeffs, grid.N, axis=axis, norm="forward")
     if out is None:
-        return np.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward")
+        return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward")
     if _FFT_OUT:
-        return np.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward", out=out)
-    out[...] = np.fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward")
+        return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward", out=out)
+    out[...] = np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward")
     return out
 
 
@@ -340,12 +349,25 @@ def write_snapshot(field: ScalarField, t: float, path):
 
 
 def read_snapshot(path) -> tuple[ScalarField, float]:
-    with open(path) as fh:
+    """Read a write_snapshot file: the field and its time.
+
+    The body is split once and only its value column, every (n+1)-th
+    number, is converted; a body of any other length, or a value that is
+    not a number, raises a ValueError that names the file.
+    """
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "#":
-            raise ValueError(f"bad snapshot header in {path}")
-        n, N, t = int(header[1]), int(header[2]), float(header[3])
-        data = np.loadtxt(fh, ndmin=2)
+        body = fh.read()
+    if len(header) != 4 or header[0] != b"#":
+        raise ValueError(f"bad snapshot header in {path}")
+    n, N, t = int(header[1]), int(header[2]), float(header[3])
     grid = GridSpec(n=n, N=N)
-    values = data[:, -1].reshape(grid.shape)
-    return ScalarField(grid, values), t
+    tokens = body.split()
+    if len(tokens) != grid.num_nodes * (n + 1):
+        raise ValueError(f"snapshot {path} holds {len(tokens)} numbers, expected "
+                         f"{grid.num_nodes} rows of {n + 1}")
+    try:
+        values = np.array([float(x) for x in tokens[n::n + 1]])
+    except ValueError as exc:
+        raise ValueError(f"bad value in snapshot {path}: {exc}") from None
+    return ScalarField(grid, values.reshape(grid.shape)), t

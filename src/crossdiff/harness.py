@@ -565,12 +565,14 @@ def check_contraction(ctx: SuiteContext) -> list[Check]:
             checks.append(make_check(
                 f"picard distances strictly decreasing at delta={delta:g}", max(ratios), 1.0, "<",
             ))
-    ordered = sorted(ctx.config.contraction_deltas)
-    worst = max(thetas[a] - thetas[b] for a, b in zip(ordered[:-1], ordered[1:]))
-    checks.append(make_check(
-        "contraction factor non-increasing as delta decreases", worst, 0.0, "<=",
-        note="max over consecutive ladder steps of theta(small) - theta(large)",
-    ))
+    # the ordering check needs a ladder: two or more distinct deltas
+    ordered = sorted(thetas)
+    if len(ordered) > 1:
+        worst = max(thetas[a] - thetas[b] for a, b in zip(ordered[:-1], ordered[1:]))
+        checks.append(make_check(
+            "contraction factor non-increasing as delta decreases", worst, 0.0, "<=",
+            note="max over consecutive ladder steps of theta(small) - theta(large)",
+        ))
     for delta in ctx.config.contraction_deltas:
         w_p, _ = ctx.picard(delta)
         w_i = ctx.imex(delta, refine=4)

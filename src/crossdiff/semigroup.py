@@ -130,21 +130,53 @@ def _segment_weights(grid: GridSpec, dt: float):
     return weights
 
 
+@functools.lru_cache(maxsize=16)
+def _step_table(grid: GridSpec, times: tuple[float, ...]) -> tuple:
+    """The segment weights of a time grid: per distinct step length the
+    _segment_weights triple, as a tuple of the E arrays and stacks of the
+    left and right weights, and per segment k (nodes k to k + 1) the index
+    of its step. A dyadic grid has one or two distinct steps per level (two
+    where its linspace rounds), so the table holds a few triples however
+    many nodes there are: 10 for the 89 nodes of the default grid.
+
+    Cached per (grid, times); the arrays are shared, hence read-only.
+    """
+    steps, segment = np.unique(np.diff(np.array(times)), return_inverse=True)
+    weights = [_segment_weights(grid, float(dt)) for dt in steps]
+    left, right = (np.stack([w[j] for w in weights]) for j in (1, 2))
+    for a in (left, right, segment):
+        a.flags.writeable = False
+    return tuple(w[0] for w in weights), left, right, segment
+
+
 def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
     """The Duhamel recurrence of duhamel_coeffs, fed the forcing
     coefficients in consecutive blocks of time nodes from node 0 on: yields,
-    per block, the coefficients of the mild solution at its nodes."""
+    per block, the coefficients of the mild solution at its nodes.
+
+    Each block's forcing terms left*div[k-1] and right*div[k] are two
+    batched products; each node then costs one product with E and two
+    in-place adds, in the order of E*prev + left*div[k-1] + right*div[k].
+    """
     grid = h.grid
-    k = 0
+    E, left, right, segment = _step_table(grid, tuple(tg.times.tolist()))
+    k = 0  # the index of the block's first node
     for div in div_blocks:
         coeffs = np.empty_like(div)
-        for i in range(len(div)):
-            if k == 0:
-                coeffs[0] = to_coeffs(h.stack(), grid)
-            else:
-                E, w_left, w_right = _segment_weights(grid, float(tg.times[k] - tg.times[k - 1]))
-                coeffs[i] = E * prev + w_left * prev_div + w_right * div[i]
-            prev, prev_div, k = coeffs[i], div[i], k + 1
+        if k == 0:
+            coeffs[0] = to_coeffs(h.stack(), grid)
+            prev, first, left_div = coeffs[0], 1, div[:-1]
+        else:
+            first, left_div = 0, np.concatenate((prev_div[None], div[:-1]))
+        seg = segment[k + first - 1:k + len(div) - 1]
+        left_terms = left[seg][:, None] * left_div
+        right_terms = right[seg][:, None] * div[first:]
+        for c, s, lt, rt in zip(coeffs[first:], seg.tolist(), left_terms, right_terms):
+            np.multiply(E[s], prev, out=c)
+            c += lt
+            c += rt
+            prev = c
+        prev_div, k = div[-1], k + len(div)
         yield coeffs
 
 

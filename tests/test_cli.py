@@ -130,6 +130,42 @@ def test_kmax_too_large_for_grid_exits_before_the_suite(command, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_smoothing_exits_before_the_suite(tmp_path, capsys):
+    # the gradient-decay group always draws step-like data, which needs a
+    # positive smoothing width: the suite refuses the config before any group
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--smoothing", "0", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: ")
+    assert "smoothing" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_smoothing_is_valid_where_no_step_like_data_is_drawn(tmp_path, capsys):
+    # lemma-checks runs no gradient-decay group, and uniform data has no
+    # smoothing width
+    assert main(["lemma-checks", "--smoothing", "0", "--N", "16", "--t-end", "0.25",
+                 "--levels", "3", "--steps-per-level", "3", "--kmax", "3",
+                 "--sweep-samples", "2", "--no-refine", "--out", str(tmp_path / "lemmas")]) == 0
+    assert main(["solve", "--generator", "uniform", "--smoothing", "0", "--N", "16",
+                 "--t-end", "0.01", "--levels", "2", "--steps-per-level", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_suite_with_one_contraction_delta(tmp_path, capsys):
+    code = main(["suite", "--N", "16", "--kmax", "3", "--levels", "3", "--steps-per-level", "3",
+                 "--sweep-samples", "2", "--stability-pairs", "2", "--no-refine",
+                 "--contraction-deltas", "0.05", "--out", str(tmp_path / "suite")])
+    assert code in (0, 1)  # smoke run at toy scale; it must run every group
+    out = capsys.readouterr().out
+    assert "checks passed" in out
+    assert "picard contraction factor at delta=0.05" in out
+    assert "non-increasing as delta decreases" not in out
+
+
 def test_suite_with_config_file(tmp_path, capsys):
     cfg = ExperimentConfig(
         N=16, t_end=0.25, levels=3, steps_per_level=3, kmax=3, smoothing=0.02,

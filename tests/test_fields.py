@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -244,12 +245,13 @@ class TestForwardNormalisation:
     def test_from_coeffs_into_out(self, monkeypatch, fft_out):
         # numpy < 2.0 has no out= in numpy.fft; the fallback copies into out
         monkeypatch.setattr(fields, "_FFT_OUT", fft_out and fields._FFT_OUT)
-        g = make_grid(2, 16)
-        coeffs = to_coeffs(_rng(8).standard_normal((3, 2) + g.shape), g)
-        out = np.empty((3, 2, 2) + g.shape)
-        got = from_coeffs(coeffs, g, out=out[:, :, 1])
-        assert np.shares_memory(got, out)
-        assert np.array_equal(out[:, :, 1], from_coeffs(coeffs, g))
+        for n in (1, 2):
+            g = make_grid(n, 16)
+            coeffs = to_coeffs(_rng(8).standard_normal((3, 2) + g.shape), g)
+            out = np.empty((3, 2, 2) + g.shape)
+            got = from_coeffs(coeffs, g, out=out[:, :, 1])
+            assert np.shares_memory(got, out)
+            assert np.array_equal(out[:, :, 1], from_coeffs(coeffs, g))
 
 
 class TestFromCoeffs:
@@ -488,3 +490,43 @@ class TestSnapshots:
         path.write_text("nonsense\n")
         with pytest.raises(ValueError, match="header"):
             read_snapshot(path)
+
+    @staticmethod
+    def _written(tmp_path, n):
+        g = make_grid(n, 16 if n == 1 else 8)
+        path = tmp_path / "snap.txt"
+        write_snapshot(_awkward_field(g), 0.25, path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_truncated_body_rejected(self, tmp_path, n):
+        path, lines = self._written(tmp_path, n)
+        for body in (lines[1:-1], lines[1:-1] + [lines[-1].rsplit(" ", 1)[0] + "\n"], []):
+            path.write_text(lines[0] + "".join(body))
+            with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds"):
+                read_snapshot(path)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_extra_column_rejected(self, tmp_path, n):
+        path, lines = self._written(tmp_path, n)
+        path.write_text(lines[0] + "".join(line[:-1] + " 0\n" for line in lines[1:]))
+        with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("token", ["abc", "0x1p3", "1,5"])
+    def test_non_numeric_value_rejected(self, tmp_path, n, token):
+        path, lines = self._written(tmp_path, n)
+        row = lines[5].split()
+        lines[5] = " ".join(row[:-1] + [token]) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"bad value in snapshot {re.escape(str(path))}"):
+            read_snapshot(path)
+
+    def test_reads_back_what_loadtxt_reads(self, tmp_path):
+        # the value column alone is converted, to the same floats np.loadtxt gives
+        for n, N in ((1, 16), (2, 8)):
+            f = _awkward_field(make_grid(n, N))
+            write_snapshot(f, 0.5, tmp_path / "snap.txt")
+            want = np.loadtxt(tmp_path / "snap.txt", ndmin=2)[:, -1]
+            assert read_snapshot(tmp_path / "snap.txt")[0].values.ravel().tobytes() == want.tobytes()

@@ -330,6 +330,17 @@ class TestSuite:
             assert refined[-1].name.endswith(" stability under N -> 2N")
             assert refined[-1].threshold == 0.2 and refined[-1].op == "<="
 
+    @pytest.mark.parametrize("deltas,ordered", [((0.05,), False), ((0.05, 0.05), False),
+                                                ((0.05, 0.02), True)])
+    def test_contraction_ordering_needs_two_deltas(self, deltas, ordered):
+        # "one or more" deltas is a valid config; the ordering check is
+        # formed only from two or more distinct ones
+        checks = harness.check_contraction(SuiteContext(replace(TINY, contraction_deltas=deltas)))
+        names = [c.name for c in checks]
+        assert ("contraction factor non-increasing as delta decreases" in names) == ordered
+        per_delta = {float(name.rsplit("=", 1)[1]) for name in names if "=" in name}
+        assert per_delta == set(deltas)
+
     def test_ladder_built_from_config(self):
         cfg = ExperimentConfig(N=32, radii_per_octave=3, centers_stride=8)
         ctx = SuiteContext(cfg)

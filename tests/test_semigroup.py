@@ -295,11 +295,20 @@ class TestBatchedTransforms:
     per-node loop's bit for bit, with numpy.fft's out= and with the copying
     fallback numpy < 2.0 takes."""
 
-    @staticmethod
-    def _problem(n, N):
+    # the time grids of the recurrence tests: the dyadic grid (one or two
+    # distinct steps per level, by round-off), a uniform grid (one distinct
+    # step: 1/32 and its multiples are exact) and a grid of all distinct steps
+    TIME_GRIDS = {
+        "dyadic": TimeGrid.dyadic(0.5, levels=4, steps_per_level=3),
+        "uniform": TimeGrid.uniform(0.5, 16),
+        "distinct": TimeGrid(np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.05, 14))))),
+    }
+
+    @classmethod
+    def _problem(cls, n, N, times="dyadic"):
         g = make_grid(n, N)
         rng = np.random.default_rng(N)
-        tg = TimeGrid.dyadic(0.5, levels=4, steps_per_level=3)
+        tg = cls.TIME_GRIDS[times]
         h = SpeciesVector.from_array(g, rng.standard_normal((3,) + g.shape))
         flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 3, n) + g.shape))
         return g, tg, h, flux
@@ -375,18 +384,62 @@ class TestBatchedTransforms:
             len(tg), h.stack().nbytes, semigroup.FLUX_BLOCK_BYTES)
         assert _bit_equal(np.concatenate([values for _, values in blocks]), want)
 
-    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    def test_time_grids_steps(self):
+        steps = {name: len(np.unique(np.diff(tg.times))) for name, tg in self.TIME_GRIDS.items()}
+        # round-off splits some dyadic levels' steps in two
+        assert steps == {"dyadic": 10, "uniform": 1, "distinct": 14}
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64)])
     @pytest.mark.parametrize("block_nodes", [1, 3, None])
     def test_duhamel_blocks(self, n, N, block_nodes):
         # the recurrence fed the forcing in blocks of any size, the first
-        # block short of a whole one or not, equals the per-node loop
-        g, tg, h, flux = self._problem(n, N)
-        div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
-        _, want = _duhamel_per_node(h, div, tg)
-        blocks = index_blocks(len(tg), div[0].nbytes, (block_nodes or len(tg)) * div[0].nbytes)
-        got = list(_duhamel_blocks(h, (div[b] for b in blocks), tg))
-        assert [len(c) for c in got] == [len(div[b]) for b in blocks]
-        assert _bit_equal(np.concatenate(got), want)
+        # block short of a whole one or not, equals the per-node loop, on
+        # time grids of few and of all distinct steps
+        for times in self.TIME_GRIDS:
+            g, tg, h, flux = self._problem(n, N, times)
+            div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
+            _, want = _duhamel_per_node(h, div, tg)
+            blocks = index_blocks(len(tg), div[0].nbytes, (block_nodes or len(tg)) * div[0].nbytes)
+            got = list(_duhamel_blocks(h, (div[b] for b in blocks), tg))
+            assert [len(c) for c in got] == [len(div[b]) for b in blocks]
+            assert _bit_equal(np.concatenate(got), want), times
+
+    @pytest.mark.parametrize("times", ["dyadic", "uniform", "distinct"])
+    def test_segment_weights_once_per_distinct_step(self, times, monkeypatch):
+        # the recurrence reads its weights from a table of the distinct steps
+        # of its time grid, not by one lookup per node
+        g, tg, h, flux = self._problem(1, 32, times)
+        div = spectral_divergence(flux.values, g)
+        steps = []
+
+        def counted(grid, dt):
+            steps.append(dt)
+            return _segment_weights.__wrapped__(grid, dt)
+
+        monkeypatch.setattr(semigroup, "_segment_weights", counted)
+        semigroup._step_table.cache_clear()
+        got = np.concatenate(list(_duhamel_blocks(h, [div], tg)))
+        assert sorted(steps) == sorted(set(np.diff(tg.times).tolist()))
+        assert _bit_equal(got, _duhamel_per_node(h, div, tg)[1])
+        # a second sweep on the same grid and time grid reuses the table
+        calls = len(steps)
+        list(_duhamel_blocks(h, [div], tg))
+        assert len(steps) == calls
+
+    def test_step_table_cached_read_only(self):
+        g, tg = make_grid(2, 16), self.TIME_GRIDS["dyadic"]
+        key = (g, tuple(tg.times.tolist()))
+        table = semigroup._step_table(*key)
+        assert semigroup._step_table(*key) is table
+        E, left, right, segment = table
+        assert len(E) == len(left) == len(right) == 10 and len(segment) == len(tg) - 1
+        for k, dt in enumerate(np.diff(tg.times)):
+            weights = _segment_weights(g, float(dt))
+            s = segment[k]
+            assert E[s] is weights[0]
+            assert _bit_equal(left[s], weights[1]) and _bit_equal(right[s], weights[2])
+        for a in (*E, left, right, segment):
+            assert not a.flags.writeable
 
     def test_segment_weights_cached_read_only(self):
         g = make_grid(2, 16)
