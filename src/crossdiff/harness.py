@@ -10,7 +10,6 @@ import csv
 import hashlib
 import io
 import math
-import os
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -43,7 +42,7 @@ from .fields import (
 from .model import RawCoefficients, ReducedModel, _heat_flow_probes, reduce_coefficients
 from .semigroup import heat_flow_trajectory, heat_propagate, kernel_gradient_lp, kernel_scaling_report
 from .solver import imex_solve, picard_solve
-from .trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
+from .trajectory import FluxTrajectory, TimeGrid, Trajectory, _usable_cores, trajectory_difference
 
 __all__ = [
     "ExperimentConfig",
@@ -552,7 +551,9 @@ def check_partition_nonnegativity(ctx: SuiteContext) -> list[Check]:
 def check_contraction(ctx: SuiteContext) -> list[Check]:
     checks = []
     thetas = {}
-    for delta in ctx.config.contraction_deltas:
+    # a repeated delta would repeat its checks: each distinct one, in order
+    deltas = tuple(dict.fromkeys(ctx.config.contraction_deltas))
+    for delta in deltas:
         traj, rep = ctx.picard(delta)
         thetas[delta] = rep.theta_hat
         checks.append(make_check(
@@ -573,7 +574,7 @@ def check_contraction(ctx: SuiteContext) -> list[Check]:
             "contraction factor non-increasing as delta decreases", worst, 0.0, "<=",
             note="max over consecutive ladder steps of theta(small) - theta(large)",
         ))
-    for delta in ctx.config.contraction_deltas:
+    for delta in deltas:
         w_p, _ = ctx.picard(delta)
         w_i = ctx.imex(delta, refine=4)
         rel = float(np.max(np.abs(w_p.values - w_i.values)) / np.max(np.abs(w_i.values)))
@@ -678,13 +679,6 @@ FANOUT_SAMPLE_BYTES = 1 << 20
 # trajectories, so the peak grows with the pool, and two is the largest pool
 # whose peak_rss_mb has been measured.
 MAX_SAMPLE_WORKERS = 2
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
 
 
 def _map_samples(fn, count: int, sample_bytes: int) -> list:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,17 +130,27 @@ class Trajectory:
         return h.hexdigest()[:12]
 
     def save(self, directory) -> Path:
+        """Write manifest.json and one snapshot per node and species; above
+        SPLIT_TRAJECTORY_BYTES a forked child writes the second half of the
+        nodes. The files are the same on either path."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "manifest.json").write_text(self.manifest_text())
-        for k, t in enumerate(self.tg.times):
-            for i in range(self.d):
-                f = ScalarField(self.grid, self.values[k, i])
-                write_snapshot(f, float(t), directory / f"state_t{k:05d}_s{i}.txt")
+        count = len(self.tg)
+        mid = _split_point(count, self.values.nbytes)
+        if mid == count:
+            _write_nodes(self, directory, range(count))
+        elif not _in_two_processes(lambda: _write_nodes(self, directory, range(mid)),
+                                   lambda: _write_nodes(self, directory, range(mid, count))):
+            # the child failed: its half again, here, raises what the serial path raises
+            _write_nodes(self, directory, range(mid, count))
         return directory
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
+        """Read a saved trajectory; every snapshot's header must give the
+        manifest's n, N and time. Above SPLIT_TRAJECTORY_BYTES a forked child
+        parses the second half of the nodes into a shared buffer."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         grid = GridSpec(n=manifest["n"], N=manifest["N"])
@@ -146,13 +159,116 @@ class Trajectory:
             levels=manifest.get("levels"),
             steps_per_level=manifest.get("steps_per_level"),
         )
-        d = manifest["d"]
-        values = np.empty((len(tg), d) + grid.shape)
-        for k in range(len(tg)):
-            for i in range(d):
-                f, _ = read_snapshot(directory / f"state_t{k:05d}_s{i}.txt")
-                values[k, i] = f.values
+        count = len(tg)
+        values = np.empty((count, manifest["d"]) + grid.shape)
+        mid = _split_point(count, values.nbytes)
+        if mid == count:
+            _read_nodes(directory, grid, tg, range(count), values)
+        else:
+            # imported here, as the fork itself: most loads never split
+            import mmap
+
+            # an anonymous shared mapping: the child's writes are the parent's
+            # reads, and no array is pickled
+            shared = np.frombuffer(mmap.mmap(-1, values[mid:].nbytes)).reshape(values[mid:].shape)
+            if _in_two_processes(lambda: _read_nodes(directory, grid, tg, range(mid), values[:mid]),
+                                 lambda: _read_nodes(directory, grid, tg, range(mid, count), shared)):
+                values[mid:] = shared
+            else:
+                _read_nodes(directory, grid, tg, range(mid, count), values[mid:])
         return cls(grid, tg, values, metadata=manifest.get("metadata", {}))
+
+
+# Trajectory.save and .load split their nodes between this process and one
+# forked child once the values reach this many bytes: formatting and parsing
+# the text hold the GIL, so threads cannot overlap them, and a fork and join
+# cost milliseconds. Serial over split time on 2 cores (medians of 7-9
+# interleaved rounds, 89 time nodes, d=3): 1-D N=64 (0.13 MiB) save 46 -> 59
+# ms, load 25 -> 37 ms; 1-D N=128 (0.26 MiB) save 64 -> 71, load 36 -> 48;
+# at 0.52 MiB mixed (2-D N=16 save 139 -> 143, load 74 -> 62); from 1 MiB a
+# clear gain: 1-D N=512 save 221 -> 170, load 129 -> 107, 2-D N=32 (2.1
+# MiB) save 388 -> 262, load 259 -> 157, 2-D N=64 (8.3 MiB) save 1069 ->
+# 580, load 784 -> 485.
+SPLIT_TRAJECTORY_BYTES = 1 << 20
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _split_point(count: int, nbytes: int) -> int:
+    """The first node of a forked child's half, or count when every node
+    stays in this process: below SPLIT_TRAJECTORY_BYTES, on one usable core,
+    with another thread alive (a fork copies only the calling thread, and
+    any lock another thread holds stays held in the child) or where fork is
+    not a start method."""
+    if nbytes < SPLIT_TRAJECTORY_BYTES or _usable_cores() < 2 or threading.active_count() != 1:
+        return count
+    # imported here: most commands never split, and every one imports crossdiff
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return count
+    return count // 2
+
+
+def _in_two_processes(here, child) -> bool:
+    """Run child() in a forked process while this one runs here(); True when
+    child() returned, False when it failed or no process could be forked.
+    The child is always joined, also when here() raises."""
+    import multiprocessing
+
+    proc = multiprocessing.get_context("fork").Process(target=_exit_status, args=(child,))
+    try:
+        proc.start()
+    except OSError:  # no process to be had: the caller runs child's part itself
+        here()
+        return False
+    try:
+        here()
+    finally:
+        proc.join()
+    return proc.exitcode == 0
+
+
+def _exit_status(fn):
+    # a failure is reported by the exit code alone: the parent runs the same
+    # nodes again and raises the error itself, so the child prints nothing
+    try:
+        fn()
+    except Exception:
+        sys.exit(1)
+
+
+def _snapshot_path(directory: Path, k: int, i: int) -> Path:
+    return directory / f"state_t{k:05d}_s{i}.txt"
+
+
+def _write_nodes(traj: Trajectory, directory: Path, nodes: range):
+    for k in nodes:
+        t = float(traj.tg.times[k])
+        for i in range(traj.d):
+            write_snapshot(ScalarField(traj.grid, traj.values[k, i]), t, _snapshot_path(directory, k, i))
+
+
+def _read_nodes(directory: Path, grid: GridSpec, tg: TimeGrid, nodes: range, out: np.ndarray):
+    """Read the snapshots of nodes into out, node nodes[j] into out[j]. A
+    header whose n, N or time (bit for bit) differs from the manifest's
+    raises a ValueError naming the file."""
+    for j, k in enumerate(nodes):
+        t_want = float(tg.times[k])
+        for i in range(out.shape[1]):
+            path = _snapshot_path(directory, k, i)
+            f, t = read_snapshot(path)
+            if f.grid != grid or t.hex() != t_want.hex():
+                raise ValueError(
+                    f"snapshot {path} holds n={f.grid.n} N={f.grid.N} t={t!r}; "
+                    f"the manifest gives n={grid.n} N={grid.N} t={t_want!r}"
+                )
+            out[j, i] = f.values
 
 
 @dataclass

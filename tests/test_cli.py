@@ -230,6 +230,34 @@ def test_norms_reads_run_config(tmp_path, capsys):
     assert (run_dir / "norms.csv").read_text().startswith("# p=6.0 ")
 
 
+def test_text_printed_before_a_split_save_appears_once(tmp_path, tiny_args):
+    # a piped stdout is block-buffered: text printed before the save is still
+    # in the buffer when the save forks, and must not be written again by
+    # the child
+    script = (
+        "import sys\n"
+        "from crossdiff import cli, trajectory\n"
+        "trajectory.SPLIT_TRAJECTORY_BYTES = 0\n"
+        "trajectory._usable_cores = lambda: 2\n"
+        "forks = []\n"
+        "real = trajectory._in_two_processes\n"
+        "trajectory._in_two_processes = lambda *a: forks.append(1) or real(*a)\n"
+        "print('printed before the save')\n"
+        f"code = cli.main(['solve', '--scheme', 'imex'] + {tiny_args!r})\n"
+        "print(f'forks {len(forks)}', file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**env, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "forks 1\n"
+    assert proc.stdout.count("printed before the save") == 1, proc.stdout
+    assert proc.stdout.count("partition deviation") == 1, proc.stdout
+    assert len(list((tmp_path / "run").glob("state_t*_s*.txt"))) == 7 * 3
+
+
 def test_solve_into_closed_pipe_keeps_run_and_prints_no_traceback(tmp_path):
     # `crossdiff solve | head -1`: the reader is gone before the report is
     # printed. The read end is closed before the child starts writing, so the

@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import os
 import re
+import shutil
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from crossdiff import fields
+from crossdiff import fields, trajectory
 from crossdiff.fields import (
     ScalarField,
     SpeciesVector,
@@ -530,3 +534,216 @@ class TestSnapshots:
             write_snapshot(f, 0.5, tmp_path / "snap.txt")
             want = np.loadtxt(tmp_path / "snap.txt", ndmin=2)[:, -1]
             assert read_snapshot(tmp_path / "snap.txt")[0].values.ravel().tobytes() == want.tobytes()
+
+
+def _trajectory(g, count: int, d: int = 2) -> Trajectory:
+    values = np.stack([
+        np.stack([_awkward_field(g, seed=10 * k + i).values for i in range(d)])
+        for k in range(count)
+    ])
+    return Trajectory(g, TimeGrid.uniform(0.5, count - 1), values, metadata={"kind": "test"})
+
+
+@pytest.fixture
+def node_log(monkeypatch, tmp_path):
+    """Log every call of trajectory._write_nodes and _read_nodes with the
+    process that made it; the returned function gives the calls so far as
+    (name, made by this process, first node, end node), sorted, as the two
+    processes append in either order."""
+    log = tmp_path / "nodes.log"
+    for name, nodes_arg in (("_write_nodes", -1), ("_read_nodes", -2)):
+        def spy(*args, _real=getattr(trajectory, name), _name=name, _at=nodes_arg):
+            with open(log, "a") as fh:
+                fh.write(f"{_name} {os.getpid()} {args[_at].start} {args[_at].stop}\n")
+            return _real(*args)
+
+        monkeypatch.setattr(trajectory, name, spy)
+
+    def calls():
+        if not log.exists():
+            return []
+        rows = [line.split() for line in log.read_text().splitlines()]
+        return sorted((name, int(pid) == os.getpid(), int(a), int(b)) for name, pid, a, b in rows)
+
+    return calls
+
+
+def _split_calls(count: int) -> list:
+    mid = count // 2
+    return sorted((name, here, a, b) for name in ("_write_nodes", "_read_nodes")
+                  for here, a, b in ((True, 0, mid), (False, mid, count)))
+
+
+def _serial_calls(count: int) -> list:
+    return sorted([("_write_nodes", True, 0, count), ("_read_nodes", True, 0, count)])
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Split every save and load, whatever its size and the host's cores."""
+    monkeypatch.setattr(trajectory, "SPLIT_TRAJECTORY_BYTES", 0)
+    monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+
+
+def _files(directory) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+class TestSplitSaveLoad:
+    """Above SPLIT_TRAJECTORY_BYTES a forked child writes and reads the
+    second half of the nodes; files, values and errors must not depend on
+    the path."""
+
+    def test_above_threshold_files_equal_per_row_writer(self, tmp_path, monkeypatch, node_log):
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        g = make_grid(2, 64)
+        count = -(-trajectory.SPLIT_TRAJECTORY_BYTES // (2 * g.num_nodes * 8))
+        traj = _trajectory(g, count)
+        assert traj.values.nbytes >= trajectory.SPLIT_TRAJECTORY_BYTES
+        out = traj.save(tmp_path / "run")
+        back = Trajectory.load(out)
+        assert node_log() == _split_calls(count)
+        for k, t in enumerate(traj.tg.times):
+            for i in range(traj.d):
+                name = f"state_t{k:05d}_s{i}.txt"
+                _write_snapshot_per_row(ScalarField(g, traj.values[k, i]), float(t), tmp_path / "ref.txt")
+                assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
+        assert len(list(out.glob("state_t*.txt"))) == count * traj.d
+        assert back.values.tobytes() == traj.values.tobytes()
+        assert back.content_hash() == traj.content_hash()
+
+    def test_small_trajectories_stay_serial(self, tmp_path, monkeypatch, node_log):
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        traj = _trajectory(make_grid(2, 8), 5)
+        assert traj.values.nbytes < trajectory.SPLIT_TRAJECTORY_BYTES
+        Trajectory.load(traj.save(tmp_path / "run"))
+        assert node_log() == _serial_calls(5)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_fork_only_on_two_or_more_cores(self, tmp_path, monkeypatch, forking, node_log, cores):
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: cores)
+        traj = _trajectory(make_grid(1, 16), 7)
+        back = Trajectory.load(traj.save(tmp_path / "run"))
+        assert node_log() == (_serial_calls(7) if cores < 2 else _split_calls(7))
+        assert back.values.tobytes() == traj.values.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fallback", ["one usable core", "second thread"])
+    def test_serial_fallback_gives_the_same_files_and_values(self, tmp_path, monkeypatch, forking,
+                                                             node_log, fallback):
+        traj = _trajectory(make_grid(2, 8), 7)
+        split_dir = traj.save(tmp_path / "split")
+        split_back = Trajectory.load(split_dir)
+        assert node_log() == _split_calls(7)
+
+        def serial():
+            return Trajectory.load(traj.save(tmp_path / "serial"))
+
+        if fallback == "one usable core":
+            monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
+            serial_back = serial()
+        else:
+            result = []
+            thread = threading.Thread(target=lambda: result.append(serial()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            serial_back, = result
+        assert node_log() == sorted(_split_calls(7) + _serial_calls(7))
+        assert _files(tmp_path / "serial") == _files(split_dir)
+        for back in (split_back, serial_back):
+            assert back.values.tobytes() == traj.values.tobytes()
+            assert back.metadata == traj.metadata and back.grid == traj.grid
+
+    def test_no_fork_to_be_had_runs_both_halves_here(self, tmp_path, monkeypatch, forking, node_log):
+        def refuse(self):
+            raise BlockingIOError("no process")
+
+        monkeypatch.setattr(type(multiprocessing.get_context("fork").Process()), "start", refuse)
+        traj = _trajectory(make_grid(2, 8), 7)
+        back = Trajectory.load(traj.save(tmp_path / "run"))
+        assert back.values.tobytes() == traj.values.tobytes()
+        mid = 7 // 2
+        assert node_log() == sorted((name, True, a, b) for name in ("_write_nodes", "_read_nodes")
+                                    for a, b in ((0, mid), (mid, 7)))
+
+    @staticmethod
+    def _serial_error(monkeypatch, call) -> pytest.ExceptionInfo:
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
+        with pytest.raises(Exception) as serial:
+            call()
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        return serial
+
+    # nodes 0-2 are the parent's half of 7, nodes 3-6 the child's
+    @pytest.mark.parametrize("node", [1, 5])
+    @pytest.mark.parametrize("fault", ["bad value", "1-D snapshot", "another node's time"])
+    def test_bad_snapshot_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd,
+                                                  node, fault):
+        traj = _trajectory(make_grid(2, 16), 7)
+        out = traj.save(tmp_path / "run")
+        path = out / f"state_t{node:05d}_s1.txt"
+        if fault == "bad value":
+            lines = path.read_text().splitlines(keepends=True)
+            lines[5] = lines[5].rsplit(" ", 1)[0] + " abc\n"
+            path.write_text("".join(lines))
+        elif fault == "1-D snapshot":
+            write_snapshot(ScalarField(make_grid(1, 16), np.ones(16)), float(traj.tg.times[node]), path)
+        else:
+            shutil.copyfile(out / f"state_t{2 if node == 1 else 1:05d}_s1.txt", path)
+        capfd.readouterr()
+        serial = self._serial_error(monkeypatch, lambda: Trajectory.load(out))
+        assert serial.type is ValueError and str(path) in str(serial.value)
+        with pytest.raises(ValueError) as split:
+            Trajectory.load(out)
+        assert str(split.value) == str(serial.value)
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("node", [1, 5])
+    def test_failed_write_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd, node):
+        traj = _trajectory(make_grid(2, 8), 7)
+        blocked = tmp_path / "run" / f"state_t{node:05d}_s0.txt"
+        blocked.mkdir(parents=True)
+        serial = self._serial_error(monkeypatch, lambda: traj.save(tmp_path / "run"))
+        with pytest.raises(serial.type) as split:
+            traj.save(tmp_path / "run")
+        assert str(split.value) == str(serial.value) and str(blocked) in str(split.value)
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+
+class TestLoadChecksHeaders:
+    """Each snapshot's header must give the manifest's n, N and time."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        return _trajectory(make_grid(2, 16), 5).save(tmp_path / "run")
+
+    def test_1d_snapshot_in_2d_run_rejected(self, saved):
+        path = saved / "state_t00002_s0.txt"
+        write_snapshot(ScalarField(make_grid(1, 16), np.arange(16.0)), 0.25, path)
+        with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds n=1 N=16 t=0.25; "
+                                             "the manifest gives n=2 N=16 t=0.25"):
+            Trajectory.load(saved)
+
+    def test_other_N_rejected(self, saved):
+        path = saved / "state_t00002_s0.txt"
+        write_snapshot(ScalarField(make_grid(2, 8), np.zeros((8, 8))), 0.25, path)
+        with pytest.raises(ValueError, match="holds n=2 N=8 t=0.25; the manifest gives n=2 N=16"):
+            Trajectory.load(saved)
+
+    def test_copy_of_another_node_rejected(self, saved):
+        path = saved / "state_t00003_s1.txt"
+        shutil.copyfile(saved / "state_t00001_s1.txt", path)
+        with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds n=2 N=16 t=0.125; "
+                                             "the manifest gives n=2 N=16 t=0.375"):
+            Trajectory.load(saved)
+
+    def test_time_compared_bit_for_bit(self, saved):
+        path = saved / "state_t00001_s0.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        near = float(np.nextafter(0.125, 1.0))
+        path.write_text(f"# 2 16 {near:.17g}\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=re.escape(f"t={near!r}; the manifest gives n=2 N=16 t=0.125")):
+            Trajectory.load(saved)

@@ -341,6 +341,12 @@ class TestSuite:
         per_delta = {float(name.rsplit("=", 1)[1]) for name in names if "=" in name}
         assert per_delta == set(deltas)
 
+    def test_repeated_delta_checked_once(self):
+        checks = harness.check_contraction(SuiteContext(replace(TINY, contraction_deltas=(0.05, 0.05))))
+        names = [c.name for c in checks]
+        assert len(names) == len(set(names)) == 3
+        assert checks == harness.check_contraction(SuiteContext(replace(TINY, contraction_deltas=(0.05,))))
+
     def test_ladder_built_from_config(self):
         cfg = ExperimentConfig(N=32, radii_per_octave=3, centers_stride=8)
         ctx = SuiteContext(cfg)
