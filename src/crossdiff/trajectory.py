@@ -137,7 +137,7 @@ class Trajectory:
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "manifest.json").write_text(self.manifest_text())
         count = len(self.tg)
-        mid = _split_point(count, self.values.nbytes)
+        mid = _split_point(count, self.values.nbytes, SPLIT_TRAJECTORY_BYTES)
         if mid == count:
             _write_nodes(self, directory, range(count))
         elif not _in_two_processes(lambda: _write_nodes(self, directory, range(mid)),
@@ -161,21 +161,8 @@ class Trajectory:
         )
         count = len(tg)
         values = np.empty((count, manifest["d"]) + grid.shape)
-        mid = _split_point(count, values.nbytes)
-        if mid == count:
-            _read_nodes(directory, grid, tg, range(count), values)
-        else:
-            # imported here, as the fork itself: most loads never split
-            import mmap
-
-            # an anonymous shared mapping: the child's writes are the parent's
-            # reads, and no array is pickled
-            shared = np.frombuffer(mmap.mmap(-1, values[mid:].nbytes)).reshape(values[mid:].shape)
-            if _in_two_processes(lambda: _read_nodes(directory, grid, tg, range(mid), values[:mid]),
-                                 lambda: _read_nodes(directory, grid, tg, range(mid, count), shared)):
-                values[mid:] = shared
-            else:
-                _read_nodes(directory, grid, tg, range(mid, count), values[mid:])
+        _fill_rows(lambda nodes, out: _read_nodes(directory, grid, tg, nodes, out), values,
+                   _split_point(count, values.nbytes, SPLIT_TRAJECTORY_BYTES))
         return cls(grid, tg, values, metadata=manifest.get("metadata", {}))
 
 
@@ -199,13 +186,15 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_point(count: int, nbytes: int) -> int:
-    """The first node of a forked child's half, or count when every node
-    stays in this process: below SPLIT_TRAJECTORY_BYTES, on one usable core,
-    with another thread alive (a fork copies only the calling thread, and
-    any lock another thread holds stays held in the child) or where fork is
-    not a start method."""
-    if nbytes < SPLIT_TRAJECTORY_BYTES or _usable_cores() < 2 or threading.active_count() != 1:
+def _split_point(count: int, nbytes: int, threshold: int) -> int:
+    """The first item of a forked child's half of count items that take
+    nbytes between them, or count when every item stays in this process:
+    below two items or threshold bytes, on one usable core, with another
+    thread alive (a fork copies only the calling thread, and any lock another
+    thread holds stays held in the child) or where fork is not a start
+    method."""
+    if (count < 2 or nbytes < threshold or _usable_cores() < 2
+            or threading.active_count() != 1):
         return count
     # imported here: most commands never split, and every one imports crossdiff
     import multiprocessing
@@ -213,6 +202,27 @@ def _split_point(count: int, nbytes: int) -> int:
     if "fork" not in multiprocessing.get_all_start_methods():
         return count
     return count // 2
+
+
+def _fill_rows(fill, out: np.ndarray, mid: int):
+    """fill(range(len(out)), out), where fill(items, rows) writes item
+    items[j] into rows[j]: all here when mid == len(out), else items from mid
+    on in a forked child. The child writes into an anonymous shared mapping,
+    so no array is pickled. A child that fails has its items filled again
+    here, which raises what the serial path raises."""
+    count = len(out)
+    if mid == count:
+        fill(range(count), out)
+        return
+    # imported here, as the fork itself: most calls never split
+    import mmap
+
+    shared = np.frombuffer(mmap.mmap(-1, out[mid:].nbytes), out.dtype).reshape(out[mid:].shape)
+    if _in_two_processes(lambda: fill(range(mid), out[:mid]),
+                         lambda: fill(range(mid, count), shared)):
+        out[mid:] = shared
+    else:
+        fill(range(mid, count), out[mid:])
 
 
 def _in_two_processes(here, child) -> bool:

@@ -1,8 +1,8 @@
-import concurrent.futures
 import csv
 import math
+import multiprocessing
+import os
 import re
-import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossdiff import harness
+from crossdiff import harness, trajectory
 from crossdiff.carleson import enumerate_cylinders
 from crossdiff.fields import make_grid
 from crossdiff.harness import (
@@ -32,7 +32,7 @@ from crossdiff.harness import (
 from crossdiff.model import ReducedModel
 from crossdiff.semigroup import heat_flow_trajectory
 from crossdiff.solver import imex_solve
-from crossdiff.trajectory import TimeGrid, Trajectory
+from crossdiff.trajectory import TimeGrid, Trajectory, _in_two_processes
 
 TINY = ExperimentConfig(
     N=16, t_end=0.25, levels=3, steps_per_level=3, kmax=3, smoothing=0.02,
@@ -365,72 +365,172 @@ class TestReference:
             assert rel <= 1e-4
 
 
+class TestFiniteGates:
+    """The gates on the suite's constants are finite: a value past its bound
+    fails the check."""
+
+    @pytest.mark.parametrize("check,name,source,index", [
+        ("check_stability", "stability ratio maximum", "xp_norm", None),
+        ("check_maximal_regularity", "maximal-regularity ratio maximum", "maximal_regularity_ratio", None),
+        ("check_lipschitz", "flux-map Lipschitz constant maximum", "_heat_flow_probes", 0),
+        ("check_lipschitz", "flux-map quadratic bound at w=0", "_heat_flow_probes", 1),
+    ])
+    def test_value_past_the_bound_fails(self, monkeypatch, check, name, source, index):
+        def run():
+            checks = getattr(harness, check)(SuiteContext(TINY))
+            return next(c for c in checks if c.name == name)
+
+        base = run()
+        assert base.passed and base.op == "<" and math.isfinite(base.threshold)
+        # scale what the ratio is made of so that its maximum lands just past the bound
+        scale = base.threshold / base.value * (1.0 + 1e-6)
+        real = getattr(harness, source)
+        if index is None:
+            monkeypatch.setattr(harness, source, lambda *a, **k: scale * real(*a, **k))
+        else:
+            def scaled(*args, **kwargs):
+                reports = list(real(*args, **kwargs))
+                if reports[index] is not None:
+                    reports[index] = replace(reports[index], ratio=scale * reports[index].ratio)
+                return tuple(reports)
+
+            monkeypatch.setattr(harness, source, scaled)
+        past = run()
+        assert past.threshold == base.threshold
+        assert base.threshold < past.value < 1.001 * base.threshold
+        assert not past.passed
+
+
+@pytest.fixture
+def sample_log(tmp_path):
+    """A sample function that logs (sample, process) to a file, and a reader
+    of that log as sorted (sample, run by this process) pairs."""
+    log = tmp_path / "samples.log"
+
+    def fn(j, fail=()):
+        with open(log, "a") as fh:
+            fh.write(f"{j} {os.getpid()}\n")
+        if j in fail:
+            raise ValueError(f"sample {j} failed")
+        return math.sqrt(j) / 3.0, -0.1 * j
+
+    def read():
+        if not log.exists():
+            return []
+        rows = [line.split() for line in log.read_text().splitlines()]
+        return sorted((int(j), int(pid) == os.getpid()) for j, pid in rows)
+
+    return fn, read
+
+
 class TestSampleFanOut:
-    """The two 2-D sweeps map their samples over a thread pool above a size
-    threshold; the checks, and the errors, must not depend on the path."""
+    """A check's samples split between this process and a forked child once
+    count x sample_bytes reach SPLIT_SAMPLE_BYTES; the checks, and the
+    errors, must not depend on the path."""
 
     CFG = ExperimentConfig(n=2, N=16, kmax=3, levels=4, steps_per_level=4, sweep_samples=5,
-                           refine=False, seed=11)
+                           stability_pairs=3, refine=False, seed=11)
+    # 7 samples, 0-2 in this process and 3-6 in the child
+    COUNT = 7
+    ABOVE = -(-harness.SPLIT_SAMPLE_BYTES // COUNT)
 
     @staticmethod
-    def _force(monkeypatch, threaded):
-        # more workers than this machine may have cores
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(harness, "FANOUT_SAMPLE_BYTES", 0 if threaded else math.inf)
+    def _force(monkeypatch, split) -> list:
+        # two usable cores, whatever this machine has; returns a log of forks
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "SPLIT_SAMPLE_BYTES", 0 if split else math.inf)
+        forks = []
+        monkeypatch.setattr(trajectory, "_in_two_processes",
+                            lambda *a: forks.append(1) or _in_two_processes(*a))
+        return forks
 
-    def test_fans_out_from_the_threshold_in_sample_order(self, monkeypatch):
-        def fn(j):
-            return j, threading.get_ident()
+    def _serial_rows(self, fn):
+        return [list(fn(j)) for j in range(self.COUNT)]
 
-        main = threading.get_ident()
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
-        below = harness._map_samples(fn, 6, harness.FANOUT_SAMPLE_BYTES - 1)
-        above = harness._map_samples(fn, 6, harness.FANOUT_SAMPLE_BYTES)
-        assert [j for j, _ in below] == [j for j, _ in above] == list(range(6))
-        assert {t for _, t in below} == {main}
-        assert main not in {t for _, t in above}
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
-        assert {t for _, t in harness._map_samples(fn, 6, harness.FANOUT_SAMPLE_BYTES)} == {main}
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_child_takes_the_second_half_on_two_or_more_cores(self, monkeypatch, sample_log, cores):
+        fn, log = sample_log
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: cores)
+        rows = harness._map_samples(fn, self.COUNT, 2, self.ABOVE)
+        assert self.COUNT * self.ABOVE >= harness.SPLIT_SAMPLE_BYTES
+        assert log() == [(j, cores < 2 or j < self.COUNT // 2) for j in range(self.COUNT)]
+        assert rows == self._serial_rows(fn)
+        assert multiprocessing.active_children() == []
 
-    def test_pool_is_capped_whatever_the_core_count(self, monkeypatch):
-        sizes = []
-        pool_class = concurrent.futures.ThreadPoolExecutor
+    @pytest.mark.parametrize("fallback", ["below the constant", "one sample", "second thread"])
+    def test_no_fork_below_the_constant_or_from_a_second_thread(self, monkeypatch, sample_log, fallback):
+        fn, log = sample_log
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        count, size = self.COUNT, self.ABOVE
+        if fallback == "below the constant":
+            size = (harness.SPLIT_SAMPLE_BYTES - 1) // count
+        elif fallback == "one sample":
+            count, size = 1, harness.SPLIT_SAMPLE_BYTES
+        if fallback == "second thread":
+            result = []
+            thread = threading.Thread(target=lambda: result.append(harness._map_samples(fn, count, 2, size)))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            rows, = result
+        else:
+            rows = harness._map_samples(fn, count, 2, size)
+        assert log() == [(j, True) for j in range(count)]
+        assert rows == self._serial_rows(fn)[:count]
 
-        def recording_pool(workers):
-            sizes.append(workers)
-            return pool_class(workers)
+    # samples 0-2 are this process's half of 7, samples 3-6 the child's,
+    # which runs its half up to its first failure
+    @pytest.mark.parametrize("fail,by_child", [((1,), [3, 4, 5, 6]), ((1, 5), [3, 4, 5]),
+                                               ((4,), [3, 4]), ((4, 6), [3, 4])])
+    def test_failing_sample_raises_the_serial_error(self, monkeypatch, sample_log, capfd, fail, by_child):
+        fn, log = sample_log
+        capfd.readouterr()
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
+        with pytest.raises(ValueError) as serial:
+            harness._map_samples(lambda j: fn(j, fail), self.COUNT, 2, self.ABOVE)
+        assert str(serial.value) == f"sample {fail[0]} failed"
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        with pytest.raises(ValueError) as split:
+            harness._map_samples(lambda j: fn(j, fail), self.COUNT, 2, self.ABOVE)
+        assert str(split.value) == str(serial.value)
+        assert [j for j, here in log() if not here] == by_child
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 64)
-        samples = harness._map_samples(lambda j: j, 20, harness.FANOUT_SAMPLE_BYTES)
-        assert samples == list(range(20))
-        assert sizes == [harness.MAX_SAMPLE_WORKERS] == [2]
-
-    @pytest.mark.parametrize("check", ["check_maximal_regularity", "check_lipschitz"])
+    @pytest.mark.parametrize("check", ["check_maximal_regularity", "check_lipschitz", "check_stability"])
     def test_threaded_equals_serial(self, check, monkeypatch):
-        values = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            for threaded in (False, True):
-                self._force(monkeypatch, threaded)
-                values[threaded] = [(c.name, c.value) for c in getattr(harness, check)(SuiteContext(self.CFG))]
-        finally:
-            sys.setswitchinterval(interval)
+        values, forks = {}, {}
+        for split in (False, True):
+            forks[split] = self._force(monkeypatch, split)
+            values[split] = [(c.name, c.value) for c in getattr(harness, check)(SuiteContext(self.CFG))]
         assert values[True] == values[False]
+        assert (len(forks[False]), len(forks[True])) == (0, 1)
+        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("group", ["maximal-regularity", "lipschitz"])
+    @pytest.mark.parametrize("group", ["maximal-regularity", "lipschitz", "stability"])
     @pytest.mark.parametrize("bad,match", [("p", "p in \\(1, inf\\), got 0.5"),
                                            ("kmax", "kmax must be in")])
-    def test_worker_error_reads_as_serial(self, group, bad, match, monkeypatch):
+    def test_worker_error_reads_as_serial(self, group, bad, match, monkeypatch, capfd):
         cfg = replace(self.CFG, kmax=8) if bad == "kmax" else replace(self.CFG)
         if bad == "p":
             cfg.p = 0.5  # past the config's own check, as a caller may set it
         messages = []
-        for threaded in (False, True):
-            self._force(monkeypatch, threaded)
+        for split in (False, True):
+            self._force(monkeypatch, split)
             with pytest.raises(RuntimeError, match=match) as exc:
                 run_suite(cfg, groups=[group])
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"suite group {group!r} failed to run: ")
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+    def test_run_suite_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or real_start(self))
+        forks = self._force(monkeypatch, True)
+        run_suite(TINY, groups=["stability", "maximal-regularity", "lipschitz"])
+        assert started == [] and threading.active_count() == 1
+        assert len(forks) == 3
