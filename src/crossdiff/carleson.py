@@ -26,7 +26,6 @@ from .fields import (
     from_coeffs,
     gradient_from_coeffs,
     index_blocks,
-    rfft_shape,
     spectral_divergence,
     spectral_gradient,
     to_coeffs,
@@ -360,23 +359,20 @@ def xp_seminorm(
     traj: Trajectory,
     p: float | None = None,
     cylinders: CylinderLadder | None = None,
-    coeffs: np.ndarray | None = None,
 ) -> NormReport:
     """Scale-invariant cylinder supremum of L^p averages of |grad w|,
     plus the trajectory sup norm (reported alongside).
 
-    coeffs, when given, are the coefficients of traj.values (for instance
-    kept by the solver that made them); they are then not recomputed.
+    One pass over MAGNITUDE_BLOCK_BYTES blocks of time nodes transforms the
+    block, forms |grad w| from its coefficients and feeds the cylinder scan,
+    so neither the coefficients nor the gradient of the whole trajectory is
+    held.
     """
     grid = traj.grid
     p, cylinders = _gradient_exponent(grid, traj.tg, p, cylinders)
-    if coeffs is None:
-        coeffs = to_coeffs(traj.values, grid)
-    elif coeffs.shape != traj.values.shape[:2] + rfft_shape(grid):
-        raise ValueError(f"coefficients of shape {coeffs.shape} do not match {traj.values.shape}")
     scan = _CylinderScan(grid, traj.tg.times, p, cylinders)
-    for b in index_blocks(len(coeffs), traj.values[0].nbytes, MAGNITUDE_BLOCK_BYTES):
-        scan.add(_gradient_magnitudes(coeffs[b], grid))
+    for b in index_blocks(len(traj.tg), traj.values[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+        scan.add(_gradient_magnitudes(to_coeffs(traj.values[b], grid), grid))
     semi, cyl, sp, scanned, skipped = scan.result()
     return NormReport(
         p=p,
@@ -426,10 +422,9 @@ def xp_norm(
     traj: Trajectory,
     p: float | None = None,
     cylinders: CylinderLadder | None = None,
-    coeffs: np.ndarray | None = None,
 ) -> float:
     """Full solution-space norm: sup norm plus the gradient seminorm."""
-    return xp_seminorm(traj, p, cylinders, coeffs).xp_total
+    return xp_seminorm(traj, p, cylinders).xp_total
 
 
 def maximal_regularity_ratio(
@@ -454,16 +449,14 @@ def maximal_regularity_ratio(
     p, cylinders = _gradient_exponent(grid, tg, p, cylinders)
     grad_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Xp seminorm of w
     flux_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Yp norm of F
-    sup = h.sup_norm()  # node 0 of w is the datum
+    sup = 0.0
     blocks = index_blocks(len(tg), flux.values[0].nbytes, FLUX_BLOCK_BYTES)
     divs = (spectral_divergence(flux.values[b], grid) for b in blocks)
-    for b, coeffs in zip(blocks, _duhamel_blocks(h, divs, tg)):
-        later = coeffs[1:] if b.start == 0 else coeffs
-        if len(later):
-            block_sup = _abs_max(from_coeffs(later, grid))
-            if not math.isfinite(block_sup):
-                raise ValueError("trajectory values must be finite")
-            sup = max(sup, block_sup)
+    for b, (coeffs, values) in zip(blocks, _duhamel_blocks(h, divs, tg)):
+        block_sup = _abs_max(values)
+        if not math.isfinite(block_sup):
+            raise ValueError("trajectory values must be finite")
+        sup = max(sup, block_sup)
         grad_scan.add(_gradient_magnitudes(coeffs, grid))
         flux_scan.add(vector_magnitudes(flux.values[b]))
     num = sup + grad_scan.result()[0]

@@ -30,13 +30,16 @@ from .carleson import (
     _time_derivative,
 )
 from .fields import (
+    FLUX_BLOCK_BYTES,
     GridSpec,
     ScalarField,
     SpeciesVector,
     from_coeffs,
+    index_blocks,
     laplacian_symbol,
     make_grid,
     random_band_limited,
+    spectral_gradient,
     to_coeffs,
 )
 from .model import RawCoefficients, ReducedModel, _heat_flow_probes, reduce_coefficients
@@ -390,19 +393,28 @@ def energy_identity_probe(
     trajectory and the pointwise coercivity factor 1 + sum_j alpha_ij c_j.
 
     For nonnegative trajectories both energy terms vanish identically.
+
+    One pass over blocks of FLUX_BLOCK_BYTES of gradient forms, per time
+    node and species, the energy and the dissipation, and the minimum of the
+    factor; only the time derivative of the (T, d) energy table is taken
+    after it, so no field of the whole trajectory is made.
     """
-    grid = traj.grid
-    neg = np.minimum(traj.values, 0.0)  # (T, d, *shape)
+    grid, times = traj.grid, traj.tg.times
     axes = tuple(range(2, 2 + grid.n))
-    energy = 0.5 * np.mean(neg**2, axis=axes)  # (T, d)
-    dedt = _time_derivative(energy, traj.tg.times)
-    gflux = gradient_flux(Trajectory(grid, traj.tg, neg))
-    grad_sq = (gflux.values**2).sum(axis=2)  # (T, d, *shape)
-    clamped = np.clip(traj.values, 0.0, model.delta)
-    factor = 1.0 + np.einsum("ij,tj...->ti...", model.alpha, clamped)
-    dissipation = np.mean(grad_sq * factor, axis=axes)  # (T, d)
+    energy = np.empty(traj.values.shape[:2])  # (T, d)
+    dissipation = np.empty_like(energy)
+    coercivity = math.inf
+    for b in index_blocks(len(times), traj.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
+        values = traj.values[b]
+        neg = np.minimum(values, 0.0)  # (nodes, d, *shape)
+        energy[b] = 0.5 * np.mean(neg**2, axis=axes)
+        grad_sq = (spectral_gradient(neg, grid) ** 2).sum(axis=2)  # (nodes, d, *shape)
+        clamped = np.clip(values, 0.0, model.delta)
+        factor = 1.0 + np.einsum("ij,tj...->ti...", model.alpha, clamped)
+        dissipation[b] = np.mean(grad_sq * factor, axis=axes)
+        coercivity = min(coercivity, float(factor.min()))
+    dedt = _time_derivative(energy, times)
     residual = float(np.max(np.abs(dedt + dissipation)))
-    coercivity = float(factor.min())
     return [
         make_check("energy-identity residual", residual, residual_threshold, "<="),
         make_check("coercivity factor minimum", coercivity, coercivity_threshold, ">="),

@@ -34,7 +34,6 @@ __all__ = [
     "flux_coeffs",
     "flux",
     "flux_trajectory",
-    "flux_divergence",
     "lipschitz_probe",
 ]
 
@@ -234,27 +233,24 @@ def flux_trajectory(
     return FluxTrajectory(traj.grid, traj.tg, np.concatenate(blocks))
 
 
-def flux_divergence(
+def _divergence_coeffs(
     values: np.ndarray,
     coeffs: np.ndarray,
     grid: GridSpec,
     model: ReducedModel,
-    truncated: bool = True,
+    truncated: bool,
 ) -> np.ndarray:
-    """Spectral coefficients of div F_i along a trajectory held as nodal
-    values (n_times, d, *grid.shape) and their coefficients (n_times, d,
-    *rfft_shape(grid)), FLUX_BLOCK_BYTES of flux at a time.
+    """Spectral coefficients of div F_i of states given as nodal values
+    (..., d, *grid.shape) and their coefficients (..., d, *rfft_shape(grid));
+    leading axes are a batch of time nodes.
 
     The gradients come from the coefficients and the flux never returns to
     the nodes, which saves the forward transform of the state and the
     inverse and forward transforms of the flux that flux_trajectory followed
     by spectral_divergence would take.
     """
-    out = np.empty(coeffs.shape, dtype=complex)
-    for b in index_blocks(len(values), values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
-        fhat = flux_coeffs(values[b], grid, model, truncated, gradient_from_coeffs(coeffs[b], grid))
-        out[b] = divergence_from_coeffs(fhat, grid)
-    return out
+    fhat = flux_coeffs(values, grid, model, truncated, gradient_from_coeffs(coeffs, grid))
+    return divergence_from_coeffs(fhat, grid)
 
 
 @dataclass

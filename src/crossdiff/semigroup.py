@@ -62,13 +62,6 @@ def heat_flow_coeffs(h: SpeciesVector, tg: TimeGrid) -> np.ndarray:
     return what * np.exp(np.multiply.outer(tg.times, laplacian_symbol(h.grid)))[:, None]
 
 
-def _fill_values(coeffs: np.ndarray, grid: GridSpec, values: np.ndarray) -> None:
-    """Write the inverse transforms of coeffs[1:] into values[1:], over blocks
-    of FLUX_BLOCK_BYTES of values; values[0] holds the datum already."""
-    for b in index_blocks(len(values), values[0].nbytes, FLUX_BLOCK_BYTES, start=1):
-        from_coeffs(coeffs[b], grid, out=values[b])
-
-
 def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
     """The pure heat flow of every species over consecutive blocks of time
     nodes, FLUX_BLOCK_BYTES of states each: yields (nodes, values), values
@@ -152,19 +145,26 @@ def _step_table(grid: GridSpec, times: tuple[float, ...]) -> tuple:
 def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
     """The Duhamel recurrence of duhamel_coeffs, fed the forcing
     coefficients in consecutive blocks of time nodes from node 0 on: yields,
-    per block, the coefficients of the mild solution at its nodes.
+    per block, the coefficients of the mild solution at its nodes and their
+    nodal values, (nodes, d, *grid.shape). Node 0 of the values is the datum
+    itself; every later node is the inverse transform of its coefficients,
+    one batched transform per block.
 
     Each block's forcing terms left*div[k-1] and right*div[k] are two
     batched products; each node then costs one product with E and two
     in-place adds, in the order of E*prev + left*div[k-1] + right*div[k].
+    The yielded arrays are the generator's own, and each block of forcing
+    is drawn only when its block is due: a caller may overwrite whatever the
+    blocks already yielded were computed from.
     """
-    grid = h.grid
+    grid, datum = h.grid, h.stack()
     E, left, right, segment = _step_table(grid, tuple(tg.times.tolist()))
     k = 0  # the index of the block's first node
     for div in div_blocks:
         coeffs = np.empty_like(div)
+        values = np.empty((len(div),) + datum.shape)
         if k == 0:
-            coeffs[0] = to_coeffs(h.stack(), grid)
+            coeffs[0], values[0] = to_coeffs(datum, grid), datum
             prev, first, left_div = coeffs[0], 1, div[:-1]
         else:
             first, left_div = 0, np.concatenate((prev_div[None], div[:-1]))
@@ -176,8 +176,10 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
             c += lt
             c += rt
             prev = c
+        if len(div) > first:
+            from_coeffs(coeffs[first:], grid, out=values[first:])
         prev_div, k = div[-1], k + len(div)
-        yield coeffs
+        yield coeffs, values
 
 
 def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +200,9 @@ def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tu
                          f"{len(tg)} times x {d} species on {grid}")
     values = np.empty((len(tg), d) + grid.shape)
     coeffs = np.empty_like(div_coeffs)
-    values[0] = h.stack()
     blocks = index_blocks(len(tg), div_coeffs[0].nbytes, FLUX_BLOCK_BYTES)
-    for b, block in zip(blocks, _duhamel_blocks(h, (div_coeffs[b] for b in blocks), tg)):
-        coeffs[b] = block
-    _fill_values(coeffs, grid, values)
+    for b, (c, v) in zip(blocks, _duhamel_blocks(h, (div_coeffs[b] for b in blocks), tg)):
+        coeffs[b], values[b] = c, v
     return values, coeffs
 
 

@@ -11,17 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleson import CylinderLadder, default_exponent, enumerate_cylinders, xp_norm
+from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent, _gradient_magnitudes
 from .fields import (
+    FLUX_BLOCK_BYTES,
     SpeciesVector,
     dealias_keep_mask,
     derivative_symbol,
     from_coeffs,
+    index_blocks,
     to_coeffs,
 )
-from .model import ReducedModel, flux_divergence
-from .semigroup import duhamel_coeffs, heat_flow_coeffs, heat_flow_trajectory, heat_multiplier
-from .trajectory import TimeGrid, Trajectory
+from .model import ReducedModel, _divergence_coeffs
+from .semigroup import _duhamel_blocks, heat_flow_coeffs, heat_flow_trajectory, heat_multiplier
+from .trajectory import TimeGrid, Trajectory, _abs_max
 
 __all__ = [
     "DivergedError",
@@ -43,20 +45,20 @@ class DivergedError(RuntimeError):
         self.time = time
 
 
-def _check_bounded(values: np.ndarray, tg: TimeGrid, cap: float) -> None:
-    """Raise DivergedError at the first node of values (n_times, ...) whose
-    sup exceeds cap or is not finite.
+def _check_bounded(values: np.ndarray, times: np.ndarray, cap: float) -> None:
+    """Raise DivergedError at the first node of values (len(times), ...),
+    the states at times, whose sup exceeds cap or is not finite.
 
     Called before the values become a Trajectory, whose own finiteness check
     would raise a ValueError first.
     """
-    flat = values.reshape(len(tg), -1)
+    flat = values.reshape(len(times), -1)
     # max and -min propagate NaN, and allocate no temporary of |values|
     sups = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     bad = ~(sups <= cap)
     if bad.any():
         k = int(np.argmax(bad))
-        raise DivergedError(float(tg.times[k]), float(sups[k]), cap)
+        raise DivergedError(float(times[k]), float(sups[k]), cap)
 
 
 def imex_solve(
@@ -117,7 +119,7 @@ def imex_solve(
         values[k] = from_coeffs(what, grid)
     meta = {"scheme": "imex", "dt": dt, "truncated": truncated,
             "delta": delta, "K": model.K, "alpha": model.alpha.tolist()}
-    _check_bounded(values, tg, cap)
+    _check_bounded(values, tg.times, cap)
     return Trajectory(grid, tg, values, metadata=meta)
 
 
@@ -148,6 +150,24 @@ def _theta_hat(distances: list[float]) -> float:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
+def _map_blocks(h: SpeciesVector, values: np.ndarray, coeffs: np.ndarray, model: ReducedModel,
+                tg: TimeGrid, truncated: bool):
+    """One application of the solution map to the iterate held as nodal
+    values (n_times, d, *grid.shape) and their coefficients, over blocks of
+    FLUX_BLOCK_BYTES of flux: an iterator of (nodes, (coefficients, values))
+    of the next iterate per block of time nodes, node 0 being the datum.
+
+    Per block, the divergence of the flux along the iterate is formed from
+    its values and coefficients and fed to the Duhamel recurrence. A block
+    of the iterate is read only when its block of the map is due, so the
+    caller may overwrite each block of the iterate once it is yielded.
+    """
+    grid = h.grid
+    blocks = index_blocks(len(tg), values[0].nbytes * grid.n, FLUX_BLOCK_BYTES)
+    divs = (_divergence_coeffs(values[b], coeffs[b], grid, model, truncated) for b in blocks)
+    return zip(blocks, _duhamel_blocks(h, divs, tg))
+
+
 def picard_solve(
     h: SpeciesVector,
     model: ReducedModel,
@@ -163,10 +183,12 @@ def picard_solve(
     successive iterates are closer than tol.
 
     One application of the map evaluates the nonlinear fluxes along the
-    iterate and solves the linear problem with datum h. Every iterate is held
+    iterate and solves the linear problem with datum h. One iterate is held,
     as nodal values and their coefficients: gradients come from the
     coefficients, and the flux reaches Duhamel as the coefficients of its
-    divergence, so only the products go through the nodes.
+    divergence, so only the products go through the nodes. Each iteration
+    is one pass over blocks of time nodes (_map_blocks) that overwrites the
+    iterate block by block once the block's distance terms are taken.
 
     metric "xp" compares iterates in the full solution-space norm
     (sup + gradient seminorm, the contraction metric), the seminorm taken
@@ -182,34 +204,29 @@ def picard_solve(
             "the smallness hypothesis is violated and the iteration may not contract"
         )
     if metric == "xp":
-        if p is None:
-            p = default_exponent(h.grid)
-        if cylinders is None:
-            cylinders = enumerate_cylinders(h.grid, tg)
+        p, cylinders = _gradient_exponent(h.grid, tg, p, cylinders)
 
     grid = h.grid
     cap = BLOWUP_FACTOR * max(h.sup_norm(), 1e-300)
     # the first iterate's values as heat_flow_trajectory gives them; its
     # coefficients cost one more transform, of the datum only
-    w, w_hat = heat_flow_trajectory(h, tg), heat_flow_coeffs(h, tg)
+    values, coeffs = heat_flow_trajectory(h, tg).values, heat_flow_coeffs(h, tg)
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):
-        div_hat = flux_divergence(w.values, w_hat, grid, model, truncated)
-        values, next_hat = duhamel_coeffs(h, div_hat, tg)
-        del div_hat
-        _check_bounded(values, tg, cap)
-        w_next = Trajectory(grid, tg, values)
-        # the difference of the iterates overwrites the previous one, which
-        # is not used again: no trajectory-sized temporary
-        diff = Trajectory(grid, tg, np.subtract(values, w.values, out=w.values))
-        if metric == "xp":
-            dmn = xp_norm(diff, p, cylinders, coeffs=np.subtract(next_hat, w_hat, out=w_hat))
-        else:
-            dmn = diff.sup_norm()
-        del diff  # with w below, frees the previous iterate before the next flux
+        scan = _CylinderScan(grid, tg.times, p, cylinders) if metric == "xp" else None
+        sup = 0.0
+        for b, (next_coeffs, next_values) in _map_blocks(h, values, coeffs, model, tg, truncated):
+            _check_bounded(next_values, tg.times[b], cap)
+            # the differences overwrite the block of the previous iterate,
+            # which the next block of the map does not read
+            sup = max(sup, _abs_max(np.subtract(next_values, values[b], out=values[b])))
+            if scan is not None:
+                diff_hat = np.subtract(next_coeffs, coeffs[b], out=coeffs[b])
+                scan.add(_gradient_magnitudes(diff_hat, grid))
+            values[b], coeffs[b] = next_values, next_coeffs
+        dmn = sup if scan is None else sup + scan.result()[0]
         distances.append(dmn)
-        w, w_hat = w_next, next_hat
         if dmn < tol:
             converged = True
             break
@@ -219,9 +236,7 @@ def picard_solve(
         theta_hat=_theta_hat(distances),
         converged=converged,
     )
-    w.metadata.update({
-        "scheme": "picard", "truncated": truncated, "delta": model.delta,
-        "K": model.K, "alpha": model.alpha.tolist(),
-        "iterates": report.iterates, "converged": converged,
-    })
-    return w, report
+    meta = {"scheme": "picard", "truncated": truncated, "delta": model.delta,
+            "K": model.K, "alpha": model.alpha.tolist(),
+            "iterates": report.iterates, "converged": converged}
+    return Trajectory(grid, tg, values, metadata=meta), report

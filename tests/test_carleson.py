@@ -278,15 +278,6 @@ class TestGradientMagnitudes:
         mags = carleson._gradient_magnitudes(to_coeffs(vals, grid), grid)
         assert np.array_equal(mags, gradient_flux(Trajectory(grid, tg, vals)).magnitudes())
 
-    def test_given_coefficients_equal_computed(self, setup):
-        grid, tg, cylinders = setup
-        vals = np.random.default_rng(6).standard_normal((len(tg), 2) + grid.shape)
-        traj = Trajectory(grid, tg, vals)
-        given_coeffs = xp_seminorm(traj, 4.0, cylinders, coeffs=to_coeffs(vals, grid))
-        assert given_coeffs == xp_seminorm(traj, 4.0, cylinders)
-        with pytest.raises(ValueError, match="coefficients"):
-            xp_seminorm(traj, 4.0, cylinders, coeffs=to_coeffs(vals[:, :1], grid))
-
 
 def _magnitudes(kind, tg, ladder, d=3):
     """(n_times, d, *shape) magnitudes of one of five kinds on the ladder's grid."""
@@ -549,7 +540,7 @@ def _yp_whole_array(flux, p, ladder):
 
 class TestNormsFedInBlocks:
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
-    @pytest.mark.parametrize("nodes", [1, 3, None])
+    @pytest.mark.parametrize("nodes", [1, 3, None, "all"])
     def test_equal_whole_array_formulation(self, n, N, nodes, monkeypatch):
         grid = make_grid(n, N)
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
@@ -561,6 +552,7 @@ class TestNormsFedInBlocks:
         refs = [(_xp_whole_array(traj, p, ladder), _yp_whole_array(flux, p, ladder))
                 for p in (2.5, 5.0)]
         if nodes is not None:
+            nodes = len(tg) if nodes == "all" else nodes
             monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", nodes * 3 * grid.num_nodes * 8)
         for p, (xp_ref, yp_ref) in zip((2.5, 5.0), refs):
             assert xp_seminorm(traj, p, ladder) == xp_ref
@@ -583,12 +575,31 @@ class TestNormsFedInBlocks:
             tracemalloc.stop()
         assert peak <= 0.75 * traj.values.nbytes
 
+    def test_xp_peak_memory(self):
+        # the coefficients, gradient and magnitudes of one block of nodes and
+        # the scan's windows: 0.80x the trajectory measured; the coefficients
+        # of the whole trajectory held first peaked at 2.06x
+        grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6).values
+                             for _ in range(3)))
+        traj, ladder = heat_flow_trajectory(h, tg), enumerate_cylinders(grid, tg)
+        tracemalloc.start()
+        try:
+            xp_seminorm(traj, None, ladder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * traj.values.nbytes
+
 
 def _ratio_separate_passes(h, flux, tg, p, cylinders):
     """maximal_regularity_ratio as separate passes: the Duhamel solution and
-    its coefficients held whole, then xp_seminorm and yp_norm."""
+    its coefficients held whole, then the X^p seminorm of w from those
+    coefficients in one scan, and yp_norm."""
     values, coeffs = _flux_duhamel(h, flux, tg)
-    num = xp_seminorm(Trajectory(h.grid, tg, values), p, cylinders, coeffs=coeffs).xp_total
+    mags = carleson._gradient_magnitudes(coeffs, h.grid)
+    semi = carleson._scan_cylinders(h.grid, tg.times, mags, p, cylinders)[0]
+    num = Trajectory(h.grid, tg, values).sup_norm() + semi
     return num / (yp_norm(flux, p, cylinders).seminorm + h.sup_norm())
 
 

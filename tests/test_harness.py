@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from crossdiff import harness, trajectory
-from crossdiff.carleson import enumerate_cylinders
-from crossdiff.fields import make_grid
+from crossdiff.carleson import _time_derivative, enumerate_cylinders, gradient_flux
+from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import (
     _SECTIONS,
     ExperimentConfig,
@@ -260,6 +261,59 @@ class TestEnergyProbe:
         residual, coercivity = energy_identity_probe(traj, model)
         assert residual.value > 0.0
         assert coercivity.value > 0.0
+
+
+    @staticmethod
+    def _signed_heat_flow(n, N, tg):
+        # three species of zero mean: every energy term is nonzero
+        g = make_grid(n, N)
+        rng = np.random.default_rng(30 + n)
+        h = SpeciesVector.from_array(g, 0.05 * np.stack(
+            [random_band_limited(g, rng, 6).values for _ in range(3)]))
+        return heat_flow_trajectory(h, tg)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    def test_streamed_equals_whole_array(self, n, N, monkeypatch):
+        # bit for bit, with blocks of 1, 3 or all nodes
+        tg = TimeGrid.dyadic(0.25, levels=4, steps_per_level=4)
+        traj = self._signed_heat_flow(n, N, tg)
+        model = ReducedModel.from_alpha(default_alpha(3), 0.05)
+        ref = _energy_probe_whole_array(traj, model)
+        assert ref[0] > 0.0 and ref[1] < 1.0
+        node = traj.values[0].nbytes * n  # the gradient of one node
+        for nodes in (1, 3, len(tg)):
+            monkeypatch.setattr(harness, "FLUX_BLOCK_BYTES", nodes * node)
+            got = [c.value for c in energy_identity_probe(traj, model)]
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+    def test_peak_memory(self):
+        # one block of nodes at a time and the (T, d) tables: 0.10x the
+        # trajectory measured; the negative part, its gradient and the
+        # coercivity factor held whole peaked at 7.0x
+        tg = TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        traj = self._signed_heat_flow(2, 64, tg)
+        model = ReducedModel.from_alpha(default_alpha(3), 0.05)
+        tracemalloc.start()
+        try:
+            energy_identity_probe(traj, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * traj.values.nbytes
+
+
+def _energy_probe_whole_array(traj, model):
+    """The energy identity residual and the coercivity minimum with every
+    field of the whole trajectory held in one array."""
+    grid = traj.grid
+    neg = np.minimum(traj.values, 0.0)
+    axes = tuple(range(2, 2 + grid.n))
+    energy = 0.5 * np.mean(neg**2, axis=axes)
+    dedt = _time_derivative(energy, traj.tg.times)
+    grad_sq = (gradient_flux(Trajectory(grid, traj.tg, neg)).values ** 2).sum(axis=2)
+    factor = 1.0 + np.einsum("ij,tj...->ti...", model.alpha, np.clip(traj.values, 0.0, model.delta))
+    dissipation = np.mean(grad_sq * factor, axis=axes)
+    return [float(np.max(np.abs(dedt + dissipation))), float(factor.min())]
 
 
 class TestSuite:

@@ -27,8 +27,8 @@ from crossdiff.model import (
     ReducedModel,
     flux,
     flux_coeffs,
-    flux_divergence,
     flux_trajectory,
+    _divergence_coeffs,
     _heat_flow_probes,
     lipschitz_probe,
     reduce_coefficients,
@@ -233,15 +233,13 @@ class TestFluxTrajectory:
 class TestFluxDivergence:
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("truncated", [True, False])
-    def test_matches_divergence_of_nodal_flux(self, n, N, truncated, monkeypatch):
+    def test_matches_divergence_of_nodal_flux(self, n, N, truncated):
         g = make_grid(n, N)
         tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
         alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
         m = ReducedModel.from_alpha(alpha, 0.05)
         vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
-        # blocks of five nodes, the last one short
-        monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", 5 * 3 * n * g.num_nodes * 8)
-        got = flux_divergence(vals, to_coeffs(vals, g), g, m, truncated)
+        got = _divergence_coeffs(vals, to_coeffs(vals, g), g, m, truncated)
         ref = spectral_divergence(flux_trajectory(Trajectory(g, tg, vals), m, truncated).values, g)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -394,15 +394,17 @@ class TestBatchedTransforms:
     def test_duhamel_blocks(self, n, N, block_nodes):
         # the recurrence fed the forcing in blocks of any size, the first
         # block short of a whole one or not, equals the per-node loop, on
-        # time grids of few and of all distinct steps
+        # time grids of few and of all distinct steps: the coefficients, and
+        # the values with node 0 the datum
         for times in self.TIME_GRIDS:
             g, tg, h, flux = self._problem(n, N, times)
             div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
-            _, want = _duhamel_per_node(h, div, tg)
+            want_values, want = _duhamel_per_node(h, div, tg)
             blocks = index_blocks(len(tg), div[0].nbytes, (block_nodes or len(tg)) * div[0].nbytes)
             got = list(_duhamel_blocks(h, (div[b] for b in blocks), tg))
-            assert [len(c) for c in got] == [len(div[b]) for b in blocks]
-            assert _bit_equal(np.concatenate(got), want), times
+            assert [(len(c), len(v)) for c, v in got] == [(len(div[b]),) * 2 for b in blocks]
+            assert _bit_equal(np.concatenate([c for c, _ in got]), want), times
+            assert _bit_equal(np.concatenate([v for _, v in got]), want_values), times
 
     @pytest.mark.parametrize("times", ["dyadic", "uniform", "distinct"])
     def test_segment_weights_once_per_distinct_step(self, times, monkeypatch):
@@ -418,7 +420,7 @@ class TestBatchedTransforms:
 
         monkeypatch.setattr(semigroup, "_segment_weights", counted)
         semigroup._step_table.cache_clear()
-        got = np.concatenate(list(_duhamel_blocks(h, [div], tg)))
+        (got, _), = _duhamel_blocks(h, [div], tg)
         assert sorted(steps) == sorted(set(np.diff(tg.times).tolist()))
         assert _bit_equal(got, _duhamel_per_node(h, div, tg)[1])
         # a second sweep on the same grid and time grid reuses the table
