@@ -19,18 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
     derivative_symbol,
     from_coeffs,
     gradient_from_coeffs,
     index_blocks,
-    spectral_divergence,
     spectral_gradient,
     to_coeffs,
 )
-from .semigroup import _check_forcing, _duhamel_blocks
+from .semigroup import _forced_blocks
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, _abs_max, vector_magnitudes
 
 __all__ = [
@@ -437,22 +435,19 @@ def maximal_regularity_ratio(
     """Solve the linear problem with datum h and forcing div F, then return
     ||w||_Xp / (||F||_Yp + ||h||_inf).
 
-    One pass over FLUX_BLOCK_BYTES blocks of time nodes takes the divergence
-    of the flux block, steps the Duhamel recurrence over it and feeds |grad w|
-    (from the recurrence's coefficients) and |F| to two cylinder scans; the
-    nodal values of w serve only its sup norm. Neither w nor any magnitude
-    field is held for the whole trajectory.
+    One pass over the blocks of time nodes of the forced Duhamel recurrence
+    (_forced_blocks) feeds |grad w| (from the recurrence's coefficients) and
+    |F| to two cylinder scans; the nodal values of w serve only its sup
+    norm. Neither w nor any magnitude field is held for the whole trajectory.
     """
-    _check_forcing(h, flux, tg)
+    forced = _forced_blocks(h, flux, tg)
     grid = h.grid
     # the Xp seminorm's range of p lies inside the Yp norm's
     p, cylinders = _gradient_exponent(grid, tg, p, cylinders)
     grad_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Xp seminorm of w
     flux_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Yp norm of F
     sup = 0.0
-    blocks = index_blocks(len(tg), flux.values[0].nbytes, FLUX_BLOCK_BYTES)
-    divs = (spectral_divergence(flux.values[b], grid) for b in blocks)
-    for b, (coeffs, values) in zip(blocks, _duhamel_blocks(h, divs, tg)):
+    for b, coeffs, values in forced:
         block_sup = _abs_max(values)
         if not math.isfinite(block_sup):
             raise ValueError("trajectory values must be finite")

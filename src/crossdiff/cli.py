@@ -14,6 +14,8 @@ import numpy as np
 from .carleson import xp_seminorm
 from .fields import check_kmax
 from .harness import (
+    _PARSERS,
+    _SECTIONS,
     ExperimentConfig,
     VerificationReport,
     energy_identity_probe,
@@ -34,43 +36,27 @@ EXIT_DIVERGED = 3
 LEMMA_GROUPS = ("kernel-scaling", "maximal-regularity", "lipschitz")
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split())
-
-
-_OVERRIDES = [
-    ("n", int), ("N", int), ("d", int), ("delta", float), ("seed", int),
-    ("coefficients", _floats), ("closeness-threshold", float),
-    ("generator", str), ("kmax", int), ("smoothing", float), ("amplitude", float),
-    ("t-end", float), ("levels", int), ("steps-per-level", int),
-    ("scheme", str), ("tol", float), ("max-iter", int),
-    ("metric", str), ("p", float), ("radii-per-octave", int), ("centers-stride", int),
-    ("stability-pairs", int), ("sweep-samples", int),
-    ("contraction-deltas", _floats), ("output-dir", str),
-]
-
-
 def _add_common(parser: argparse.ArgumentParser):
+    """--config and a flag per config field, parsed as the INI file parses
+    it (so `--p none` means the default); truncated and refine are the
+    paired flags. A flag not given leaves no attribute."""
     parser.add_argument("--config", type=Path, help="INI config file; flags override its values")
-    for name, typ in _OVERRIDES:
-        parser.add_argument(f"--{name}", type=typ, default=None)
-    parser.add_argument("--truncated", dest="truncated", action="store_true", default=None)
-    parser.add_argument("--untruncated", dest="truncated", action="store_false")
-    parser.add_argument("--no-refine", dest="refine", action="store_false", default=None)
+    for names in _SECTIONS.values():
+        for name in names:
+            if name not in ("truncated", "refine"):
+                parser.add_argument(f"--{name.replace('_', '-')}", type=_PARSERS[name],
+                                    default=argparse.SUPPRESS)
+    parser.add_argument("--truncated", dest="truncated", action="store_true", default=argparse.SUPPRESS)
+    parser.add_argument("--untruncated", dest="truncated", action="store_false",
+                        default=argparse.SUPPRESS)
+    parser.add_argument("--no-refine", dest="refine", action="store_false", default=argparse.SUPPRESS)
 
 
 def _build_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the flags applied; an invalid
-    config exits with code 2, as argparse does for a bad flag."""
-    overrides = {}
-    for name, _ in _OVERRIDES:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            overrides[name.replace("-", "_")] = value
-    for flag in ("truncated", "refine"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
+    """The config file (or the defaults) with the flags given applied; an
+    invalid config exits with code 2, as argparse does for a bad flag."""
+    overrides = {name: getattr(args, name) for names in _SECTIONS.values() for name in names
+                 if hasattr(args, name)}
     try:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         return cfg.with_overrides(**overrides)
@@ -230,7 +216,7 @@ def main(argv=None) -> int:
 
     p_norms = sub.add_parser("norms", help="cylinder norms of a stored trajectory")
     p_norms.add_argument("--traj", type=Path, required=True)
-    p_norms.add_argument("--p", type=float, default=None)
+    p_norms.add_argument("--p", type=_PARSERS["p"], default=argparse.SUPPRESS)
     p_norms.set_defaults(fn=cmd_norms)
 
     p_lemma = sub.add_parser("lemma-checks",

@@ -86,10 +86,6 @@ class ScalarField:
     def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(c)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
-
     def mean(self) -> float:
         return float(np.mean(self.values))
 

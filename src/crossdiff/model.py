@@ -18,7 +18,6 @@ from .fields import (
     dealias_keep_mask,
     divergence_from_coeffs,
     from_coeffs,
-    gradient_from_coeffs,
     index_blocks,
     spectral_gradient,
     to_coeffs,
@@ -170,18 +169,20 @@ def _flux_products(
     c = w clamped to [0, delta] when truncated, else c = w; grads is the
     nodal gradient of the unclamped values.
     """
-    coef = np.clip(values, 0.0, model.delta) if truncated else values
+    coef = values.clip(0.0, model.delta) if truncated else values
     x = "xy"[: grid.n]  # the spatial axes
     mixed_c = np.einsum(f"ij,...j{x}->...i{x}", model.alpha, coef)
     mixed_g = np.einsum(f"ij,...jm{x}->...im{x}", model.alpha, grads)
-    comp = -1 - grid.n  # the vector-component axis of a flux
-    return grads * np.expand_dims(mixed_c, comp) - np.expand_dims(coef, comp) * mixed_g
+    comp = (..., None) + (slice(None),) * grid.n  # a vector-component axis
+    return grads * mixed_c[comp] - coef[comp] * mixed_g
 
 
 def _dealiased_coeffs(products: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of nodal products with the modes the 2/3 rule drops zeroed."""
     fhat = to_coeffs(products, grid)
-    fhat[..., ~dealias_keep_mask(grid)] = 0.0
+    # a masked copyto, not a boolean setitem: a third of the cost on the
+    # small arrays of the reference's substeps, and the same bits
+    np.copyto(fhat, 0.0, where=~dealias_keep_mask(grid))
     return fhat
 
 
@@ -235,22 +236,17 @@ def flux_trajectory(
 
 def _divergence_coeffs(
     values: np.ndarray,
-    coeffs: np.ndarray,
+    grads: np.ndarray,
     grid: GridSpec,
     model: ReducedModel,
     truncated: bool,
 ) -> np.ndarray:
-    """Spectral coefficients of div F_i of states given as nodal values
-    (..., d, *grid.shape) and their coefficients (..., d, *rfft_shape(grid));
-    leading axes are a batch of time nodes.
-
-    The gradients come from the coefficients and the flux never returns to
-    the nodes, which saves the forward transform of the state and the
-    inverse and forward transforms of the flux that flux_trajectory followed
-    by spectral_divergence would take.
+    """Spectral coefficients of div F_i of nodal states (..., d, *grid.shape)
+    given with their nodal gradients (..., d, n, *grid.shape); leading axes
+    are a batch. The one route from states to the transport term of both
+    solvers: the flux never returns to the nodes.
     """
-    fhat = flux_coeffs(values, grid, model, truncated, gradient_from_coeffs(coeffs, grid))
-    return divergence_from_coeffs(fhat, grid)
+    return divergence_from_coeffs(flux_coeffs(values, grid, model, truncated, grads), grid)
 
 
 @dataclass
@@ -366,7 +362,7 @@ def _heat_flow_probes(
     grid = v0.grid
     pair = _LipschitzPass(grid, tg, model, p, cylinders, False)
     zero = _LipschitzPass(grid, tg, model, p, cylinders, False) if against_zero else None
-    for (_, v), (_, w) in zip(_heat_flow_blocks(v0, tg), _heat_flow_blocks(w0, tg)):
+    for (_, _, v), (_, _, w) in zip(_heat_flow_blocks(v0, tg), _heat_flow_blocks(w0, tg)):
         gv = spectral_gradient(v, grid)
         pair.add(v, w, gv, spectral_gradient(w, grid))
         if zero is not None:

@@ -23,7 +23,6 @@ from .fields import (
     from_coeffs,
     index_blocks,
     laplacian_symbol,
-    rfft_shape,
     spectral_divergence,
     to_coeffs,
 )
@@ -31,9 +30,7 @@ from .trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 __all__ = [
     "heat_propagate",
-    "heat_flow_coeffs",
     "heat_flow_trajectory",
-    "duhamel_coeffs",
     "duhamel_solve",
     "kernel_gradient_lp",
     "kernel_scaling_report",
@@ -54,42 +51,35 @@ def heat_propagate(field: ScalarField, t: float) -> ScalarField:
     return ScalarField(grid, from_coeffs(chat, grid))
 
 
-def heat_flow_coeffs(h: SpeciesVector, tg: TimeGrid) -> np.ndarray:
-    """Coefficients of the pure heat flow of every species at all time nodes,
-    shape (n_times, d, *rfft_shape(grid)): one exp over the table of symbol
-    times time node, each entry the heat_multiplier of its node."""
-    what = to_coeffs(h.stack(), h.grid)
-    return what * np.exp(np.multiply.outer(tg.times, laplacian_symbol(h.grid)))[:, None]
-
-
 def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
     """The pure heat flow of every species over consecutive blocks of time
-    nodes, FLUX_BLOCK_BYTES of states each: yields (nodes, values), values
-    of shape (nodes, d, *grid.shape).
+    nodes, FLUX_BLOCK_BYTES of states each: yields (nodes, coeffs, values),
+    coeffs of shape (nodes, d, *rfft_shape(grid)) and values of shape
+    (nodes, d, *grid.shape).
 
-    Node 0 is the datum itself; every later node is the inverse transform
-    of one exp per block over its rows of the symbol x node-times table, so
-    no coefficients of the whole flow are held.
+    Each block's coefficients are one exp over its rows of the symbol x
+    node-times table, each row the heat_multiplier of its node. Node 0 of
+    the values is the datum itself; every later node is one batched inverse
+    transform of the block, so nothing of the whole flow is held.
     """
     grid = h.grid
     datum = h.stack()
     what, symbol = to_coeffs(datum, grid), laplacian_symbol(grid)
     for b in index_blocks(len(tg), datum.nbytes, FLUX_BLOCK_BYTES):
-        times = tg.times[b]
-        values = np.empty((len(times),) + datum.shape)
+        coeffs = what * np.exp(np.multiply.outer(tg.times[b], symbol))[:, None]
+        values = np.empty((len(coeffs),) + datum.shape)
         first = 0
         if b.start == 0:
             values[0], first = datum, 1
-        if len(times) > first:
-            chat = what * np.exp(np.multiply.outer(times[first:], symbol))[:, None]
-            from_coeffs(chat, grid, out=values[first:])
-        yield b, values
+        if len(coeffs) > first:
+            from_coeffs(coeffs[first:], grid, out=values[first:])
+        yield b, coeffs, values
 
 
 def heat_flow_trajectory(h: SpeciesVector, tg: TimeGrid) -> Trajectory:
     """Pure heat flow of every species, sampled at all time nodes."""
     values = np.empty((len(tg), h.d) + h.grid.shape)
-    for b, block in _heat_flow_blocks(h, tg):
+    for b, _, block in _heat_flow_blocks(h, tg):
         values[b] = block
     return Trajectory(h.grid, tg, values, metadata={"scheme": "heat-flow"})
 
@@ -143,12 +133,17 @@ def _step_table(grid: GridSpec, times: tuple[float, ...]) -> tuple:
 
 
 def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
-    """The Duhamel recurrence of duhamel_coeffs, fed the forcing
-    coefficients in consecutive blocks of time nodes from node 0 on: yields,
-    per block, the coefficients of the mild solution at its nodes and their
-    nodal values, (nodes, d, *grid.shape). Node 0 of the values is the datum
-    itself; every later node is the inverse transform of its coefficients,
-    one batched transform per block.
+    """Mild solution of d/dt w_i = Lap(w_i) + g_i with datum h, fed the
+    coefficients of the forcing g_i = div F_i in consecutive blocks of time
+    nodes from node 0 on: yields, per block, the coefficients of the
+    solution at its nodes and their nodal values, (nodes, d, *grid.shape).
+    Node 0 of the values is the datum itself; every later node is the
+    inverse transform of its coefficients, one batched transform per block.
+
+    Between consecutive nodes the Duhamel convolution uses trapezoidal
+    nodes (linear interpolation of the forcing) integrated exactly against
+    the heat kernel, accumulated incrementally, so the cost is linear in
+    the number of steps and the scheme is second order in the step size.
 
     Each block's forcing terms left*div[k-1] and right*div[k] are two
     batched products; each node then costs one product with E and two
@@ -182,58 +177,33 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
         yield coeffs, values
 
 
-def duhamel_coeffs(h: SpeciesVector, div_coeffs: np.ndarray, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Mild solution of d/dt w_i = Lap(w_i) + g_i with datum h, where
-    div_coeffs (n_times, d, *rfft_shape(grid)) holds the coefficients of the
-    forcing g_i = div F_i at every node of tg.
-
-    Between consecutive output times the Duhamel convolution uses
-    trapezoidal nodes (linear interpolation of the forcing) integrated
-    exactly against the heat kernel, accumulated incrementally so the cost
-    is linear in the number of steps; the scheme is second order in the
-    step size. Returns the nodal values (n_times, d, *grid.shape) and the
-    coefficients of the solution at every node.
+def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
+    """The mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h and a
+    nodal FluxTrajectory aligned with tg, over FLUX_BLOCK_BYTES blocks of
+    flux: an iterator of (nodes, coeffs, values) per block of time nodes,
+    as _duhamel_blocks yields them. The forcing is checked here, and each
+    block's divergence is taken only when its block of the recurrence is
+    due, so neither the divergence nor the solution is held whole.
     """
-    grid, d = h.grid, h.d
-    if div_coeffs.shape != (len(tg), d) + rfft_shape(grid):
-        raise ValueError(f"forcing coefficients of shape {div_coeffs.shape} do not match "
-                         f"{len(tg)} times x {d} species on {grid}")
-    values = np.empty((len(tg), d) + grid.shape)
-    coeffs = np.empty_like(div_coeffs)
-    blocks = index_blocks(len(tg), div_coeffs[0].nbytes, FLUX_BLOCK_BYTES)
-    for b, (c, v) in zip(blocks, _duhamel_blocks(h, (div_coeffs[b] for b in blocks), tg)):
-        coeffs[b], values[b] = c, v
-    return values, coeffs
-
-
-def _check_forcing(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> None:
     if forcing.grid != h.grid or not np.array_equal(forcing.tg.times, tg.times):
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != h.d:
         raise ValueError(f"forcing has {forcing.d} species, datum has {h.d}")
-
-
-def _flux_duhamel(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """duhamel_coeffs on the divergence of a nodal FluxTrajectory aligned
-    with tg: the values and coefficients of the mild solution."""
-    _check_forcing(h, forcing, tg)
-    grid = h.grid
-    # over blocks of nodes: one batched divergence would hold the flux's
-    # coefficients for the whole trajectory at once
-    div_coeffs = np.empty((len(tg), h.d) + rfft_shape(grid), dtype=complex)
-    for b in index_blocks(len(tg), forcing.values[0].nbytes, FLUX_BLOCK_BYTES):
-        div_coeffs[b] = spectral_divergence(forcing.values[b], grid)
-    return duhamel_coeffs(h, div_coeffs, tg)
+    blocks = index_blocks(len(tg), forcing.values[0].nbytes, FLUX_BLOCK_BYTES)
+    divs = (spectral_divergence(forcing.values[b], h.grid) for b in blocks)
+    return ((b, coeffs, values) for b, (coeffs, values) in zip(blocks, _duhamel_blocks(h, divs, tg)))
 
 
 def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
     """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
-    duhamel_coeffs recurrence on the divergence of a nodal FluxTrajectory
-    aligned with tg, or the homogeneous flow when forcing is None.
+    Duhamel recurrence on the divergence of a nodal FluxTrajectory aligned
+    with tg, or the homogeneous flow when forcing is None.
     """
     if forcing is None:
         return heat_flow_trajectory(h, tg)
-    values, _ = _flux_duhamel(h, forcing, tg)
+    values = np.empty((len(tg), h.d) + h.grid.shape)
+    for b, _, block in _forced_blocks(h, forcing, tg):
+        values[b] = block
     return Trajectory(h.grid, tg, values, metadata={"scheme": "duhamel"})
 
 

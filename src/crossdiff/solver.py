@@ -15,14 +15,15 @@ from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent, _gradie
 from .fields import (
     FLUX_BLOCK_BYTES,
     SpeciesVector,
-    dealias_keep_mask,
     derivative_symbol,
     from_coeffs,
+    gradient_from_coeffs,
     index_blocks,
+    rfft_shape,
     to_coeffs,
 )
 from .model import ReducedModel, _divergence_coeffs
-from .semigroup import _duhamel_blocks, heat_flow_coeffs, heat_flow_trajectory, heat_multiplier
+from .semigroup import _duhamel_blocks, _heat_flow_blocks, heat_multiplier
 from .trajectory import TimeGrid, Trajectory, _abs_max
 
 __all__ = [
@@ -82,27 +83,23 @@ def imex_solve(
         dt = float(np.max(np.diff(tg.times)))
     if dt <= 0:
         raise ValueError("dt must be positive")
-    alpha = model.alpha
-    delta = model.delta
-    derivs = np.stack([derivative_symbol(grid, m) for m in range(grid.n)])[:, None]
-    ddiv = derivs * dealias_keep_mask(grid)  # divergence of the dealiased flux
+    derivs = np.stack([derivative_symbol(grid, m) for m in range(grid.n)])
+    # per species (w, d_1 w, ..., d_n w), the one batched inverse transform
+    # of a transport term; its rows 1.. are the gradient as the flux takes it
+    spec = np.empty((h.d, 1 + grid.n) + rfft_shape(grid), dtype=complex)
 
     values = np.empty((len(tg), h.d) + grid.shape)
     values[0] = h.stack()
     cap = blowup_factor * max(float(np.max(np.abs(values[0]))), 1e-300)
 
     def transport(what: np.ndarray, t: float) -> np.ndarray:
-        # one batched inverse transform of (w, d_1 w, ..., d_n w)
-        nodal = from_coeffs(np.concatenate([what[None], derivs * what]), grid)
-        wv, g = nodal[0], nodal[1:]
-        sup = float(np.max(np.abs(wv)))
+        spec[:, 0] = what
+        np.multiply(derivs, what[:, None], out=spec[:, 1:])
+        nodal = from_coeffs(spec, grid)
+        sup = float(np.abs(nodal[:, 0]).max())
         if not sup <= cap:
             raise DivergedError(t, sup, cap)
-        coef = np.clip(wv, 0.0, delta) if truncated else wv
-        mixed_c = np.einsum("ij,j...->i...", alpha, coef)
-        mixed_g = np.einsum("ij,mj...->mi...", alpha, g)
-        fhat = to_coeffs(g * mixed_c - coef * mixed_g, grid)
-        return np.sum(ddiv * fhat, axis=0)
+        return _divergence_coeffs(nodal[:, 0], nodal[:, 1:], grid, model, truncated)
 
     what = to_coeffs(values[0], grid)
     for k in range(1, len(tg)):
@@ -118,7 +115,7 @@ def imex_solve(
             what = E * (what + 0.5 * sub * n1) + 0.5 * sub * n2
         values[k] = from_coeffs(what, grid)
     meta = {"scheme": "imex", "dt": dt, "truncated": truncated,
-            "delta": delta, "K": model.K, "alpha": model.alpha.tolist()}
+            "delta": model.delta, "K": model.K, "alpha": model.alpha.tolist()}
     _check_bounded(values, tg.times, cap)
     return Trajectory(grid, tg, values, metadata=meta)
 
@@ -164,7 +161,8 @@ def _map_blocks(h: SpeciesVector, values: np.ndarray, coeffs: np.ndarray, model:
     """
     grid = h.grid
     blocks = index_blocks(len(tg), values[0].nbytes * grid.n, FLUX_BLOCK_BYTES)
-    divs = (_divergence_coeffs(values[b], coeffs[b], grid, model, truncated) for b in blocks)
+    divs = (_divergence_coeffs(values[b], gradient_from_coeffs(coeffs[b], grid), grid, model, truncated)
+            for b in blocks)
     return zip(blocks, _duhamel_blocks(h, divs, tg))
 
 
@@ -208,9 +206,11 @@ def picard_solve(
 
     grid = h.grid
     cap = BLOWUP_FACTOR * max(h.sup_norm(), 1e-300)
-    # the first iterate's values as heat_flow_trajectory gives them; its
-    # coefficients cost one more transform, of the datum only
-    values, coeffs = heat_flow_trajectory(h, tg).values, heat_flow_coeffs(h, tg)
+    # the first iterate: the heat flow's values and coefficients, one pass
+    values = np.empty((len(tg), h.d) + grid.shape)
+    coeffs = np.empty((len(tg), h.d) + rfft_shape(grid), dtype=complex)
+    for b, block_coeffs, block_values in _heat_flow_blocks(h, tg):
+        coeffs[b], values[b] = block_coeffs, block_values
     distances: list[float] = []
     converged = False
     for _ in range(max_iter):

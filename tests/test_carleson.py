@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crossdiff import carleson
+from crossdiff import carleson, semigroup
 from crossdiff.carleson import (
     CylinderLadder,
     CylinderSpec,
@@ -21,7 +21,7 @@ from crossdiff.carleson import (
 )
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
 from crossdiff.harness import InitialDataSpec, generate_initial_data
-from crossdiff.semigroup import _flux_duhamel, duhamel_solve, heat_flow_trajectory
+from crossdiff.semigroup import _forced_blocks, duhamel_solve, heat_flow_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 
@@ -596,7 +596,8 @@ def _ratio_separate_passes(h, flux, tg, p, cylinders):
     """maximal_regularity_ratio as separate passes: the Duhamel solution and
     its coefficients held whole, then the X^p seminorm of w from those
     coefficients in one scan, and yp_norm."""
-    values, coeffs = _flux_duhamel(h, flux, tg)
+    _, coeffs, values = zip(*_forced_blocks(h, flux, tg))
+    coeffs, values = np.concatenate(coeffs), np.concatenate(values)
     mags = carleson._gradient_magnitudes(coeffs, h.grid)
     semi = carleson._scan_cylinders(h.grid, tg.times, mags, p, cylinders)[0]
     num = Trajectory(h.grid, tg, values).sup_norm() + semi
@@ -655,7 +656,7 @@ class TestMaximalRegularity:
         # bit for bit, with blocks of 1, 3 or all flux nodes
         h, flux, tg, cylinders = self._problem(n, N)
         want = [_ratio_separate_passes(h, flux, tg, p, cylinders) for p in (2.5, 4.0)]
-        monkeypatch.setattr(carleson, "FLUX_BLOCK_BYTES", (nodes or len(tg)) * flux.values[0].nbytes)
+        monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", (nodes or len(tg)) * flux.values[0].nbytes)
         assert [maximal_regularity_ratio(h, flux, tg, p, cylinders) for p in (2.5, 4.0)] == want
 
     def test_transforms_no_more_than_separate_passes(self, transform_bytes):

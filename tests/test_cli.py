@@ -196,6 +196,19 @@ def test_config_flag_overrides_file(tmp_path):
     assert saved.N == 16
 
 
+def test_none_flag_means_the_default_as_in_the_file(tmp_path):
+    # `--p none` and `--centers-stride none` parse as the INI file parses
+    # them, and override the file's values back to the defaults
+    cfg_path = tmp_path / "base.ini"
+    ExperimentConfig(p=3.5, centers_stride=4).save(cfg_path)
+    out_dir = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg_path), "--scheme", "imex", "--p", "none",
+                 "--centers-stride", "none", "--N", "16", "--t-end", "0.01", "--levels", "2",
+                 "--steps-per-level", "2", "--kmax", "3", "--out", str(out_dir)]) == 0
+    saved = ExperimentConfig.load(out_dir / "config.ini")
+    assert (saved.p, saved.centers_stride) == (None, None)
+
+
 LADDER_ARGS = ["--N", "16", "--t-end", "0.25", "--levels", "3", "--steps-per-level", "3",
                "--kmax", "3", "--seed", "7"]
 

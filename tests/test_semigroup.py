@@ -18,12 +18,10 @@ from crossdiff.fields import (
 from crossdiff.semigroup import (
     KernelEstimateReport,
     _duhamel_blocks,
-    _flux_duhamel,
+    _forced_blocks,
     _heat_flow_blocks,
     _segment_weights,
-    duhamel_coeffs,
     duhamel_solve,
-    heat_flow_coeffs,
     heat_flow_trajectory,
     heat_multiplier,
     heat_propagate,
@@ -236,23 +234,27 @@ class TestDuhamel:
         h = _species(g, rng.standard_normal(g.shape), rng.standard_normal(g.shape))
         tg = TimeGrid.dyadic(0.25, levels=3, steps_per_level=3)
         flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 2, n) + g.shape))
-        values, coeffs = duhamel_coeffs(h, spectral_divergence(flux.values, g), tg)
+        (coeffs, values), = _duhamel_blocks(h, [spectral_divergence(flux.values, g)], tg)
         assert np.array_equal(values, duhamel_solve(h, flux, tg).values)
         assert np.max(np.abs(to_coeffs(values, g) - coeffs)) < 1e-14 * np.max(np.abs(coeffs))
 
     def test_coefficient_shape_mismatch_rejected(self):
+        # a forcing one time node short is rejected before any block is due
         g = make_grid(1, 32)
         h = _species(g, np.zeros(g.shape))
         tg = TimeGrid.uniform(0.1, 4)
-        with pytest.raises(ValueError, match="forcing coefficients"):
-            duhamel_coeffs(h, np.zeros((len(tg) - 1, 1, g.N // 2 + 1), dtype=complex), tg)
+        short = FluxTrajectory(g, TimeGrid.uniform(0.1, 3), np.zeros((len(tg) - 1, 1, 1) + g.shape))
+        with pytest.raises(ValueError, match="time grid"):
+            _forced_blocks(h, short, tg)
+        with pytest.raises(ValueError, match="time grid"):
+            duhamel_solve(h, short, tg)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_heat_flow_coeffs_give_heat_flow_values(self, n, N):
         g = make_grid(n, N)
         h = _species(g, np.random.default_rng(6).standard_normal(g.shape))
         tg = TimeGrid.dyadic(0.25, levels=3, steps_per_level=3)
-        coeffs = heat_flow_coeffs(h, tg)
+        coeffs, _ = _whole(_heat_flow_blocks(h, tg))
         values = heat_flow_trajectory(h, tg).values
         assert np.array_equal(coeffs[0], to_coeffs(h.stack(), g))
         assert np.array_equal(from_coeffs(coeffs[1:], g), values[1:])
@@ -287,6 +289,13 @@ def _duhamel_per_node(h, div_coeffs, tg):
 
 def _bit_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _whole(blocks):
+    """The coefficients and values of every node, put together from a
+    generator's (nodes, coeffs, values) blocks."""
+    _, coeffs, values = zip(*blocks)
+    return np.concatenate(coeffs), np.concatenate(values)
 
 
 class TestBatchedTransforms:
@@ -330,9 +339,11 @@ class TestBatchedTransforms:
         g, tg, h, flux = self._problem(n, N)
         self._set_blocks(monkeypatch, flux, block_nodes)
         coeffs = _heat_flow_coeffs_per_node(h, tg)
-        assert _bit_equal(heat_flow_coeffs(h, tg), coeffs)
+        got_coeffs, got_values = _whole(_heat_flow_blocks(h, tg))
+        assert _bit_equal(got_coeffs, coeffs)
         values = heat_flow_trajectory(h, tg).values
         assert _bit_equal(values, _values_per_node(coeffs, g, h.stack()))
+        assert _bit_equal(got_values, values)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64)])
     @pytest.mark.parametrize("block_nodes", [None, 2])
@@ -341,9 +352,9 @@ class TestBatchedTransforms:
         self._set_blocks(monkeypatch, flux, block_nodes)
         div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
         ref_values, ref_coeffs = _duhamel_per_node(h, div, tg)
-        values, coeffs = duhamel_coeffs(h, div, tg)
+        (coeffs, values), = _duhamel_blocks(h, [div], tg)
         assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
-        values, coeffs = _flux_duhamel(h, flux, tg)
+        coeffs, values = _whole(_forced_blocks(h, flux, tg))
         assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
 
     def test_call_budget(self, transform_bytes):
@@ -356,14 +367,14 @@ class TestBatchedTransforms:
         flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 3, 1) + g.shape))
         node = h.stack().nbytes
         div = spectral_divergence(flux.values, g)
-        for run in (lambda: heat_flow_trajectory(h, tg), lambda: duhamel_coeffs(h, div, tg)):
+        for run in (lambda: heat_flow_trajectory(h, tg), lambda: list(_duhamel_blocks(h, [div], tg))):
             transform_bytes.clear()
             run()
             assert transform_bytes.calls["from_coeffs"] <= 2
             # the datum forward, every later node back: the same bytes as node by node
             assert sum(transform_bytes) == len(tg) * node
         transform_bytes.clear()
-        _flux_duhamel(h, flux, tg)
+        list(_forced_blocks(h, flux, tg))
         assert transform_bytes.calls["to_coeffs"] <= 2
         # the flux and the datum forward, every later node back
         assert sum(transform_bytes) == 2 * len(tg) * node
@@ -380,9 +391,11 @@ class TestBatchedTransforms:
         if block_nodes is not None:
             monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", block_nodes * h.stack().nbytes)
         blocks = list(_heat_flow_blocks(h, tg))
-        assert [b for b, _ in blocks] == index_blocks(
+        assert [b for b, _, _ in blocks] == index_blocks(
             len(tg), h.stack().nbytes, semigroup.FLUX_BLOCK_BYTES)
-        assert _bit_equal(np.concatenate([values for _, values in blocks]), want)
+        coeffs, values = _whole(blocks)
+        assert _bit_equal(coeffs, _heat_flow_coeffs_per_node(h, tg))
+        assert _bit_equal(values, want)
 
     def test_time_grids_steps(self):
         steps = {name: len(np.unique(np.diff(tg.times))) for name, tg in self.TIME_GRIDS.items()}

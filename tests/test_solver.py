@@ -4,15 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossdiff import carleson, semigroup, solver
+from crossdiff import carleson, fields, semigroup, solver
 from crossdiff.carleson import default_exponent, enumerate_cylinders, xp_norm
-from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
+from crossdiff.fields import (
+    SpeciesVector,
+    gradient_from_coeffs,
+    make_grid,
+    random_band_limited,
+    to_coeffs,
+)
 from crossdiff.harness import InitialDataSpec, generate_initial_data
 from crossdiff.model import ReducedModel, _divergence_coeffs, flux_trajectory
 from crossdiff.semigroup import (
-    duhamel_coeffs,
+    _duhamel_blocks,
+    _heat_flow_blocks,
     duhamel_solve,
-    heat_flow_coeffs,
     heat_flow_trajectory,
 )
 from crossdiff.solver import (
@@ -100,6 +106,54 @@ class TestImex:
         grid, tg, model, h = small
         with pytest.raises(ValueError):
             imex_solve(h, model, tg, dt=0.0)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_transport_equals_inline_flux_copy(self, n, N, truncated):
+        # the transport term through the one flux formula, bit for bit the
+        # stepper with its own copy of the formula, at one and two substeps
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(0.25, levels=5, steps_per_level=4)
+        alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
+        model = ReducedModel.from_alpha(alpha, 0.05)
+        h = generate_initial_data(InitialDataSpec("random-simplex", seed=4, kmax=3), grid, 3, 0.05)
+        for refine in (1, 2):
+            dt = float(np.max(np.diff(tg.times))) / refine
+            got = imex_solve(h, model, tg, truncated=truncated, dt=dt).values
+            assert got.tobytes() == _imex_inline_flux(h, model, tg, truncated, dt).tobytes()
+
+
+def _imex_inline_flux(h, model, tg, truncated, dt):
+    """imex_solve's stepping with its own copy of the flux, its dealiasing
+    and its divergence written out inline: an oracle that calls no flux
+    code of crossdiff.model."""
+    grid = h.grid
+    derivs = np.stack([fields.derivative_symbol(grid, m) for m in range(grid.n)])[:, None]
+    ddiv = derivs * fields.dealias_keep_mask(grid)
+
+    def transport(what):
+        nodal = fields.from_coeffs(np.concatenate([what[None], derivs * what]), grid)
+        wv, g = nodal[0], nodal[1:]
+        coef = np.clip(wv, 0.0, model.delta) if truncated else wv
+        mixed_c = np.einsum("ij,j...->i...", model.alpha, coef)
+        mixed_g = np.einsum("ij,mj...->mi...", model.alpha, g)
+        fhat = to_coeffs(g * mixed_c - coef * mixed_g, grid)
+        return np.sum(ddiv * fhat, axis=0)
+
+    values = np.empty((len(tg), h.d) + grid.shape)
+    values[0] = h.stack()
+    what = to_coeffs(values[0], grid)
+    for k in range(1, len(tg)):
+        seg = float(tg.times[k]) - float(tg.times[k - 1])
+        nsub = max(1, math.ceil(seg / dt - 1e-12))
+        sub = seg / nsub
+        E = semigroup.heat_multiplier(grid, sub)
+        for _ in range(nsub):
+            n1 = transport(what)
+            n2 = transport(E * (what + sub * n1))
+            what = E * (what + 0.5 * sub * n1) + 0.5 * sub * n2
+        values[k] = fields.from_coeffs(what, grid)
+    return values
 
 
 def _fixed_point_map(h, w, model, truncated=True):
@@ -234,14 +288,13 @@ class TestPicard:
         # the heat flow (first iterate) is clean; every inverse transform of
         # the Duhamel recurrence after it returns NaN
         grid, tg, model, h = small
-        real_from, real_heat = semigroup.from_coeffs, solver.heat_flow_trajectory
+        real_from, real_heat = semigroup.from_coeffs, solver._heat_flow_blocks
         poisoned = []
 
         def heat_flow(*args):
             poisoned.clear()
-            out = real_heat(*args)
+            yield from real_heat(*args)
             poisoned.append(True)
-            return out
 
         def from_coeffs(c, g, out=None):
             res = real_from(c, g, out)
@@ -249,7 +302,7 @@ class TestPicard:
                 res[...] = np.nan
             return res
 
-        monkeypatch.setattr(solver, "heat_flow_trajectory", heat_flow)
+        monkeypatch.setattr(solver, "_heat_flow_blocks", heat_flow)
         monkeypatch.setattr(semigroup, "from_coeffs", from_coeffs)
         for metric in ("xp", "sup"):
             with pytest.raises(DivergedError, match="sup nan"):
@@ -300,11 +353,11 @@ def _picard_whole_array(h, model, tg, truncated, metric):
     converged, theta_hat)."""
     grid = h.grid
     p, cylinders = default_exponent(grid), enumerate_cylinders(grid, tg)
-    values, coeffs = heat_flow_trajectory(h, tg).values, heat_flow_coeffs(h, tg)
+    (_, coeffs, values), = _heat_flow_blocks(h, tg)  # one block at these sizes
     distances, converged = [], False
     for _ in range(30):
-        div = _divergence_coeffs(values, coeffs, grid, model, truncated)
-        next_values, next_coeffs = duhamel_coeffs(h, div, tg)
+        div = _divergence_coeffs(values, gradient_from_coeffs(coeffs, grid), grid, model, truncated)
+        (next_coeffs, next_values), = _duhamel_blocks(h, [div], tg)
         dist = float(np.max(np.abs(next_values - values)))
         if metric == "xp":
             mags = carleson._gradient_magnitudes(next_coeffs - coeffs, grid)
