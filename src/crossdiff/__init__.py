@@ -41,9 +41,7 @@ from .model import (
     LipschitzReport,
     RawCoefficients,
     ReducedModel,
-    flux,
     flux_trajectory,
-    lipschitz_probe,
     reduce_coefficients,
 )
 from .solver import (

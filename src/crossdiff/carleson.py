@@ -221,14 +221,15 @@ def _cylinder_windows(times: tuple[float, ...], radii: tuple[float, ...]) -> tup
 
 
 class _CylinderScan:
-    """The cylinder scan of _scan_cylinders, fed the magnitudes in
-    consecutive blocks of time nodes so that no trajectory of them is held.
+    """The max over cylinders and species of R * (cylinder average of
+    mags^p)^(1/p), fed the nonnegative magnitudes mags in consecutive blocks
+    of time nodes so that no trajectory of them is held.
 
     add(block) takes the next nodes, shape (nodes, d, *grid.shape), in time
     order. Each radius holds mags^p only over its own window, in a buffer
     freed once the window's last node has arrived and its time quadrature is
-    formed. result() needs every node of times and returns what
-    _scan_cylinders does, bit for bit, however the nodes were blocked.
+    formed. result() needs every node of times, and its result is the same
+    bit for bit however the nodes were blocked.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, p: float, ladder: CylinderLadder):
@@ -269,7 +270,13 @@ class _CylinderScan:
 
     def result(self):
         """(best value, attaining CylinderSpec, its species, cylinders
-        scanned, cylinders skipped), as _scan_cylinders returns them."""
+        scanned, cylinders skipped).
+
+        Ties break deterministically toward the smallest radius, then the
+        first center in C order, then the first species (scan order with
+        strict improvement). A NaN in mags spreads through the transforms to
+        every center of its radius, and that radius never attains.
+        """
         if self.fed != self.n_times:
             raise ValueError(f"the scan was fed {self.fed} of {self.n_times} time nodes")
         grid, p, ladder, live = self.grid, self.p, self.ladder, self.live
@@ -302,26 +309,6 @@ class _CylinderScan:
         return best, cyl, best_sp, len(ladder) - skipped, skipped
 
 
-def _scan_cylinders(
-    grid: GridSpec,
-    times: np.ndarray,
-    mags: np.ndarray,
-    p: float,
-    ladder: CylinderLadder,
-):
-    """Max over cylinders and species of R * (cylinder average of mags^p)^(1/p).
-
-    mags has shape (n_times, d, *grid.shape) and must be nonnegative.
-    Ties break deterministically toward the smallest radius, then the first
-    center in C order, then the first species (scan order with strict
-    improvement). A NaN in mags spreads through the transforms to every
-    center of its radius, and that radius never attains.
-    """
-    scan = _CylinderScan(grid, times, p, ladder)
-    scan.add(mags)
-    return scan.result()
-
-
 def gradient_flux(traj: Trajectory) -> FluxTrajectory:
     """Spectral gradients of every species packaged as a flux trajectory."""
     return FluxTrajectory(traj.grid, traj.tg, spectral_gradient(traj.values, traj.grid))
@@ -332,9 +319,9 @@ def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     (nodes, d, *rfft_shape(grid)) -> (nodes, d, *grid.shape).
 
     On coefficients from to_coeffs the result is bit for bit
-    gradient_flux(traj).magnitudes(), however the nodes are blocked;
-    xp_seminorm calls it on blocks of time nodes, so the gradient of a
-    whole trajectory is never held.
+    vector_magnitudes(gradient_flux(traj).values), however the nodes are
+    blocked; xp_seminorm calls it on blocks of time nodes, so the gradient
+    of a whole trajectory is never held.
     """
     return vector_magnitudes(gradient_from_coeffs(coeffs, grid))
 

@@ -44,10 +44,6 @@ class GridSpec:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
 
     @property
-    def spacing(self) -> float:
-        return 1.0 / self.N
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
 
@@ -81,13 +77,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def constant(cls, grid: GridSpec, c: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(c)))
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -126,9 +115,6 @@ class SpeciesVector:
 
     def sup_norm(self) -> float:
         return max(f.sup_norm() for f in self.fields)
-
-    def total(self) -> ScalarField:
-        return ScalarField(self.grid, self.stack().sum(axis=0))
 
 
 # -- spectral plumbing shared by the solver modules -------------------------
@@ -266,7 +252,10 @@ def divergence_from_coeffs(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     axes are a batch. The mean mode is identically zero.
     """
     spatial = (slice(None),) * grid.n
-    return sum(derivative_symbol(grid, m) * coeffs[(..., m) + spatial] for m in range(grid.n))
+    div = derivative_symbol(grid, 0) * coeffs[(..., 0) + spatial]
+    for m in range(1, grid.n):
+        div += derivative_symbol(grid, m) * coeffs[(..., m) + spatial]
+    return div
 
 
 def spectral_divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -94,6 +94,24 @@ _SECTIONS = {
     "output": ["output_dir"],
 }
 
+# parsers of config values as the INI file and the CLI flags write them,
+# named for argparse, which names a flag's bad value by its parser's name
+def boolean(s: str) -> bool:
+    return s.lower() in ("1", "true", "yes", "on")
+
+
+def floats(s: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in s.split())
+
+
+def _optional(parse):
+    """parse, or None for an empty, "none" or "default" value."""
+    def optional(s: str):
+        return None if s in ("", "none", "default") else parse(s)
+    optional.__name__ = f"optional {parse.__name__}"
+    return optional
+
+
 _PARSERS = {
     "n": int, "N": int, "d": int, "seed": int, "kmax": int, "levels": int,
     "steps_per_level": int, "max_iter": int, "radii_per_octave": int,
@@ -101,12 +119,9 @@ _PARSERS = {
     "delta": float, "closeness_threshold": float, "smoothing": float,
     "amplitude": float, "t_end": float, "tol": float,
     "generator": str, "scheme": str, "metric": str, "output_dir": str,
-    "truncated": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "refine": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "coefficients": lambda s: tuple(float(x) for x in s.split()) if s and s != "none" else None,
-    "contraction_deltas": lambda s: tuple(float(x) for x in s.split()),
-    "p": lambda s: None if s in ("", "none", "default") else float(s),
-    "centers_stride": lambda s: None if s in ("", "none", "default") else int(s),
+    "truncated": boolean, "refine": boolean,
+    "coefficients": _optional(floats), "contraction_deltas": floats,
+    "p": _optional(float), "centers_stride": _optional(int),
 }
 
 
@@ -183,25 +198,18 @@ class ExperimentConfig:
             smoothing=self.smoothing, amplitude=self.amplitude,
         )
 
-    def alpha_template(self) -> np.ndarray:
-        if self.coefficients is not None:
-            raw = RawCoefficients.from_upper_triangle(self.d, self.coefficients)
-            return reduce_coefficients(raw, self.closeness_threshold).alpha
-        return default_alpha(self.d)
-
     def reduced_model(self, delta: float | None = None) -> ReducedModel:
         """Coupling from the configured coefficients (or the default template)
         at the configured (or overridden) spread delta."""
-        if self.coefficients is not None and delta is None:
+        if self.coefficients is None:
+            alpha = default_alpha(self.d)
+        else:
             raw = RawCoefficients.from_upper_triangle(self.d, self.coefficients)
             m = reduce_coefficients(raw, self.closeness_threshold)
-            if abs(m.delta - self.delta) <= 1e-12 * self.delta:
+            if delta is None and abs(m.delta - self.delta) <= 1e-12 * self.delta:
                 return m
-            delta = self.delta
             alpha = m.alpha
-        else:
-            alpha = self.alpha_template()
-            delta = self.delta if delta is None else delta
+        delta = self.delta if delta is None else delta
         return ReducedModel.from_alpha(alpha, delta, threshold=self.closeness_threshold)
 
     # -- serialization -------------------------------------------------------
@@ -234,7 +242,10 @@ class ExperimentConfig:
             for name, raw in cp[section].items():
                 if name not in _SECTIONS[section]:
                     raise ValueError(f"unknown config key {name!r} in [{section}]")
-                kwargs[name] = _PARSERS[name](raw)
+                try:
+                    kwargs[name] = _PARSERS[name](raw)
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {name} = {raw!r}: {exc}") from None
         return cls(**kwargs)
 
     @classmethod

@@ -30,10 +30,7 @@ __all__ = [
     "ReducedModel",
     "LipschitzReport",
     "reduce_coefficients",
-    "flux_coeffs",
-    "flux",
     "flux_trajectory",
-    "lipschitz_probe",
 ]
 
 
@@ -71,9 +68,6 @@ class RawCoefficients:
                 K[i, j] = K[j, i] = entries[pos]
                 pos += 1
         return cls(d=d, K=K)
-
-    def upper_triangle(self) -> list[float]:
-        return [float(self.K[i, j]) for i in range(self.d) for j in range(i + 1, self.d)]
 
 
 @dataclass
@@ -186,52 +180,21 @@ def _dealiased_coeffs(products: np.ndarray, grid: GridSpec) -> np.ndarray:
     return fhat
 
 
-def flux_coeffs(
-    values: np.ndarray,
-    grid: GridSpec,
-    model: ReducedModel,
-    truncated: bool = True,
-    grads: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dealiased spectral coefficients of the fluxes
-    F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) of nodal states.
+def flux_trajectory(traj: Trajectory, model: ReducedModel, truncated: bool = True) -> FluxTrajectory:
+    """Nodal fluxes F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) along
+    every stored state, FLUX_BLOCK_BYTES of output at a time.
 
     c = w clamped to [0, delta] when truncated, else c = w; gradients are
     always taken from the unclamped state. Products are formed nodally and
-    dealiased by the 2/3 rule. Shapes: (..., d, *grid.shape) ->
-    (..., d, n, *rfft_shape(grid)); leading axes are a batch. grads, when
-    given, must be the nodal gradient of values; it is then not recomputed.
+    dealiased by the 2/3 rule.
     """
-    if grads is None:
-        grads = spectral_gradient(values, grid)
-    return _dealiased_coeffs(_flux_products(values, grid, model, truncated, grads), grid)
-
-
-def flux(
-    values: np.ndarray,
-    grid: GridSpec,
-    model: ReducedModel,
-    truncated: bool = True,
-    grads: np.ndarray | None = None,
-) -> np.ndarray:
-    """Nodal values of flux_coeffs: (..., d, *grid.shape) -> (..., d, n, *grid.shape)."""
-    return from_coeffs(flux_coeffs(values, grid, model, truncated, grads), grid)
-
-
-def flux_trajectory(
-    traj: Trajectory,
-    model: ReducedModel,
-    truncated: bool = True,
-    grads: np.ndarray | None = None,
-) -> FluxTrajectory:
-    """Evaluate the flux along every stored state, FLUX_BLOCK_BYTES of output at a time.
-
-    grads, when given, must be spectral_gradient(traj.values, traj.grid).
-    """
-    blocks = [flux(traj.values[b], traj.grid, model, truncated, None if grads is None else grads[b])
-              for b in index_blocks(len(traj.tg), traj.values[0].nbytes * traj.grid.n,
-                                   FLUX_BLOCK_BYTES)]
-    return FluxTrajectory(traj.grid, traj.tg, np.concatenate(blocks))
+    grid = traj.grid
+    blocks = []
+    for b in index_blocks(len(traj.tg), traj.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
+        values = traj.values[b]
+        products = _flux_products(values, grid, model, truncated, spectral_gradient(values, grid))
+        blocks.append(from_coeffs(_dealiased_coeffs(products, grid), grid))
+    return FluxTrajectory(grid, traj.tg, np.concatenate(blocks))
 
 
 def _divergence_coeffs(
@@ -246,7 +209,8 @@ def _divergence_coeffs(
     are a batch. The one route from states to the transport term of both
     solvers: the flux never returns to the nodes.
     """
-    return divergence_from_coeffs(flux_coeffs(values, grid, model, truncated, grads), grid)
+    products = _flux_products(values, grid, model, truncated, grads)
+    return divergence_from_coeffs(_dealiased_coeffs(products, grid), grid)
 
 
 @dataclass
@@ -262,8 +226,11 @@ class LipschitzReport:
 
 
 class _LipschitzPass:
-    """The pass of lipschitz_probe, fed two trajectories v and w in
-    consecutive blocks of time nodes so that neither is held whole.
+    """The flux-map Lipschitz probe of trajectories v and w, fed in
+    consecutive blocks of time nodes so that neither is held whole: it
+    compares ||F(v) - F(w)||_Yp against d * max{||v||, ||w||, ||v||^2,
+    ||w||^2} * ||v - w||_Xp (the growth and difference exponents mu = nu = 1
+    of the untruncated quadratic flux).
 
     add(v, w, gv, gw) takes the next nodes of v and w, shape (nodes, d,
     *grid.shape), and their nodal gradients. F(v) - F(w) is one dealiased
@@ -271,22 +238,30 @@ class _LipschitzPass:
     the difference of the gradients. The magnitudes of those four vector
     fields go to four cylinder scans, and sup|v|, sup|w| and sup|v - w| are
     taken per block; a non-finite magnitude raises in the block where it
-    appears. result() needs every node and returns the LipschitzReport.
+    appears. With against_zero a fifth scan takes |F(v)|, one more dealiased
+    transform of v's products, for the probe of v against w = 0, whose
+    other terms are v's own.
+
+    result() needs every node and returns the LipschitzReport of v against
+    w, and of v against 0 (else None). A zero ||v - w||_Xp reports ratio 0.
     """
 
     def __init__(self, grid: GridSpec, tg: TimeGrid, model: ReducedModel,
-                 p: float | None, cylinders: CylinderLadder | None, truncated: bool):
+                 p: float | None, cylinders: CylinderLadder | None, against_zero: bool):
         p, cylinders = _gradient_exponent(grid, tg, p, cylinders)
-        self.grid, self.model, self.truncated = grid, model, truncated
-        # cylinder scans of |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w|
-        self.scans = [_CylinderScan(grid, tg.times, p, cylinders) for _ in range(4)]
+        self.grid, self.model = grid, model
+        # cylinder scans of |F(v) - F(w)|, |grad v|, |grad w|, |grad v - grad w|
+        # and, against zero, |F(v)|
+        self.scans = [_CylinderScan(grid, tg.times, p, cylinders) for _ in range(4 + against_zero)]
         self.sup_v = self.sup_w = self.sup_diff = 0.0
 
     def add(self, v: np.ndarray, w: np.ndarray, gv: np.ndarray, gw: np.ndarray):
-        grid, model, truncated = self.grid, self.model, self.truncated
-        prod = _flux_products(v, grid, model, truncated, gv)
-        prod -= _flux_products(w, grid, model, truncated, gw)
-        mags = np.empty((4,) + v.shape)
+        grid, model = self.grid, self.model
+        mags = np.empty((len(self.scans),) + v.shape)
+        prod = _flux_products(v, grid, model, False, gv)
+        if len(self.scans) == 5:
+            vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[4])
+        prod -= _flux_products(w, grid, model, False, gw)
         vector_magnitudes(from_coeffs(_dealiased_coeffs(prod, grid), grid), out=mags[0])
         vector_magnitudes(gv, out=mags[1])
         vector_magnitudes(gw, out=mags[2])
@@ -300,48 +275,16 @@ class _LipschitzPass:
         self.sup_w = max(self.sup_w, _abs_max(w))
         self.sup_diff = max(self.sup_diff, _abs_max(v - w))
 
-    def result(self) -> LipschitzReport:
-        left, semi_v, semi_w, semi_diff = (scan.result()[0] for scan in self.scans)
-        x_v, x_w = self.sup_v + semi_v, self.sup_w + semi_w
-        x_diff = self.sup_diff + semi_diff
-        if x_diff == 0.0:
-            return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)
-        factor = max(x_v, x_w, x_v**2, x_w**2)
-        bound = self.model.d * factor * x_diff
+    def result(self) -> tuple[LipschitzReport, LipschitzReport | None]:
+        left, semi_v, semi_w, semi_diff, *zero = (scan.result()[0] for scan in self.scans)
+        x_v = self.sup_v + semi_v
+        pair = self._report(left, x_v, self.sup_w + semi_w, self.sup_diff + semi_diff)
+        return pair, self._report(zero[0], x_v, 0.0, x_v) if zero else None
+
+    def _report(self, left: float, x_v: float, x_w: float, x_diff: float) -> LipschitzReport:
+        bound = self.model.d * max(x_v, x_w, x_v**2, x_w**2) * x_diff
         ratio = left / bound if bound > 0.0 else 0.0
         return LipschitzReport(left=left, bound=bound, ratio=ratio, x_v=x_v, x_w=x_w, x_diff=x_diff)
-
-
-def lipschitz_probe(
-    v: Trajectory,
-    w: Trajectory,
-    model: ReducedModel,
-    p: float | None = None,
-    cylinders: CylinderLadder | None = None,
-    truncated: bool = False,
-) -> LipschitzReport:
-    """Compare ||F(v) - F(w)||_Yp against d * max{||v||, ||w||, ||v||^2,
-    ||w||^2} * ||v - w||_Xp (the growth and difference exponents mu = nu = 1
-    of the quadratic flux) and report left/right.
-
-    One pass over blocks of time nodes takes the gradients of v and w from
-    one forward transform of each, F(v) - F(w) from one dealiased transform
-    of the difference of the nodal products, and grad(v - w) as the
-    difference of the nodal gradients. The magnitudes of those four vector
-    fields are fed block by block to four cylinder scans, so none of them
-    is held for the whole trajectory; a non-finite magnitude raises in the
-    block where it appears.
-
-    Identical trajectories report ratio 0 by convention.
-    """
-    if v.grid != w.grid or not np.array_equal(v.tg.times, w.tg.times):
-        raise ValueError("trajectories must share grid and time grid")
-    grid = v.grid
-    probe = _LipschitzPass(grid, v.tg, model, p, cylinders, truncated)
-    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
-        vb, wb = v.values[b], w.values[b]
-        probe.add(vb, wb, spectral_gradient(vb, grid), spectral_gradient(wb, grid))
-    return probe.result()
 
 
 def _heat_flow_probes(
@@ -353,18 +296,14 @@ def _heat_flow_probes(
     cylinders: CylinderLadder | None,
     against_zero: bool = False,
 ) -> tuple[LipschitzReport, LipschitzReport | None]:
-    """lipschitz_probe(v, w, model, p, cylinders) of the heat flows v and w
-    of the data v0 and w0, and with against_zero also lipschitz_probe(v, 0,
-    ...) (else None), holding neither flow whole: their blocks of time nodes
-    go from the heat-flow generator straight into the probes' passes, and
-    the probe against zero shares v's blocks and gradients.
+    """The Lipschitz probe (_LipschitzPass) of the heat flows v and w of the
+    data v0 and w0, and with against_zero also of v against w = 0 (else
+    None), holding neither flow whole: their blocks of time nodes go from
+    the heat-flow generator straight into one pass, each flow's gradients
+    from one forward transform of its block.
     """
     grid = v0.grid
-    pair = _LipschitzPass(grid, tg, model, p, cylinders, False)
-    zero = _LipschitzPass(grid, tg, model, p, cylinders, False) if against_zero else None
+    probe = _LipschitzPass(grid, tg, model, p, cylinders, against_zero)
     for (_, _, v), (_, _, w) in zip(_heat_flow_blocks(v0, tg), _heat_flow_blocks(w0, tg)):
-        gv = spectral_gradient(v, grid)
-        pair.add(v, w, gv, spectral_gradient(w, grid))
-        if zero is not None:
-            zero.add(v, np.zeros_like(v), gv, np.zeros_like(gv))
-    return pair.result(), None if zero is None else zero.result()
+        probe.add(v, w, spectral_gradient(v, grid), spectral_gradient(w, grid))
+    return probe.result()

@@ -194,13 +194,11 @@ def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
     return ((b, coeffs, values) for b, (coeffs, values) in zip(blocks, _duhamel_blocks(h, divs, tg)))
 
 
-def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory | None, tg: TimeGrid) -> Trajectory:
+def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> Trajectory:
     """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
     Duhamel recurrence on the divergence of a nodal FluxTrajectory aligned
-    with tg, or the homogeneous flow when forcing is None.
+    with tg.
     """
-    if forcing is None:
-        return heat_flow_trajectory(h, tg)
     values = np.empty((len(tg), h.d) + h.grid.shape)
     for b, _, block in _forced_blocks(h, forcing, tg):
         values[b] = block

@@ -68,7 +68,6 @@ def imex_solve(
     tg: TimeGrid,
     truncated: bool = True,
     dt: float | None = None,
-    blowup_factor: float = BLOWUP_FACTOR,
 ) -> Trajectory:
     """Integrating-factor Heun (IF-RK2) with exact diffusion. With
     E = exp(sub * Lap) and N(w) = div F(w), one step of length sub is
@@ -76,7 +75,9 @@ def imex_solve(
     Every segment of tg is split into ceil(segment / dt) equal steps, so every
     output time is hit exactly; the default dt is the longest segment (one
     step per segment). Each species' spatial mean is conserved to round-off
-    (the mean mode of a spectral divergence is identically zero).
+    (the mean mode of a spectral divergence is identically zero). A state
+    whose sup exceeds BLOWUP_FACTOR * sup(h), or is not finite, raises
+    DivergedError.
     """
     grid = h.grid
     if dt is None:
@@ -90,7 +91,7 @@ def imex_solve(
 
     values = np.empty((len(tg), h.d) + grid.shape)
     values[0] = h.stack()
-    cap = blowup_factor * max(float(np.max(np.abs(values[0]))), 1e-300)
+    cap = BLOWUP_FACTOR * max(float(np.max(np.abs(values[0]))), 1e-300)
 
     def transport(what: np.ndarray, t: float) -> np.ndarray:
         spec[:, 0] = what

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, SpeciesVector, read_snapshot, write_snapshot
+from .fields import GridSpec, ScalarField, read_snapshot, write_snapshot
 
 __all__ = ["TimeGrid", "Trajectory", "FluxTrajectory", "trajectory_difference"]
 
@@ -91,9 +91,6 @@ class Trajectory:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def state(self, k: int) -> SpeciesVector:
-        return SpeciesVector.from_array(self.grid, self.values[k])
 
     def sup_norm(self) -> float:
         return _abs_max(self.values)
@@ -301,10 +298,6 @@ class FluxTrajectory:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def magnitudes(self) -> np.ndarray:
-        """Euclidean |F| per (time, species), shape (n_times, d, *grid.shape)."""
-        return vector_magnitudes(self.values)
 
 
 def vector_magnitudes(vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -22,7 +22,14 @@ from crossdiff.carleson import (
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
 from crossdiff.harness import InitialDataSpec, generate_initial_data
 from crossdiff.semigroup import _forced_blocks, duhamel_solve, heat_flow_trajectory
-from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
+from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
+
+
+def _scan_whole(grid, times, mags, p, ladder):
+    """The cylinder scan fed the magnitudes of every time node at once."""
+    scan = carleson._CylinderScan(grid, times, p, ladder)
+    scan.add(mags)
+    return scan.result()
 
 
 def _scan_per_cylinder(grid, times, mags, p, cylinders):
@@ -276,7 +283,7 @@ class TestGradientMagnitudes:
             node = 3 * grid.num_nodes * 8
             monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", block_nodes * node)
         mags = carleson._gradient_magnitudes(to_coeffs(vals, grid), grid)
-        assert np.array_equal(mags, gradient_flux(Trajectory(grid, tg, vals)).magnitudes())
+        assert np.array_equal(mags, vector_magnitudes(gradient_flux(Trajectory(grid, tg, vals)).values))
 
 
 def _magnitudes(kind, tg, ladder, d=3):
@@ -308,7 +315,7 @@ class TestScanMatchesPerCylinderLoop:
     @staticmethod
     def _assert_same(grid, tg, mags, p, ladder):
         ref = _scan_per_cylinder(grid, tg.times, mags, p, _expand(ladder))
-        assert carleson._scan_cylinders(grid, tg.times, mags, p, ladder) == ref
+        assert _scan_whole(grid, tg.times, mags, p, ladder) == ref
         return ref
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
@@ -386,7 +393,7 @@ class TestScanMatchesPerCylinderLoop:
         with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius} cylinders"):
             self._assert_same(grid, tg, mags, 4.0, partly)
         empty = CylinderLadder(grid, (1e-4, 2e-4), ladder.stride)
-        for scan in (_scan_per_cylinder, carleson._scan_cylinders):
+        for scan in (_scan_per_cylinder, _scan_whole):
             cylinders = _expand(empty) if scan is _scan_per_cylinder else empty
             with pytest.raises(ValueError, match="no cylinder window"):
                 with pytest.warns(UserWarning, match="skipped"):
@@ -418,7 +425,7 @@ class TestScanBlocksAndWindows:
         mags = _magnitudes(kind, tg, ladder)
         ref = _scan_per_cylinder(grid, tg.times, mags, 4.0, _expand(ladder))
         monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", 1)
-        assert carleson._scan_cylinders(grid, tg.times, mags, 4.0, ladder) == ref
+        assert _scan_whole(grid, tg.times, mags, 4.0, ladder) == ref
 
     def test_several_blocks_at_2d_n64(self):
         # about five radii of 3 species per block of spectra
@@ -428,7 +435,7 @@ class TestScanBlocksAndWindows:
         assert 2 * 3 * grid.num_nodes * 8 * len(ladder.radii) > carleson.MAGNITUDE_BLOCK_BYTES
         mags = _magnitudes("random", tg, ladder)
         ref = _scan_per_cylinder(grid, tg.times, mags, 5.0, _expand(ladder))
-        assert carleson._scan_cylinders(grid, tg.times, mags, 5.0, ladder) == ref
+        assert _scan_whole(grid, tg.times, mags, 5.0, ladder) == ref
 
     def test_window_table_cached_and_read_only(self, setup):
         grid, tg, ladder = setup
@@ -448,8 +455,8 @@ class TestScanBlocksAndWindows:
         grid, tg, ladder = setup
         mags = np.random.default_rng(4).random((len(tg), 2) + grid.shape)
         carleson._cylinder_windows.cache_clear()
-        carleson._scan_cylinders(grid, tg.times, mags, 4.0, ladder)
-        carleson._scan_cylinders(grid, tg.times, 2.0 * mags, 4.0, ladder)
+        _scan_whole(grid, tg.times, mags, 4.0, ladder)
+        _scan_whole(grid, tg.times, 2.0 * mags, 4.0, ladder)
         info = carleson._cylinder_windows.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -466,7 +473,7 @@ class TestTieBetweenRadii:
         ladder = CylinderLadder(grid, (0.25, 0.5), 4)
         mags = np.zeros((3, 2) + grid.shape)
         mags[1], mags[2] = 2.0, 1.0
-        best, cyl, sp, scanned, skipped = carleson._scan_cylinders(grid, times, mags, 4.0, ladder)
+        best, cyl, sp, scanned, skipped = _scan_whole(grid, times, mags, 4.0, ladder)
         assert best == 0.5
         assert (cyl, sp) == (CylinderSpec((0.0,) * n, 0.25), 0)
         assert (scanned, skipped) == (len(ladder), 0)
@@ -481,8 +488,9 @@ def _fed_in_blocks(grid, times, mags, p, ladder, nodes):
 
 
 class TestStreamingScan:
-    """The scan fed blocks of time nodes returns _scan_cylinders' tuple bit
-    for bit, however the blocks fall across the windows."""
+    """The scan fed blocks of time nodes returns the tuple of the scan fed
+    every node at once, bit for bit, however the blocks fall across the
+    windows."""
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     @pytest.mark.parametrize("p", [2.5, 4.0, 5.0])
@@ -495,7 +503,7 @@ class TestStreamingScan:
         # blocks of 3 nodes split windows
         assert any(win[0].start // 3 != (win[0].stop - 1) // 3 for win in windows)
         mags = _magnitudes("random", tg, ladder)
-        ref = carleson._scan_cylinders(grid, tg.times, mags, p, ladder)
+        ref = _scan_whole(grid, tg.times, mags, p, ladder)
         assert _fed_in_blocks(grid, tg.times, mags, p, ladder, nodes) == ref
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
@@ -508,7 +516,7 @@ class TestStreamingScan:
         partly = CylinderLadder(grid, (1e-4, 2e-4) + ladder.radii, ladder.stride)
         mags = _magnitudes(kind, tg, ladder)
         with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius}"):
-            ref = carleson._scan_cylinders(grid, tg.times, mags, 4.0, partly)
+            ref = _scan_whole(grid, tg.times, mags, 4.0, partly)
         with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius}"):
             assert _fed_in_blocks(grid, tg.times, mags, 4.0, partly, nodes) == ref
 
@@ -525,15 +533,15 @@ class TestStreamingScan:
 def _xp_whole_array(traj, p, ladder):
     """xp_seminorm with the magnitudes of the whole trajectory in one array."""
     mags = carleson._gradient_magnitudes(to_coeffs(traj.values, traj.grid), traj.grid)
-    semi, cyl, sp, scanned, skipped = carleson._scan_cylinders(
+    semi, cyl, sp, scanned, skipped = _scan_whole(
         traj.grid, traj.tg.times, mags, p, ladder)
     return carleson.NormReport(p, traj.sup_norm(), semi, cyl, sp, scanned, skipped, traj.grid)
 
 
 def _yp_whole_array(flux, p, ladder):
     """yp_norm with the magnitudes of the whole trajectory in one array."""
-    mags = flux.magnitudes()
-    semi, cyl, sp, scanned, skipped = carleson._scan_cylinders(
+    mags = vector_magnitudes(flux.values)
+    semi, cyl, sp, scanned, skipped = _scan_whole(
         flux.grid, flux.tg.times, mags, p, ladder)
     return carleson.NormReport(p, float(np.max(mags)), semi, cyl, sp, scanned, skipped, flux.grid)
 
@@ -599,7 +607,7 @@ def _ratio_separate_passes(h, flux, tg, p, cylinders):
     _, coeffs, values = zip(*_forced_blocks(h, flux, tg))
     coeffs, values = np.concatenate(coeffs), np.concatenate(values)
     mags = carleson._gradient_magnitudes(coeffs, h.grid)
-    semi = carleson._scan_cylinders(h.grid, tg.times, mags, p, cylinders)[0]
+    semi = _scan_whole(h.grid, tg.times, mags, p, cylinders)[0]
     num = Trajectory(h.grid, tg, values).sup_norm() + semi
     return num / (yp_norm(flux, p, cylinders).seminorm + h.sup_norm())
 

@@ -97,6 +97,25 @@ def test_out_of_range_value_exits_with_usage_code(tmp_path, flag, value, match, 
     assert not (tmp_path / "run").exists()
 
 
+def test_unparsable_flag_names_its_parser(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--p", "abc", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "argument --p: invalid optional float value: 'abc'" in capsys.readouterr().err
+
+
+def test_unparsable_config_value_names_its_section_and_key(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text("[norms]\np = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: [norms] p = 'abc': could not convert")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_kmax_too_large_for_grid_exits_with_usage_code(tmp_path, capsys):
     # the default kmax=8 needs N >= 18; the generator, not the config, rejects it
     with pytest.raises(SystemExit) as exc:

@@ -25,12 +25,10 @@ from crossdiff.model import (
     LipschitzReport,
     RawCoefficients,
     ReducedModel,
-    flux,
-    flux_coeffs,
     flux_trajectory,
     _divergence_coeffs,
     _heat_flow_probes,
-    lipschitz_probe,
+    _LipschitzPass,
     reduce_coefficients,
 )
 from crossdiff.semigroup import heat_flow_trajectory
@@ -45,17 +43,44 @@ from crossdiff.trajectory import (
 ALPHA3 = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _probe_whole_array(v, w, model, p, cylinders, truncated):
-    """lipschitz_probe with the magnitudes of |F(v) - F(w)|, |grad v|, |grad w|
-    and |grad v - grad w| held for the whole trajectory, then scanned."""
+def _flux(w, g, m, truncated=True):
+    """The nodal flux of one state w (d, *g.shape), as flux_trajectory
+    evaluates it along a trajectory."""
+    return flux_trajectory(Trajectory(g, TimeGrid.uniform(1.0, 1), np.stack([w, w])),
+                           m, truncated).values[0]
+
+
+def _probe(v, w, model, p=None, cylinders=None, against_zero=False):
+    """The Lipschitz pass of the trajectories v and w, fed FLUX_BLOCK_BYTES
+    blocks of time nodes with their gradients: (report of v against w,
+    report of v against 0 or None)."""
+    grid = v.grid
+    probe = _LipschitzPass(grid, v.tg, model, p, cylinders, against_zero)
+    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, model_module.FLUX_BLOCK_BYTES):
+        vb, wb = v.values[b], w.values[b]
+        probe.add(vb, wb, spectral_gradient(vb, grid), spectral_gradient(wb, grid))
+    return probe.result()
+
+
+def _scan_whole(grid, times, mags, p, cylinders):
+    """The cylinder scan of magnitudes held for the whole trajectory."""
+    scan = carleson._CylinderScan(grid, times, p, cylinders)
+    scan.add(mags)
+    return scan.result()
+
+
+def _probe_whole_array(v, w, model, p, cylinders):
+    """The Lipschitz report of v against w with the magnitudes of
+    |F(v) - F(w)|, |grad v|, |grad w| and |grad v - grad w| held for the
+    whole trajectory, then scanned."""
     grid = v.grid
     mags = np.empty((4,) + v.values.shape)
     sup_diff = 0.0
     for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, model_module.FLUX_BLOCK_BYTES):
         gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
         gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
-        prod = model_module._flux_products(v.values[b], grid, model, truncated, gv)
-        prod -= model_module._flux_products(w.values[b], grid, model, truncated, gw)
+        prod = model_module._flux_products(v.values[b], grid, model, False, gv)
+        prod -= model_module._flux_products(w.values[b], grid, model, False, gw)
         vector_magnitudes(from_coeffs(model_module._dealiased_coeffs(prod, grid), grid),
                           out=mags[0, b])
         vector_magnitudes(gv, out=mags[1, b])
@@ -64,10 +89,11 @@ def _probe_whole_array(v, w, model, p, cylinders, truncated):
         vector_magnitudes(gv, out=mags[3, b])
         diff = v.values[b] - w.values[b]
         sup_diff = max(sup_diff, float(np.maximum(diff.max(), -diff.min())))
-    left, semi_v, semi_w, semi_diff = (
-        carleson._scan_cylinders(grid, v.tg.times, m, p, cylinders)[0] for m in mags)
+    left, semi_v, semi_w, semi_diff = (_scan_whole(grid, v.tg.times, m, p, cylinders)[0] for m in mags)
     x_v, x_w = v.sup_norm() + semi_v, w.sup_norm() + semi_w
     x_diff = sup_diff + semi_diff
+    if x_diff == 0.0:  # identical trajectories report ratio 0
+        return LipschitzReport(left=left, bound=0.0, ratio=0.0, x_v=x_v, x_w=x_w, x_diff=0.0)
     bound = model.d * max(x_v, x_w, x_v**2, x_w**2) * x_diff
     return LipschitzReport(left=left, bound=bound, ratio=left / bound, x_v=x_v, x_w=x_w,
                            x_diff=x_diff)
@@ -78,7 +104,7 @@ class TestRawCoefficients:
         raw = RawCoefficients.from_upper_triangle(3, [0.9, 1.1, 1.0])
         assert raw.K[0, 1] == raw.K[1, 0] == 0.9
         assert raw.K[0, 2] == raw.K[2, 0] == 1.1
-        assert raw.upper_triangle() == [0.9, 1.1, 1.0]
+        assert raw.K[np.triu_indices(3, 1)].tolist() == [0.9, 1.1, 1.0]
 
     def test_asymmetric_rejected(self):
         K = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -131,14 +157,14 @@ class TestNonlinearity:
         g = make_grid(1, 32)
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1)
         w = np.stack([np.full(g.shape, 0.03), np.full(g.shape, 0.07)])
-        assert np.max(np.abs(flux(w, g, m))) == 0.0
+        assert np.max(np.abs(_flux(w, g, m))) == 0.0
 
     def test_equal_species_cancel(self):
         g = make_grid(1, 32)
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
         v = np.sin(2 * math.pi * g.axes()[0]) * 0.1 + 0.3
         w = np.stack([v, v])
-        assert np.max(np.abs(flux(w, g, m, truncated=False))) < 1e-16
+        assert np.max(np.abs(_flux(w, g, m, truncated=False))) < 1e-16
 
     def test_flux_matches_finite_difference_oracle(self):
         # F_1 = w_2 w_1' - w_1 w_2' with derivatives from centered differences
@@ -149,7 +175,7 @@ class TestNonlinearity:
         w2 = lambda y: b * np.cos(2 * math.pi * y) + c
         m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
         w = np.stack([w1(x), w2(x)])
-        out = flux(w, g, m, truncated=False)
+        out = _flux(w, g, m, truncated=False)
         h = 1.0 / 65536.0
         d1 = (w1(x + h) - w1(x - h)) / (2 * h)
         d2 = (w2(x + h) - w2(x - h)) / (2 * h)
@@ -163,8 +189,8 @@ class TestNonlinearity:
         m = ReducedModel.from_alpha(np.array([[0.0, -1.0], [-1.0, 0.0]]), 0.5)
         vals = 0.1 + 0.05 * np.stack([random_band_limited(g, rng, 6).values for _ in range(2)])
         lam = 0.5
-        f1 = flux(lam * vals, g, m)
-        f0 = flux(vals, g, m)
+        f1 = _flux(lam * vals, g, m)
+        f0 = _flux(vals, g, m)
         assert np.max(np.abs(f1 - lam**2 * f0)) < 1e-15
 
     def test_species_sum_vanishes_for_symmetric_coupling(self):
@@ -173,7 +199,7 @@ class TestNonlinearity:
         alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
         m = ReducedModel.from_alpha(alpha, 0.2)
         vals = 0.05 + 0.02 * np.stack([random_band_limited(g, rng, 8).values for _ in range(3)])
-        total = flux(vals, g, m).sum(axis=0)
+        total = _flux(vals, g, m).sum(axis=0)
         assert np.max(np.abs(total)) < 1e-12
 
     def test_truncation_only_touches_undifferentiated_factors(self):
@@ -185,7 +211,7 @@ class TestNonlinearity:
         w1 = 0.3 + 0.05 * np.sin(2 * math.pi * x)  # always above delta
         w2 = 0.02 + 0.01 * np.cos(2 * math.pi * x)  # always inside [0, delta]
         w = np.stack([w1, w2])
-        out = flux(w, g, m, truncated=True)
+        out = _flux(w, g, m, truncated=True)
         d1 = 0.05 * 2 * math.pi * np.cos(2 * math.pi * x)
         d2 = -0.01 * 2 * math.pi * np.sin(2 * math.pi * x)
         expect = w2 * d1 - delta * d2  # w_1 clamped to delta only where undifferentiated
@@ -204,30 +230,15 @@ class TestFluxTrajectory:
         vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
         node_bytes = 3 * n * g.num_nodes * 8
         monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", 5 * node_bytes)
-        real = model_module.flux
+        real = model_module._flux_products
         blocks = []
-        monkeypatch.setattr(model_module, "flux", lambda v, *a: blocks.append(len(v)) or real(v, *a))
+        monkeypatch.setattr(model_module, "_flux_products",
+                            lambda v, *a: blocks.append(len(v)) or real(v, *a))
         out = flux_trajectory(Trajectory(g, tg, vals), m, truncated).values
         assert blocks == [5, 5, 3]
-        per_node = np.stack([real(vals[k], g, m, truncated) for k in range(len(tg))])
+        monkeypatch.undo()
+        per_node = np.stack([_flux(vals[k], g, m, truncated) for k in range(len(tg))])
         assert np.array_equal(out, per_node)
-
-
-    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
-    @pytest.mark.parametrize("truncated", [True, False])
-    def test_given_gradient_equals_computed(self, n, N, truncated):
-        g = make_grid(n, N)
-        tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
-        alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
-        m = ReducedModel.from_alpha(alpha, 0.05)
-        vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
-        grads = spectral_gradient(vals, g)
-        for k in (0, len(tg) - 1):
-            assert np.array_equal(flux(vals[k], g, m, truncated, grads[k]),
-                                  flux(vals[k], g, m, truncated))
-        traj = Trajectory(g, tg, vals)
-        assert np.array_equal(flux_trajectory(traj, m, truncated, grads).values,
-                              flux_trajectory(traj, m, truncated).values)
 
 
 class TestFluxDivergence:
@@ -242,12 +253,6 @@ class TestFluxDivergence:
         got = _divergence_coeffs(vals, spectral_gradient(vals, g), g, m, truncated)
         ref = spectral_divergence(flux_trajectory(Trajectory(g, tg, vals), m, truncated).values, g)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_nodal_flux_is_its_coefficients_transformed_back(self):
-        g = make_grid(2, 16)
-        m = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.05)
-        vals = 0.02 + 0.05 * np.random.default_rng(2).standard_normal((2,) + g.shape)
-        assert np.array_equal(flux(vals, g, m), from_coeffs(flux_coeffs(vals, g, m), g))
 
 
 class TestLipschitzProbe:
@@ -269,48 +274,51 @@ class TestLipschitzProbe:
     def test_identical_trajectories_report_zero(self):
         _, _, m, traj = self._setup()
         v = traj(1.0)
-        rep = lipschitz_probe(v, v, m)
+        rep, _ = _probe(v, v, m)
         assert rep.ratio == 0.0
         assert rep.left == 0.0
 
     def test_zero_reference_reduces_to_quadratic_bound(self):
         g, tg, m, traj = self._setup()
-        v = traj(1.0)
-        zero = Trajectory(g, tg, np.zeros_like(v.values))
-        rep = lipschitz_probe(v, zero, m)
+        v, w = traj(1.0), traj(0.8)
+        rep, _ = _probe(v, Trajectory(g, tg, np.zeros_like(v.values)), m)
         assert rep.x_w == 0.0
         assert rep.x_diff == pytest.approx(rep.x_v)
         # with ||v|| < 1 the bound collapses to d ||v||^2
         assert rep.bound == pytest.approx(m.d * rep.x_v**2)
         assert 0.0 < rep.ratio < math.inf
+        # the fifth scan of a pass of v against any w reports the same
+        assert _probe(v, w, m, against_zero=True)[1] == rep
 
     def test_sweep_constants_bounded(self):
         g, tg, m, traj = self._setup()
-        ratios = [lipschitz_probe(traj(1.0), traj(0.8), m).ratio for _ in range(5)]
+        ratios = [_probe(traj(1.0), traj(0.8), m)[0].ratio for _ in range(5)]
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) < 10.0
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
-    @pytest.mark.parametrize("truncated", [True, False])
-    def test_report_equals_unshared_formulation(self, n, N, truncated):
+    @pytest.mark.parametrize("against_zero", [True, False])
+    def test_report_equals_unshared_formulation(self, n, N, against_zero):
         # one gradient per trajectory serves F and the Xp norm, so x_v and x_w
         # equal the unshared ones bit for bit; F(v) - F(w) is one transform
         # of the difference of the products and grad(v - w) the difference of
-        # the gradients, which moves left, x_diff, bound and ratio by round-off
+        # the gradients, which moves left, x_diff, bound and ratio by
+        # round-off. The report against zero, when asked for, takes F(v)
+        # from the same pass and leaves the report against w as it is.
         g = make_grid(n, N)
         tg = TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
         rng = np.random.default_rng(3 + n)
         m = ReducedModel.from_alpha(np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.05)
 
         def traj():
-            # values straddle [0, delta], so truncation is active when asked for
             vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, 3).values for _ in range(3)])
             return heat_flow_trajectory(SpeciesVector.from_array(g, vals), tg)
 
         v, w = traj(), traj()
         p, cyls = 4.5, enumerate_cylinders(g, tg)
-        rep = lipschitz_probe(v, w, m, p, cyls, truncated=truncated)
-        fdiff = flux_trajectory(v, m, truncated).values - flux_trajectory(w, m, truncated).values
+        rep, zero = _probe(v, w, m, p, cyls, against_zero)
+        fv = flux_trajectory(v, m, truncated=False).values
+        fdiff = fv - flux_trajectory(w, m, truncated=False).values
         left = yp_norm(FluxTrajectory(g, tg, fdiff), p, cyls).seminorm
         x_v, x_w = xp_norm(v, p, cyls), xp_norm(w, p, cyls)
         x_diff = xp_norm(trajectory_difference(v, w), p, cyls)
@@ -318,6 +326,14 @@ class TestLipschitzProbe:
         assert (rep.x_v, rep.x_w) == (x_v, x_w)
         for got, want in ((rep.left, left), (rep.x_diff, x_diff), (rep.bound, bound),
                           (rep.ratio, left / bound)):
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        if not against_zero:
+            assert zero is None
+            return
+        left = yp_norm(FluxTrajectory(g, tg, fv), p, cyls).seminorm
+        bound = m.d * max(x_v, x_v**2) * x_v
+        assert (zero.x_v, zero.x_w, zero.x_diff) == (x_v, 0.0, x_v)
+        for got, want in ((zero.left, left), (zero.bound, bound), (zero.ratio, left / bound)):
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @staticmethod
@@ -330,18 +346,19 @@ class TestLipschitzProbe:
 
         return traj(), traj()
 
-    @pytest.mark.parametrize("truncated", [True, False])
-    def test_transform_budget(self, truncated, transform_bytes):
+    @pytest.mark.parametrize("against_zero", [True, False])
+    def test_transform_budget(self, against_zero, transform_bytes):
         # in trajectories' worth: one forward transform of v and of w, n
         # inverse for each gradient, and one forward and one inverse of the
-        # d x n flux difference (separate fluxes and norms took 17)
+        # d x n flux difference (separate fluxes and norms took 17); against
+        # zero, one more forward and inverse of the d x n flux of v
         g, tg = make_grid(2, 16), TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
         v, w = self._pair(g, tg)
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         transform_bytes.clear()
-        lipschitz_probe(v, w, m, 4.5, cyls, truncated=truncated)
-        assert sum(transform_bytes) <= 10 * v.values.nbytes
+        _probe(v, w, m, 4.5, cyls, against_zero)
+        assert sum(transform_bytes) <= (14 if against_zero else 10) * v.values.nbytes
 
     def test_peak_memory(self):
         # only the four magnitude fields are held whole (4.6x the trajectory
@@ -352,7 +369,7 @@ class TestLipschitzProbe:
         cyls = enumerate_cylinders(g, tg)
         tracemalloc.start()
         try:
-            lipschitz_probe(v, w, m, None, cyls)
+            _probe(v, w, m, None, cyls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,18 +378,20 @@ class TestLipschitzProbe:
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     @pytest.mark.parametrize("nodes", [1, 3, None])
     def test_report_equals_whole_array_formulation(self, n, N, nodes, monkeypatch):
-        # the four scans fed block by block equal the scans of the four
-        # magnitude fields held whole, bit for bit, with the same blocks of
-        # transforms (None: the default FLUX_BLOCK_BYTES)
+        # the scans fed block by block equal the scans of the magnitude fields
+        # held whole, bit for bit, with the same blocks of transforms (None:
+        # the default FLUX_BLOCK_BYTES); the report against zero equals the
+        # whole-array report of v against an all-zero trajectory
         g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
         v, w = self._pair(g, tg, seed=6 + n)
+        zero = Trajectory(g, tg, np.zeros_like(v.values))
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         if nodes is not None:
             monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", nodes * v.values[0].nbytes * n)
-        for p, truncated in ((4.5, False), (5.0, True)):
-            assert lipschitz_probe(v, w, m, p, cyls, truncated) == _probe_whole_array(
-                v, w, m, p, cyls, truncated)
+        for p in (4.5, 5.0):
+            assert _probe(v, w, m, p, cyls, against_zero=True) == (
+                _probe_whole_array(v, w, m, p, cyls), _probe_whole_array(v, zero, m, p, cyls))
 
     def test_nan_in_last_block_rejected(self, monkeypatch):
         g, tg = make_grid(1, 16), TimeGrid.dyadic(0.05, levels=3, steps_per_level=3)
@@ -382,7 +401,7 @@ class TestLipschitzProbe:
         values[-1] *= 1e200
         monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", v.values[0].nbytes)  # one node
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-            lipschitz_probe(Trajectory(g, tg, values), w, ReducedModel.from_alpha(ALPHA3, 0.05))
+            _probe(Trajectory(g, tg, values), w, ReducedModel.from_alpha(ALPHA3, 0.05))
 
     def test_peak_memory_streamed(self):
         # the four magnitude fields go to the scans block by block and each
@@ -394,7 +413,7 @@ class TestLipschitzProbe:
         cyls = enumerate_cylinders(g, tg)
         tracemalloc.start()
         try:
-            lipschitz_probe(v, w, m, None, cyls)
+            _probe(v, w, m, None, cyls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -406,14 +425,14 @@ class TestLipschitzProbe:
         # finite states whose products overflow
         huge = Trajectory(g, tg, 1e200 * v.values)
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
-            lipschitz_probe(huge, w, ReducedModel.from_alpha(ALPHA3, 0.05))
+            _probe(huge, w, ReducedModel.from_alpha(ALPHA3, 0.05))
 
     @pytest.mark.parametrize("p", [1.0, math.inf])
     def test_exponent_validated(self, p):
         g, tg = make_grid(1, 16), TimeGrid.dyadic(0.05, levels=3, steps_per_level=3)
         v, w = self._pair(g, tg)
         with pytest.raises(ValueError, match="p in"):
-            lipschitz_probe(v, w, ReducedModel.from_alpha(ALPHA3, 0.05), p)
+            _probe(v, w, ReducedModel.from_alpha(ALPHA3, 0.05), p)
 
     def test_flux_trajectory_shapes(self):
         g, tg, m, traj = self._setup()
@@ -424,7 +443,7 @@ class TestLipschitzProbe:
 
 class TestHeatFlowProbes:
     """The probes of check_lipschitz's samples, fed the heat flows block by
-    block, against lipschitz_probe on the flows held whole."""
+    block, against the whole-array reports of the flows held whole."""
 
     @staticmethod
     def _data(g, seed, kmax=3):
@@ -440,9 +459,30 @@ class TestHeatFlowProbes:
         cyls = enumerate_cylinders(g, tg)
         v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
         zero = Trajectory(g, tg, np.zeros_like(v.values))
-        want = lipschitz_probe(v, w, m, 4.5, cyls), lipschitz_probe(v, zero, m, 4.5, cyls)
+        want = _probe_whole_array(v, w, m, 4.5, cyls), _probe_whole_array(v, zero, m, 4.5, cyls)
         assert _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True) == want
         assert _heat_flow_probes(v0, w0, tg, m, 4.5, cyls) == (want[0], None)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("w_is", ["zero", "v"])
+    def test_equal_probes_of_degenerate_pairs(self, n, N, w_is):
+        # w = 0: the report against w is the report against zero; w = v:
+        # ratio 0 by convention, and the report against zero as for any w
+        g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
+        v0 = self._data(g, 40 + n)[0]
+        w0 = SpeciesVector.from_array(g, np.zeros_like(v0.stack())) if w_is == "zero" else v0
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
+        zero = Trajectory(g, tg, np.zeros_like(v.values))
+        want = _probe_whole_array(v, w, m, 4.5, cyls), _probe_whole_array(v, zero, m, 4.5, cyls)
+        got = _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True)
+        assert got == want
+        if w_is == "zero":
+            assert got[0] == got[1]
+        else:
+            assert (got[0].ratio, got[0].bound, got[0].x_diff) == (0.0, 0.0, 0.0)
+        assert got[1].ratio > 0.0
 
     def test_transforms_no_more_than_held_flows(self, transform_bytes):
         g, tg = make_grid(2, 16), TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
@@ -450,8 +490,7 @@ class TestHeatFlowProbes:
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
-        lipschitz_probe(v, w, m, 4.5, cyls)
-        lipschitz_probe(v, Trajectory(g, tg, np.zeros_like(v.values)), m, 4.5, cyls)
+        _probe(v, w, m, 4.5, cyls, against_zero=True)
         held = sum(transform_bytes)
         transform_bytes.clear()
         _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True)
@@ -471,3 +510,19 @@ class TestHeatFlowProbes:
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * len(tg) * v0.stack().nbytes
+
+    def test_peak_memory_against_zero(self):
+        # the probe against zero is a fifth scan of the same pass: 1.67x the
+        # trajectory measured; a second pass over an all-zero flow beside
+        # the first peaked at 2.28x
+        g, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        v0, w0 = self._data(g, 5, kmax=6)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        tracemalloc.start()
+        try:
+            _heat_flow_probes(v0, w0, tg, m, None, cyls, against_zero=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * len(tg) * v0.stack().nbytes

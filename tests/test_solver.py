@@ -244,7 +244,7 @@ class TestPicard:
     def test_matches_refined_imex(self, small):
         grid, tg, model, h = small
         traj, _ = picard_solve(h, model, tg, metric="sup")
-        oracle = imex_solve(h, model, tg, dt=0.25 * grid.spacing**2 / 4)
+        oracle = imex_solve(h, model, tg, dt=0.25 / grid.N**2 / 4)
         rel = np.max(np.abs(traj.values - oracle.values)) / np.max(np.abs(oracle.values))
         assert rel < 1e-3
 
@@ -361,7 +361,9 @@ def _picard_whole_array(h, model, tg, truncated, metric):
         dist = float(np.max(np.abs(next_values - values)))
         if metric == "xp":
             mags = carleson._gradient_magnitudes(next_coeffs - coeffs, grid)
-            dist += carleson._scan_cylinders(grid, tg.times, mags, p, cylinders)[0]
+            scan = carleson._CylinderScan(grid, tg.times, p, cylinders)
+            scan.add(mags)
+            dist += scan.result()[0]
         distances.append(dist)
         values, coeffs = next_values, next_coeffs
         if dist < 1e-12:
