@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .fields import (
     GridSpec,
-    ScalarField,
     SpeciesVector,
     make_grid,
     random_band_limited,

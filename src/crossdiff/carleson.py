@@ -21,6 +21,7 @@ import numpy as np
 from .fields import (
     GridSpec,
     SpeciesVector,
+    _abs_max,
     derivative_symbol,
     from_coeffs,
     gradient_from_coeffs,
@@ -29,7 +30,7 @@ from .fields import (
     to_coeffs,
 )
 from .semigroup import _forced_blocks
-from .trajectory import FluxTrajectory, TimeGrid, Trajectory, _abs_max, vector_magnitudes
+from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
     "CylinderSpec",

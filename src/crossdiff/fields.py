@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
-    "ScalarField",
     "SpeciesVector",
     "make_grid",
     "gradient_from_coeffs",
@@ -64,57 +63,39 @@ def make_grid(n: int, N: int) -> GridSpec:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """One real scalar quantity sampled at the grid nodes."""
+class SpeciesVector:
+    """The d species of a datum on one grid: values of shape (d, *grid.shape),
+    d >= 1, checked once, copied and read-only."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
+        v = np.array(self.values, dtype=float)
+        if v.ndim != 1 + self.grid.n or v.shape[1:] != self.grid.shape or not len(v):
+            raise ValueError(f"values shape {v.shape} is not species x grid {self.grid.shape}")
+        _check_finite(v, "species")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-@dataclass(frozen=True)
-class SpeciesVector:
-    """Tuple of d scalar fields on one common grid."""
-
-    fields: tuple[ScalarField, ...]
-
-    def __post_init__(self):
-        fields = tuple(self.fields)
-        if not fields:
-            raise ValueError("species vector must contain at least one field")
-        grid = fields[0].grid
-        if any(f.grid != grid for f in fields):
-            raise ValueError("all species must share one grid")
-        object.__setattr__(self, "fields", fields)
 
     @property
     def d(self) -> int:
-        return len(self.fields)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.fields[0].grid
-
-    @classmethod
-    def from_array(cls, grid: GridSpec, values: np.ndarray) -> "SpeciesVector":
-        values = np.asarray(values, dtype=float)
-        return cls(tuple(ScalarField(grid, values[i]) for i in range(values.shape[0])))
-
-    def stack(self) -> np.ndarray:
-        return np.stack([f.values for f in self.fields])
+        return len(self.values)
 
     def sup_norm(self) -> float:
-        return max(f.sup_norm() for f in self.fields)
+        return _abs_max(self.values)
+
+
+def _abs_max(values: np.ndarray) -> float:
+    # max |v| without the temporary np.abs(values) would allocate
+    return float(np.maximum(values.max(), -values.min()))
+
+
+def _check_finite(values: np.ndarray, kind: str):
+    # min and max propagate NaN and show any infinity, and unlike
+    # isfinite().all() they allocate no temporary the size of the values
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{kind} values must be finite")
 
 
 # -- spectral plumbing shared by the solver modules -------------------------
@@ -281,8 +262,8 @@ def random_band_limited(
     kmax: int,
     amplitude: float = 1.0,
     mean: float = 0.0,
-) -> ScalarField:
-    """Random real field supported on modes 0 < max|k_m| <= kmax.
+) -> np.ndarray:
+    """Nodal values of a random real field supported on modes 0 < max|k_m| <= kmax.
 
     The draw order is fixed and independent of N, so the same (seed, kmax)
     yields the same continuum field on every grid resolution.
@@ -308,7 +289,7 @@ def random_band_limited(
         column = k2 == 0
         coeffs[-k1[column] % N, 0] = np.conj(c[column])
     coeffs[(0,) * grid.n] = mean
-    return ScalarField(grid, from_coeffs(coeffs, grid))
+    return from_coeffs(coeffs, grid)
 
 
 # -- snapshot text format ----------------------------------------------------
@@ -322,23 +303,23 @@ def _snapshot_template(grid: GridSpec) -> str:
     return "".join(" ".join(f"{x:.17g}" for x in row) + " %.17g\n" for row in zip(*coords))
 
 
-def write_snapshot(field: ScalarField, t: float, path):
-    """Columnar text snapshot: header '# n N t', one row 'x_1 .. x_n value' per node.
+def write_snapshot(values: np.ndarray, grid: GridSpec, t: float, path):
+    """Columnar text snapshot of one field's nodal values (grid.shape): header
+    '# n N t', one row 'x_1 .. x_n value' per node.
 
     Every number is written as '%.17g', so values read back bit for bit.
     """
-    grid = field.grid
-    body = _snapshot_template(grid) % tuple(field.values.ravel().tolist())
+    body = _snapshot_template(grid) % tuple(values.ravel().tolist())
     with open(path, "w") as fh:
         fh.write(f"# {grid.n} {grid.N} {t:.17g}\n" + body)
 
 
-def read_snapshot(path) -> tuple[ScalarField, float]:
-    """Read a write_snapshot file: the field and its time.
+def read_snapshot(path) -> tuple[np.ndarray, GridSpec, float]:
+    """Read a write_snapshot file: the nodal values, their grid and time.
 
     The body is split once and only its value column, every (n+1)-th
     number, is converted; a body of any other length, or a value that is
-    not a number, raises a ValueError that names the file.
+    not a finite number, raises a ValueError that names the file.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -353,6 +334,7 @@ def read_snapshot(path) -> tuple[ScalarField, float]:
                          f"{grid.num_nodes} rows of {n + 1}")
     try:
         values = np.array([float(x) for x in tokens[n::n + 1]])
+        _check_finite(values, "snapshot")
     except ValueError as exc:
         raise ValueError(f"bad value in snapshot {path}: {exc}") from None
-    return ScalarField(grid, values.reshape(grid.shape)), t
+    return values.reshape(grid.shape), grid, t

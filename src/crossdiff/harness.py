@@ -32,7 +32,6 @@ from .carleson import (
 from .fields import (
     FLUX_BLOCK_BYTES,
     GridSpec,
-    ScalarField,
     SpeciesVector,
     from_coeffs,
     index_blocks,
@@ -85,7 +84,7 @@ __all__ = [
 
 _SECTIONS = {
     "grid": ["n", "N"],
-    "model": ["d", "coefficients", "delta", "closeness_threshold"],
+    "model": ["d", "coefficients", "delta"],
     "initial": ["generator", "seed", "kmax", "smoothing", "amplitude"],
     "time": ["t_end", "levels", "steps_per_level"],
     "solver": ["scheme", "truncated", "tol", "max_iter", "metric"],
@@ -97,7 +96,10 @@ _SECTIONS = {
 # parsers of config values as the INI file and the CLI flags write them,
 # named for argparse, which names a flag's bad value by its parser's name
 def boolean(s: str) -> bool:
-    return s.lower() in ("1", "true", "yes", "on")
+    value = s.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected one of 1, true, yes, on, 0, false, no, off")
+    return value in ("1", "true", "yes", "on")
 
 
 def floats(s: str) -> tuple[float, ...]:
@@ -116,7 +118,7 @@ _PARSERS = {
     "n": int, "N": int, "d": int, "seed": int, "kmax": int, "levels": int,
     "steps_per_level": int, "max_iter": int, "radii_per_octave": int,
     "stability_pairs": int, "sweep_samples": int,
-    "delta": float, "closeness_threshold": float, "smoothing": float,
+    "delta": float, "smoothing": float,
     "amplitude": float, "t_end": float, "tol": float,
     "generator": str, "scheme": str, "metric": str, "output_dir": str,
     "truncated": boolean, "refine": boolean,
@@ -134,7 +136,6 @@ class ExperimentConfig:
     d: int = 3
     coefficients: tuple[float, ...] | None = None
     delta: float = 0.05
-    closeness_threshold: float = 0.1
     generator: str = "random-simplex"
     seed: int = 2024
     kmax: int = 8
@@ -205,12 +206,12 @@ class ExperimentConfig:
             alpha = default_alpha(self.d)
         else:
             raw = RawCoefficients.from_upper_triangle(self.d, self.coefficients)
-            m = reduce_coefficients(raw, self.closeness_threshold)
+            m = reduce_coefficients(raw)
             if delta is None and abs(m.delta - self.delta) <= 1e-12 * self.delta:
                 return m
             alpha = m.alpha
         delta = self.delta if delta is None else delta
-        return ReducedModel.from_alpha(alpha, delta, threshold=self.closeness_threshold)
+        return ReducedModel.from_alpha(alpha, delta)
 
     # -- serialization -------------------------------------------------------
 
@@ -314,9 +315,7 @@ def generate_initial_data(spec: InitialDataSpec, grid: GridSpec, d: int, delta: 
         vals = np.full((d,) + grid.shape, delta / d)
     elif spec.generator == "random-simplex":
         rng = np.random.default_rng(spec.seed)
-        logs = np.stack(
-            [random_band_limited(grid, rng, spec.kmax, spec.amplitude).values for _ in range(d)]
-        )
+        logs = [random_band_limited(grid, rng, spec.kmax, spec.amplitude) for _ in range(d)]
         pos = np.exp(logs)
         vals = delta * pos / pos.sum(axis=0)
     elif spec.generator == "step-like":
@@ -331,7 +330,7 @@ def generate_initial_data(spec: InitialDataSpec, grid: GridSpec, d: int, delta: 
         vals = delta * smooth / smooth.sum(axis=0)
     else:
         raise ValueError(f"unknown initial data generator {spec.generator!r}")
-    return SpeciesVector.from_array(grid, vals)
+    return SpeciesVector(grid, vals)
 
 
 def perturb_initial_data(
@@ -344,10 +343,10 @@ def perturb_initial_data(
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     x = h.grid.meshgrid()[0]
     mode = eps * np.cos(2.0 * math.pi * k0 * x + phase)
-    vals = h.stack().copy()
+    vals = h.values.copy()
     vals[0] += mode
     vals[1:] -= mode / (h.d - 1)
-    return SpeciesVector.from_array(h.grid, vals)
+    return SpeciesVector(h.grid, vals)
 
 
 # -- checks ------------------------------------------------------------------
@@ -545,18 +544,18 @@ def check_spectral_exactness(ctx: SuiteContext) -> list[Check]:
     x = grid.meshgrid()[0]
     worst = 0.0
     for k in (1, 3, grid.N // 4):
-        f = ScalarField(grid, np.sin(2.0 * math.pi * k * x))
+        f = np.sin(2.0 * math.pi * k * x)
         for t in (1e-4, 1e-2, 0.1):
-            exact = math.exp(-4.0 * math.pi**2 * k**2 * t) * f.values
-            err = float(np.max(np.abs(heat_propagate(f, t).values - exact)))
+            exact = math.exp(-4.0 * math.pi**2 * k**2 * t) * f
+            err = float(np.max(np.abs(heat_propagate(f, grid, t) - exact)))
             worst = max(worst, err)
     checks = [make_check("single-mode heat flow vs exp(-4 pi^2 k^2 t)", worst, 1e-12, "<=")]
     rng = np.random.default_rng(ctx.config.seed)
     f = random_band_limited(grid, rng, ctx.config.kmax, 1.0)
     worst = 0.0
     for s, t in ((1e-3, 1e-2), (0.05, 0.2), (0.3, 0.7)):
-        a = heat_propagate(heat_propagate(f, s), t).values
-        b = heat_propagate(f, s + t).values
+        a = heat_propagate(heat_propagate(f, grid, s), grid, t)
+        b = heat_propagate(f, grid, s + t)
         worst = max(worst, float(np.max(np.abs(a - b))))
     checks.append(make_check("semigroup composition", worst, 1e-12, "<="))
     return checks
@@ -667,7 +666,7 @@ def check_stability(ctx: SuiteContext) -> list[Check]:
             ht = perturb_initial_data(h, scale * eps, seed, ctx.config.kmax)
             wt, _ = picard_solve(ht, model, ctx.tg, **solve_kw)
             num = xp_norm(trajectory_difference(w_base, wt), ctx.p, ctx.cylinders)
-            den = float(np.max(np.abs(h.stack() - ht.stack())))
+            den = float(np.max(np.abs(h.values - ht.values)))
             ratio.append(num / den)
         return ratio
 
@@ -732,7 +731,7 @@ def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int) -> 
     vals = np.zeros((len(tg), d, grid.n) + grid.shape)
     for i in range(d):
         for m in range(grid.n):
-            a = random_band_limited(grid, rng, kmax, 1.0).values
+            a = random_band_limited(grid, rng, kmax, 1.0)
             rate = float(rng.uniform(0.5, 4.0))
             envelope = np.exp(-rate * tg.times).reshape((-1,) + (1,) * grid.n)
             vals[:, i, m] = envelope * a
@@ -746,10 +745,10 @@ def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
         def sample(j):
             seed = ctx.config.seed + 2000 + j
             rng = np.random.default_rng(seed)
-            h = SpeciesVector.from_array(grid, np.stack([
-                random_band_limited(grid, rng, ctx.config.kmax, 1.0, mean=float(rng.uniform(-1, 1))).values
+            h = SpeciesVector(grid, [
+                random_band_limited(grid, rng, ctx.config.kmax, 1.0, mean=float(rng.uniform(-1, 1)))
                 for _ in range(ctx.config.d)
-            ]))
+            ])
             flux = _random_flux(grid, ctx.tg, ctx.config.d, seed + 500, ctx.config.kmax)
             return (maximal_regularity_ratio(h, flux, ctx.tg, ctx.p, cyls),)
 

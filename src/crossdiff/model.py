@@ -5,7 +5,6 @@ the nonlinearity, and the empirical Lipschitz diagnostic for the flux map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,7 @@ from .fields import (
     FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
+    _abs_max,
     dealias_keep_mask,
     divergence_from_coeffs,
     from_coeffs,
@@ -23,7 +23,7 @@ from .fields import (
     to_coeffs,
 )
 from .semigroup import _heat_flow_blocks
-from .trajectory import FluxTrajectory, TimeGrid, Trajectory, _abs_max, vector_magnitudes
+from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
     "RawCoefficients",
@@ -82,13 +82,9 @@ class ReducedModel:
     K: float
     delta: float
     alpha: np.ndarray
-    closeness_margin: float = math.nan
-    closeness_ok: bool = True
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
-        if math.isnan(self.closeness_margin):
-            self.closeness_margin = self.delta * self.d
 
     @property
     def d(self) -> int:
@@ -105,10 +101,8 @@ class ReducedModel:
             raise ValueError("coupling diagonal must be zero")
 
     @classmethod
-    def from_alpha(cls, alpha, delta: float, K: float = 1.0, threshold: float = 0.1) -> "ReducedModel":
-        alpha = np.asarray(alpha, dtype=float)
-        m = cls(K=K, delta=delta, alpha=alpha, closeness_margin=delta * alpha.shape[0],
-                closeness_ok=delta * alpha.shape[0] <= threshold)
+    def from_alpha(cls, alpha, delta: float, K: float = 1.0) -> "ReducedModel":
+        m = cls(K=K, delta=delta, alpha=alpha)
         m.validate()
         return m
 
@@ -120,7 +114,7 @@ class ReducedModel:
         return RawCoefficients(d=d, K=K)
 
 
-def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) -> ReducedModel:
+def reduce_coefficients(raw: RawCoefficients) -> ReducedModel:
     """Extract the dominant linear diffusivity and the normalised coupling.
 
     K is the midpoint of the off-diagonal coefficient range, delta the
@@ -137,15 +131,7 @@ def reduce_coefficients(raw: RawCoefficients, closeness_threshold: float = 0.1) 
     if delta <= 1e-14:
         raise ValueError("degenerate: all cross-diffusion coefficients equal; "
                          "the system decouples into independent heat equations")
-    alpha = rel / delta
-    margin = delta * raw.d
-    model = ReducedModel(
-        K=K,
-        delta=delta,
-        alpha=alpha,
-        closeness_margin=margin,
-        closeness_ok=margin <= closeness_threshold,
-    )
+    model = ReducedModel(K=K, delta=delta, alpha=rel / delta)
     model.validate()
     return model
 

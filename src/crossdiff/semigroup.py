@@ -18,7 +18,6 @@ import numpy as np
 from .fields import (
     FLUX_BLOCK_BYTES,
     GridSpec,
-    ScalarField,
     SpeciesVector,
     from_coeffs,
     index_blocks,
@@ -42,13 +41,12 @@ def heat_multiplier(grid: GridSpec, t: float) -> np.ndarray:
     return np.exp(laplacian_symbol(grid) * t)
 
 
-def heat_propagate(field: ScalarField, t: float) -> ScalarField:
-    """Solve d/dt w = Lap(w) exactly for duration t >= 0."""
+def heat_propagate(values: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
+    """Solve d/dt w = Lap(w) exactly for duration t >= 0 from nodal values
+    (..., *grid.shape); leading axes are a batch."""
     if t < 0:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
-    grid = field.grid
-    chat = to_coeffs(field.values, grid) * heat_multiplier(grid, t)
-    return ScalarField(grid, from_coeffs(chat, grid))
+    return from_coeffs(to_coeffs(values, grid) * heat_multiplier(grid, t), grid)
 
 
 def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
@@ -62,8 +60,7 @@ def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
     the values is the datum itself; every later node is one batched inverse
     transform of the block, so nothing of the whole flow is held.
     """
-    grid = h.grid
-    datum = h.stack()
+    grid, datum = h.grid, h.values
     what, symbol = to_coeffs(datum, grid), laplacian_symbol(grid)
     for b in index_blocks(len(tg), datum.nbytes, FLUX_BLOCK_BYTES):
         coeffs = what * np.exp(np.multiply.outer(tg.times[b], symbol))[:, None]
@@ -152,7 +149,7 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
     is drawn only when its block is due: a caller may overwrite whatever the
     blocks already yielded were computed from.
     """
-    grid, datum = h.grid, h.stack()
+    grid, datum = h.grid, h.values
     E, left, right, segment = _step_table(grid, tuple(tg.times.tolist()))
     k = 0  # the index of the block's first node
     for div in div_blocks:

@@ -15,6 +15,7 @@ from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent, _gradie
 from .fields import (
     FLUX_BLOCK_BYTES,
     SpeciesVector,
+    _abs_max,
     derivative_symbol,
     from_coeffs,
     gradient_from_coeffs,
@@ -24,7 +25,7 @@ from .fields import (
 )
 from .model import ReducedModel, _divergence_coeffs
 from .semigroup import _duhamel_blocks, _heat_flow_blocks, heat_multiplier
-from .trajectory import TimeGrid, Trajectory, _abs_max
+from .trajectory import TimeGrid, Trajectory
 
 __all__ = [
     "DivergedError",
@@ -90,8 +91,8 @@ def imex_solve(
     spec = np.empty((h.d, 1 + grid.n) + rfft_shape(grid), dtype=complex)
 
     values = np.empty((len(tg), h.d) + grid.shape)
-    values[0] = h.stack()
-    cap = BLOWUP_FACTOR * max(float(np.max(np.abs(values[0]))), 1e-300)
+    values[0] = h.values
+    cap = BLOWUP_FACTOR * max(h.sup_norm(), 1e-300)
 
     def transport(what: np.ndarray, t: float) -> np.ndarray:
         spec[:, 0] = what

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, read_snapshot, write_snapshot
+from .fields import GridSpec, _abs_max, _check_finite, read_snapshot, write_snapshot
 
 __all__ = ["TimeGrid", "Trajectory", "FluxTrajectory", "trajectory_difference"]
 
@@ -258,7 +258,7 @@ def _write_nodes(traj: Trajectory, directory: Path, nodes: range):
     for k in nodes:
         t = float(traj.tg.times[k])
         for i in range(traj.d):
-            write_snapshot(ScalarField(traj.grid, traj.values[k, i]), t, _snapshot_path(directory, k, i))
+            write_snapshot(traj.values[k, i], traj.grid, t, _snapshot_path(directory, k, i))
 
 
 def _read_nodes(directory: Path, grid: GridSpec, tg: TimeGrid, nodes: range, out: np.ndarray):
@@ -269,13 +269,13 @@ def _read_nodes(directory: Path, grid: GridSpec, tg: TimeGrid, nodes: range, out
         t_want = float(tg.times[k])
         for i in range(out.shape[1]):
             path = _snapshot_path(directory, k, i)
-            f, t = read_snapshot(path)
-            if f.grid != grid or t.hex() != t_want.hex():
+            values, got, t = read_snapshot(path)
+            if got != grid or t.hex() != t_want.hex():
                 raise ValueError(
-                    f"snapshot {path} holds n={f.grid.n} N={f.grid.N} t={t!r}; "
+                    f"snapshot {path} holds n={got.n} N={got.N} t={t!r}; "
                     f"the manifest gives n={grid.n} N={grid.N} t={t_want!r}"
                 )
-            out[j, i] = f.values
+            out[j, i] = values
 
 
 @dataclass
@@ -312,18 +312,6 @@ def vector_magnitudes(vectors: np.ndarray, out: np.ndarray | None = None) -> np.
     for m in range(1, vectors.shape[2]):
         out += np.square(vectors[:, :, m])
     return np.sqrt(out, out=out)
-
-
-def _abs_max(values: np.ndarray) -> float:
-    # max |v| without the temporary np.abs(values) would allocate
-    return float(np.maximum(values.max(), -values.min()))
-
-
-def _check_finite(values: np.ndarray, kind: str):
-    # min and max propagate NaN and show any infinity, and unlike
-    # isfinite().all() they allocate no temporary the size of the values
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise ValueError(f"{kind} values must be finite")
 
 
 def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:

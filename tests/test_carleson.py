@@ -79,7 +79,7 @@ def _expand(ladder):
 
 
 def _species(grid, *arrays):
-    return SpeciesVector.from_array(grid, np.stack(arrays))
+    return SpeciesVector(grid, np.stack(arrays))
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +198,7 @@ class TestSeminorms:
         values = {}
         for N in (64, 128):
             grid = make_grid(1, N)
-            h = _species(grid, random_band_limited(grid, np.random.default_rng(12), 6).values)
+            h = _species(grid, random_band_limited(grid, np.random.default_rng(12), 6))
             traj = heat_flow_trajectory(h, tg)
             cyl = enumerate_cylinders(grid, tg)
             values[N] = xp_seminorm(traj, cylinders=cyl).seminorm / h.sup_norm()
@@ -228,7 +228,7 @@ class TestSeminorms:
 
     def test_gradient_flux_identity_exact(self, setup):
         grid, tg, cylinders = setup
-        h = _species(grid, random_band_limited(grid, np.random.default_rng(4), 8).values)
+        h = _species(grid, random_band_limited(grid, np.random.default_rng(4), 8))
         traj = heat_flow_trajectory(h, tg)
         semi = xp_seminorm(traj, 4.0, cylinders).seminorm
         asflux = yp_norm(gradient_flux(traj), 4.0, cylinders).seminorm
@@ -239,9 +239,9 @@ class TestSeminorms:
         rng = np.random.default_rng(5)
         for _ in range(3):
             u = heat_flow_trajectory(
-                _species(grid, random_band_limited(grid, rng, 8).values), tg)
+                _species(grid, random_band_limited(grid, rng, 8)), tg)
             v = heat_flow_trajectory(
-                _species(grid, random_band_limited(grid, rng, 8).values), tg)
+                _species(grid, random_band_limited(grid, rng, 8)), tg)
             s = Trajectory(grid, tg, u.values + v.values)
             nu, nv, ns = (xp_norm(t, 4.0, cylinders) for t in (u, v, s))
             assert ns <= nu + nv + 1e-10
@@ -554,7 +554,7 @@ class TestNormsFedInBlocks:
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
         ladder = enumerate_cylinders(grid, tg)
         rng = np.random.default_rng(20 + n)
-        h = _species(grid, *(random_band_limited(grid, rng, 3).values for _ in range(3)))
+        h = _species(grid, *(random_band_limited(grid, rng, 3) for _ in range(3)))
         traj = heat_flow_trajectory(h, tg)
         flux = FluxTrajectory(grid, tg, rng.standard_normal((len(tg), 3, n) + grid.shape))
         refs = [(_xp_whole_array(traj, p, ladder), _yp_whole_array(flux, p, ladder))
@@ -571,7 +571,7 @@ class TestNormsFedInBlocks:
         # state trajectory measured; the magnitudes of the whole flux peaked
         # at 2.0x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
-        h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6).values
+        h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6)
                              for _ in range(3)))
         traj = heat_flow_trajectory(h, tg)
         flux, ladder = gradient_flux(traj), enumerate_cylinders(grid, tg)
@@ -588,7 +588,7 @@ class TestNormsFedInBlocks:
         # the scan's windows: 0.80x the trajectory measured; the coefficients
         # of the whole trajectory held first peaked at 2.06x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
-        h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6).values
+        h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6)
                              for _ in range(3)))
         traj, ladder = heat_flow_trajectory(h, tg), enumerate_cylinders(grid, tg)
         tracemalloc.start()
@@ -622,7 +622,7 @@ class TestMaximalRegularity:
 
     def test_random_datum_finite(self, setup):
         grid, tg, cylinders = setup
-        h = _species(grid, random_band_limited(grid, np.random.default_rng(6), 8).values)
+        h = _species(grid, random_band_limited(grid, np.random.default_rng(6), 8))
         flux = FluxTrajectory(grid, tg, np.zeros((len(tg), 1, 1, grid.N)))
         ratio = maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
         assert np.isfinite(ratio) and ratio > 0
@@ -632,11 +632,11 @@ class TestMaximalRegularity:
         grid = make_grid(n, N)
         tg = TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
         rng = np.random.default_rng(9 + n)
-        h = _species(grid, *(random_band_limited(grid, rng, 3, mean=0.3).values for _ in range(2)))
+        h = _species(grid, *(random_band_limited(grid, rng, 3, mean=0.3) for _ in range(2)))
         shape = (len(tg), 2, n) + grid.shape
         envelope = np.exp(-3.0 * tg.times).reshape((-1,) + (1,) * (len(shape) - 1))
         flux = FluxTrajectory(grid, tg, envelope * np.stack(
-            [random_band_limited(grid, rng, 3).values for _ in range(2 * n)]).reshape(shape[1:]))
+            [random_band_limited(grid, rng, 3) for _ in range(2 * n)]).reshape(shape[1:]))
         return h, flux, tg, enumerate_cylinders(grid, tg)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
@@ -656,7 +656,7 @@ class TestMaximalRegularity:
         h, flux, tg, cylinders = self._problem(2, 16)
         transform_bytes.clear()
         maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
-        assert sum(transform_bytes) <= 5 * len(tg) * h.stack().nbytes
+        assert sum(transform_bytes) <= 5 * len(tg) * h.values.nbytes
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     @pytest.mark.parametrize("nodes", [1, 3, None])
@@ -682,10 +682,10 @@ class TestMaximalRegularity:
         # at 3.17x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
         rng = np.random.default_rng(12)
-        h = _species(grid, *(random_band_limited(grid, rng, 6, mean=0.3).values for _ in range(3)))
+        h = _species(grid, *(random_band_limited(grid, rng, 6, mean=0.3) for _ in range(3)))
         envelope = np.exp(-2.0 * tg.times).reshape((-1, 1, 1, 1, 1))
         flux = FluxTrajectory(grid, tg, envelope * np.stack(
-            [random_band_limited(grid, rng, 6).values for _ in range(6)]).reshape((3, 2) + grid.shape))
+            [random_band_limited(grid, rng, 6) for _ in range(6)]).reshape((3, 2) + grid.shape))
         ladder = enumerate_cylinders(grid, tg)
         tracemalloc.start()
         try:
@@ -693,7 +693,7 @@ class TestMaximalRegularity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.0 * len(tg) * h.stack().nbytes
+        assert peak <= 1.0 * len(tg) * h.values.nbytes
 
     def test_trivial_problem_rejected(self, setup):
         grid, tg, cylinders = setup

@@ -116,6 +116,36 @@ def test_unparsable_config_value_names_its_section_and_key(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [("solver", "truncated", "treu"),
+                                               ("suite", "refine", "ture")])
+def test_misspelt_boolean_in_config_exits_with_usage_code(tmp_path, capsys, section, key, value):
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crossdiff: invalid config: [{section}] {key} = '{value}': expected one of")
+    assert not (tmp_path / "run").exists()
+
+
+def test_closeness_threshold_is_neither_flag_nor_key(tmp_path, tiny_args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--closeness-threshold", "0.1", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --closeness-threshold" in capsys.readouterr().err
+    # a run whose config.ini still has the key: norms names it and exits 2
+    run_dir = tmp_path / "run"
+    assert main(["solve"] + tiny_args) == 0
+    saved = run_dir / "config.ini"
+    saved.write_text(saved.read_text().replace("[model]\n", "[model]\ncloseness_threshold = 0.1\n"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", "--traj", str(run_dir)])
+    assert exc.value.code == 2
+    assert "unknown config key 'closeness_threshold' in [model]" in capsys.readouterr().err
+
+
 def test_kmax_too_large_for_grid_exits_with_usage_code(tmp_path, capsys):
     # the default kmax=8 needs N >= 18; the generator, not the config, rejects it
     with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 
 from crossdiff import fields, trajectory
 from crossdiff.fields import (
-    ScalarField,
     SpeciesVector,
     dealias_keep_mask,
     derivative_symbol,
@@ -187,8 +186,8 @@ class TestDifferentiation:
         # differentiation zeroes the Nyquist mode, so compare on band-limited data
         g = make_grid(2, 32)
         f = random_band_limited(g, _rng(3), g.N // 3)
-        lap = from_coeffs(spectral_divergence(spectral_gradient(f.values, g), g), g)
-        expect = from_coeffs(laplacian_symbol(g) * to_coeffs(f.values, g), g)
+        lap = from_coeffs(spectral_divergence(spectral_gradient(f, g), g), g)
+        expect = from_coeffs(laplacian_symbol(g) * to_coeffs(f, g), g)
         assert np.max(np.abs(lap - expect)) < 1e-12 * (1 + np.max(np.abs(expect)))
 
     def test_divergence_of_cosine(self):
@@ -206,8 +205,8 @@ class TestDifferentiation:
     def test_gradient_divergence_adjoint(self):
         g = make_grid(1, 64)
         rng = _rng(11)
-        f = random_band_limited(g, rng, 12).values
-        G = random_band_limited(g, rng, 12).values
+        f = random_band_limited(g, rng, 12)
+        G = random_band_limited(g, rng, 12)
         lhs = np.mean(spectral_gradient(f, g)[0] * G)
         rhs = -np.mean(f * from_coeffs(spectral_divergence(G[None], g), g))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -330,32 +329,47 @@ class TestDealias:
         assert not keep[g.N // 2, 0]
 
 
-class TestScalarField:
-    def test_non_finite_rejected(self):
-        g = make_grid(1, 16)
-        values = np.ones(16)
-        values[3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            ScalarField(g, values)
-
-    def test_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            ScalarField(make_grid(1, 16), np.ones(8))
-
-
 class TestSpeciesVector:
-    def test_common_grid_required(self):
-        a = ScalarField(make_grid(1, 16), np.ones(16))
-        b = ScalarField(make_grid(1, 32), np.ones(32))
-        with pytest.raises(ValueError, match="share one grid"):
-            SpeciesVector((a, b))
-
-    def test_stack_and_total(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
         g = make_grid(1, 16)
-        sv = SpeciesVector.from_array(g, np.stack([np.ones(16), 2 * np.ones(16)]))
-        assert sv.d == 2
-        assert sv.stack().shape == (2, 16)
-        assert_allclose(sv.stack().sum(axis=0), 3.0)
+        values = np.ones((2, 16))
+        values[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpeciesVector(g, values)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (16,), (2, 16, 16), (2, 1, 16)],
+                             ids=["other-N", "no-species-axis", "2-D-values", "extra-unit-axis"])
+    def test_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            SpeciesVector(make_grid(1, 16), np.ones(shape))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_species_rejected(self, n):
+        g = make_grid(n, 8)
+        with pytest.raises(ValueError, match="shape"):
+            SpeciesVector(g, np.ones((0,) + g.shape))
+
+    def test_values_read_only(self):
+        sv = SpeciesVector(make_grid(2, 8), np.ones((3, 8, 8)))
+        with pytest.raises(ValueError, match="read-only"):
+            sv.values[0, 0, 0] = 2.0
+
+    def test_source_array_copied(self):
+        source = np.ones((2, 16))
+        sv = SpeciesVector(make_grid(1, 16), source)
+        source[0, 3] = 5.0
+        assert np.all(sv.values == 1.0)
+        assert source.flags.writeable
+
+    def test_one_array_of_floats(self):
+        g = make_grid(1, 16)
+        sv = SpeciesVector(g, [np.ones(16), -2 * np.ones(16, dtype=int)])
+        assert sv.d == 2 and sv.grid == g
+        assert sv.values.shape == (2, 16) and sv.values.dtype == float
+        assert_allclose(sv.values.sum(axis=0), -1.0)
+        assert sv.sup_norm() == 2.0
+        assert SpeciesVector(g, np.ones((1, 16))).d == 1
 
 
 def _random_band_limited_per_mode(grid, rng, kmax, amplitude=1.0, mean=0.0):
@@ -388,7 +402,7 @@ class TestRandomBandLimited:
         for kmax in sorted({1, 3, N // 3, N // 2 - 1}):
             rng, ref_rng = _rng(kmax), _rng(kmax)
             for amplitude, mean in ((1.0, 0.0), (0.3, -0.2)):
-                got = random_band_limited(g, rng, kmax, amplitude, mean).values
+                got = random_band_limited(g, rng, kmax, amplitude, mean)
                 ref = _random_band_limited_per_mode(g, ref_rng, kmax, amplitude, mean)
                 assert got.tobytes() == ref.tobytes()
             # both consumed the same stretch of the stream
@@ -398,18 +412,18 @@ class TestRandomBandLimited:
         # same seed: the N=64 field is the N=128 field sampled on coarser nodes
         coarse = random_band_limited(make_grid(1, 64), _rng(42), 8)
         fine = random_band_limited(make_grid(1, 128), _rng(42), 8)
-        assert np.max(np.abs(fine.values[::2] - coarse.values)) < 1e-12
+        assert np.max(np.abs(fine[::2] - coarse)) < 1e-12
 
     def test_resolution_independent_2d(self):
         coarse = random_band_limited(make_grid(2, 16), _rng(42), 4)
         fine = random_band_limited(make_grid(2, 32), _rng(42), 4)
-        assert np.max(np.abs(fine.values[::2, ::2] - coarse.values)) < 1e-12
+        assert np.max(np.abs(fine[::2, ::2] - coarse)) < 1e-12
 
     def test_declared_spectrum_2d(self):
         # the nodal field carries exactly the drawn coefficients
         g = make_grid(2, 16)
         f = random_band_limited(g, _rng(3), 3, amplitude=1.0)
-        coeffs = to_coeffs(f.values, g)
+        coeffs = to_coeffs(f, g)
         rng = _rng(3)
         scale = 1.0 / (2.0 * np.sqrt(3.0))
         for k1 in range(-3, 4):
@@ -422,18 +436,17 @@ class TestRandomBandLimited:
 
     def test_mean_control(self):
         f = random_band_limited(make_grid(1, 64), _rng(1), 5, mean=0.7)
-        assert np.mean(f.values) == pytest.approx(0.7, abs=1e-13)
+        assert np.mean(f) == pytest.approx(0.7, abs=1e-13)
 
     def test_kmax_validated(self):
         with pytest.raises(ValueError, match="kmax"):
             random_band_limited(make_grid(1, 8), _rng(0), 4)
 
 
-def _write_snapshot_per_row(field: ScalarField, t: float, path):
+def _write_snapshot_per_row(values: np.ndarray, grid, t: float, path):
     """Reference writer: the per-row loop that defined the snapshot bytes."""
-    grid = field.grid
     coords = grid.meshgrid()
-    flat = [c.ravel() for c in coords] + [field.values.ravel()]
+    flat = [c.ravel() for c in coords] + [values.ravel()]
     with open(path, "w") as fh:
         fh.write(f"# {grid.n} {grid.N} {t:.17g}\n")
         for row in zip(*flat):
@@ -446,30 +459,31 @@ AWKWARD_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 0.1, -0.1, 1 / 3,
                   3.0, -7.0, 2.0**53, 1e16, 123456789.0, 2.2250738585072014e-308]
 
 
-def _awkward_field(g, seed=0) -> ScalarField:
+def _awkward_field(g, seed=0) -> np.ndarray:
     values = _rng(seed).standard_normal(g.num_nodes)
     values[: len(AWKWARD_VALUES)] = AWKWARD_VALUES
-    return ScalarField(g, _rng(seed + 1).permutation(values).reshape(g.shape))
+    return _rng(seed + 1).permutation(values).reshape(g.shape)
 
 
 class TestSnapshots:
     @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
     @pytest.mark.parametrize("t", [0.0, 0.375, 0.1, 1 / 3])
     def test_bytes_equal_per_row_writer(self, tmp_path, n, N, t):
-        f = _awkward_field(make_grid(n, N))
-        write_snapshot(f, t, tmp_path / "new.txt")
-        _write_snapshot_per_row(f, t, tmp_path / "ref.txt")
+        g = make_grid(n, N)
+        f = _awkward_field(g)
+        write_snapshot(f, g, t, tmp_path / "new.txt")
+        _write_snapshot_per_row(f, g, t, tmp_path / "ref.txt")
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
-        back, t_back = read_snapshot(tmp_path / "new.txt")
-        assert t_back == t
-        assert back.values.tobytes() == f.values.tobytes()
+        back, g_back, t_back = read_snapshot(tmp_path / "new.txt")
+        assert t_back == t and g_back == g
+        assert back.tobytes() == f.tobytes()
 
     def test_trajectory_2d_files_equal_per_row_writer(self, tmp_path):
         g = make_grid(2, 8)
         tg = TimeGrid.dyadic(0.3, levels=2, steps_per_level=2)
         d = 2
         values = np.stack([
-            np.stack([_awkward_field(g, seed=10 * k + i).values for i in range(d)])
+            np.stack([_awkward_field(g, seed=10 * k + i) for i in range(d)])
             for k in range(len(tg))
         ])
         traj = Trajectory(g, tg, values, metadata={"kind": "test"})
@@ -477,7 +491,7 @@ class TestSnapshots:
         for k, t in enumerate(tg.times):
             for i in range(d):
                 name = f"state_t{k:05d}_s{i}.txt"
-                _write_snapshot_per_row(ScalarField(g, values[k, i]), float(t), tmp_path / "ref.txt")
+                _write_snapshot_per_row(values[k, i], g, float(t), tmp_path / "ref.txt")
                 assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
         assert len(list(out.glob("state_t*.txt"))) == len(tg) * d
         back = Trajectory.load(out)
@@ -487,18 +501,18 @@ class TestSnapshots:
     @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
     def test_round_trip(self, tmp_path, n, N):
         g = make_grid(n, N)
-        f = ScalarField(g, _rng(9).standard_normal(g.shape))
+        f = _rng(9).standard_normal(g.shape)
         path = tmp_path / "snap.txt"
-        write_snapshot(f, 0.375, path)
-        back, t = read_snapshot(path)
+        write_snapshot(f, g, 0.375, path)
+        back, back_grid, t = read_snapshot(path)
         assert t == 0.375
-        assert back.grid == g
-        assert_allclose(back.values, f.values, rtol=0, atol=0)
+        assert back_grid == g
+        assert_allclose(back, f, rtol=0, atol=0)
 
     def test_header_format(self, tmp_path):
         g = make_grid(1, 8)
         path = tmp_path / "snap.txt"
-        write_snapshot(ScalarField(g, np.ones(g.shape)), 0.5, path)
+        write_snapshot(np.ones(g.shape), g, 0.5, path)
         header = path.read_text().splitlines()[0].split()
         assert header == ["#", "1", "8", "0.5"]
 
@@ -512,7 +526,7 @@ class TestSnapshots:
     def _written(tmp_path, n):
         g = make_grid(n, 16 if n == 1 else 8)
         path = tmp_path / "snap.txt"
-        write_snapshot(_awkward_field(g), 0.25, path)
+        write_snapshot(_awkward_field(g), g, 0.25, path)
         return path, path.read_text().splitlines(keepends=True)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -531,7 +545,7 @@ class TestSnapshots:
             read_snapshot(path)
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("token", ["abc", "0x1p3", "1,5"])
+    @pytest.mark.parametrize("token", ["abc", "0x1p3", "1,5", "nan", "inf", "-Infinity"])
     def test_non_numeric_value_rejected(self, tmp_path, n, token):
         path, lines = self._written(tmp_path, n)
         row = lines[5].split()
@@ -543,15 +557,15 @@ class TestSnapshots:
     def test_reads_back_what_loadtxt_reads(self, tmp_path):
         # the value column alone is converted, to the same floats np.loadtxt gives
         for n, N in ((1, 16), (2, 8)):
-            f = _awkward_field(make_grid(n, N))
-            write_snapshot(f, 0.5, tmp_path / "snap.txt")
+            g = make_grid(n, N)
+            write_snapshot(_awkward_field(g), g, 0.5, tmp_path / "snap.txt")
             want = np.loadtxt(tmp_path / "snap.txt", ndmin=2)[:, -1]
-            assert read_snapshot(tmp_path / "snap.txt")[0].values.ravel().tobytes() == want.tobytes()
+            assert read_snapshot(tmp_path / "snap.txt")[0].ravel().tobytes() == want.tobytes()
 
 
 def _trajectory(g, count: int, d: int = 2) -> Trajectory:
     values = np.stack([
-        np.stack([_awkward_field(g, seed=10 * k + i).values for i in range(d)])
+        np.stack([_awkward_field(g, seed=10 * k + i) for i in range(d)])
         for k in range(count)
     ])
     return Trajectory(g, TimeGrid.uniform(0.5, count - 1), values, metadata={"kind": "test"})
@@ -619,7 +633,7 @@ class TestSplitSaveLoad:
         for k, t in enumerate(traj.tg.times):
             for i in range(traj.d):
                 name = f"state_t{k:05d}_s{i}.txt"
-                _write_snapshot_per_row(ScalarField(g, traj.values[k, i]), float(t), tmp_path / "ref.txt")
+                _write_snapshot_per_row(traj.values[k, i], g, float(t), tmp_path / "ref.txt")
                 assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
         assert len(list(out.glob("state_t*.txt"))) == count * traj.d
         assert back.values.tobytes() == traj.values.tobytes()
@@ -690,23 +704,27 @@ class TestSplitSaveLoad:
 
     # nodes 0-2 are the parent's half of 7, nodes 3-6 the child's
     @pytest.mark.parametrize("node", [1, 5])
-    @pytest.mark.parametrize("fault", ["bad value", "1-D snapshot", "another node's time"])
+    @pytest.mark.parametrize("fault", ["bad value", "nan value", "inf value", "1-D snapshot",
+                                       "another node's time"])
     def test_bad_snapshot_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd,
                                                   node, fault):
         traj = _trajectory(make_grid(2, 16), 7)
         out = traj.save(tmp_path / "run")
         path = out / f"state_t{node:05d}_s1.txt"
-        if fault == "bad value":
+        if fault.endswith("value"):
             lines = path.read_text().splitlines(keepends=True)
-            lines[5] = lines[5].rsplit(" ", 1)[0] + " abc\n"
+            token = {"bad value": "abc", "nan value": "nan", "inf value": "inf"}[fault]
+            lines[5] = lines[5].rsplit(" ", 1)[0] + f" {token}\n"
             path.write_text("".join(lines))
         elif fault == "1-D snapshot":
-            write_snapshot(ScalarField(make_grid(1, 16), np.ones(16)), float(traj.tg.times[node]), path)
+            write_snapshot(np.ones(16), make_grid(1, 16), float(traj.tg.times[node]), path)
         else:
             shutil.copyfile(out / f"state_t{2 if node == 1 else 1:05d}_s1.txt", path)
         capfd.readouterr()
         serial = self._serial_error(monkeypatch, lambda: Trajectory.load(out))
         assert serial.type is ValueError and str(path) in str(serial.value)
+        if fault in ("nan value", "inf value"):
+            assert "finite" in str(serial.value)
         with pytest.raises(ValueError) as split:
             Trajectory.load(out)
         assert str(split.value) == str(serial.value)
@@ -735,14 +753,14 @@ class TestLoadChecksHeaders:
 
     def test_1d_snapshot_in_2d_run_rejected(self, saved):
         path = saved / "state_t00002_s0.txt"
-        write_snapshot(ScalarField(make_grid(1, 16), np.arange(16.0)), 0.25, path)
+        write_snapshot(np.arange(16.0), make_grid(1, 16), 0.25, path)
         with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds n=1 N=16 t=0.25; "
                                              "the manifest gives n=2 N=16 t=0.25"):
             Trajectory.load(saved)
 
     def test_other_N_rejected(self, saved):
         path = saved / "state_t00002_s0.txt"
-        write_snapshot(ScalarField(make_grid(2, 8), np.zeros((8, 8))), 0.25, path)
+        write_snapshot(np.zeros((8, 8)), make_grid(2, 8), 0.25, path)
         with pytest.raises(ValueError, match="holds n=2 N=8 t=0.25; the manifest gives n=2 N=16"):
             Trajectory.load(saved)
 

@@ -123,6 +123,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="contraction_deltas"):
             ExperimentConfig.from_text(f"[suite]\ncontraction_deltas = {text}\n")
 
+    @pytest.mark.parametrize("word", ["1", "true", "yes", "on", "0", "false", "no", "off"])
+    def test_every_boolean_spelling_in_any_case(self, word):
+        want = word in ("1", "true", "yes", "on")
+        for spelling in (word, word.upper(), word.capitalize()):
+            assert harness.boolean(spelling) is want
+            text = f"[solver]\ntruncated = {spelling}\n[suite]\nrefine = {spelling}\n"
+            cfg = ExperimentConfig.from_text(text)
+            assert cfg.truncated is want and cfg.refine is want
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "truncated", "treu"),
+        ("suite", "refine", "ture"),
+        ("solver", "truncated", ""),
+        ("suite", "refine", "2"),
+    ])
+    def test_misspelt_boolean_rejected(self, section, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"[{section}] {key} = {value!r}: expected one of")):
+            ExperimentConfig.from_text(f"[{section}]\n{key} = {value}\n")
+
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError, match="empty config"):
             ExperimentConfig.from_text("")
@@ -155,12 +174,12 @@ class TestInitialData:
     def test_uniform(self):
         g = make_grid(1, 16)
         h = generate_initial_data(InitialDataSpec("uniform"), g, 3, 0.1)
-        assert np.max(np.abs(h.stack() - 0.1 / 3)) < 1e-16
+        assert np.max(np.abs(h.values - 0.1 / 3)) < 1e-16
 
     def test_random_simplex_partition(self):
         g = make_grid(1, 64)
         h = generate_initial_data(InitialDataSpec("random-simplex", seed=11), g, 3, 0.05)
-        vals = h.stack()
+        vals = h.values
         assert np.max(np.abs(vals.sum(axis=0) - 0.05)) < 1e-12
         assert vals.min() > 0.0
 
@@ -168,12 +187,12 @@ class TestInitialData:
         g = make_grid(1, 32)
         a = generate_initial_data(InitialDataSpec("random-simplex", seed=1), g, 2, 0.1)
         b = generate_initial_data(InitialDataSpec("random-simplex", seed=1), g, 2, 0.1)
-        np.testing.assert_array_equal(a.stack(), b.stack())
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_step_like_partition(self):
         g = make_grid(1, 128)
         h = generate_initial_data(InitialDataSpec("step-like", smoothing=0.01), g, 3, 0.05)
-        vals = h.stack()
+        vals = h.values
         assert np.max(np.abs(vals.sum(axis=0) - 0.05)) < 1e-12
         assert vals.min() >= 0.0
         # steep but smooth transitions
@@ -198,8 +217,8 @@ class TestInitialData:
         g = make_grid(1, 64)
         h = generate_initial_data(InitialDataSpec("random-simplex", seed=2), g, 3, 0.02)
         ht = perturb_initial_data(h, 1e-3, seed=5)
-        assert np.max(np.abs(ht.stack().sum(axis=0) - 0.02)) < 1e-15
-        assert np.max(np.abs(ht.stack() - h.stack())) > 1e-4
+        assert np.max(np.abs(ht.values.sum(axis=0) - 0.02)) < 1e-15
+        assert np.max(np.abs(ht.values - h.values)) > 1e-4
 
 
 class TestChecks:
@@ -268,8 +287,8 @@ class TestEnergyProbe:
         # three species of zero mean: every energy term is nonzero
         g = make_grid(n, N)
         rng = np.random.default_rng(30 + n)
-        h = SpeciesVector.from_array(g, 0.05 * np.stack(
-            [random_band_limited(g, rng, 6).values for _ in range(3)]))
+        h = SpeciesVector(g, 0.05 * np.stack(
+            [random_band_limited(g, rng, 6) for _ in range(3)]))
         return heat_flow_trajectory(h, tg)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])

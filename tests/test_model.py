@@ -130,8 +130,6 @@ class TestReduceCoefficients:
         assert m.alpha[0, 2] == pytest.approx(1.0, abs=1e-12)
         assert m.alpha[1, 2] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(m.alpha)) == 1.0  # attained exactly
-        assert m.closeness_margin == pytest.approx(0.3)
-        assert not m.closeness_ok
 
     def test_degenerate_rejected(self):
         raw = RawCoefficients.from_upper_triangle(2, [5.0])
@@ -187,7 +185,7 @@ class TestNonlinearity:
         g = make_grid(1, 64)
         rng = np.random.default_rng(5)
         m = ReducedModel.from_alpha(np.array([[0.0, -1.0], [-1.0, 0.0]]), 0.5)
-        vals = 0.1 + 0.05 * np.stack([random_band_limited(g, rng, 6).values for _ in range(2)])
+        vals = 0.1 + 0.05 * np.stack([random_band_limited(g, rng, 6) for _ in range(2)])
         lam = 0.5
         f1 = _flux(lam * vals, g, m)
         f0 = _flux(vals, g, m)
@@ -198,7 +196,7 @@ class TestNonlinearity:
         rng = np.random.default_rng(6)
         alpha = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.4], [1.0, 0.4, 0.0]])
         m = ReducedModel.from_alpha(alpha, 0.2)
-        vals = 0.05 + 0.02 * np.stack([random_band_limited(g, rng, 8).values for _ in range(3)])
+        vals = 0.05 + 0.02 * np.stack([random_band_limited(g, rng, 8) for _ in range(3)])
         total = _flux(vals, g, m).sum(axis=0)
         assert np.max(np.abs(total)) < 1e-12
 
@@ -265,9 +263,9 @@ class TestLipschitzProbe:
 
         def traj(scale):
             vals = 0.02 + 0.01 * scale * np.stack(
-                [random_band_limited(g, rng, 6).values for _ in range(3)]
+                [random_band_limited(g, rng, 6) for _ in range(3)]
             )
-            return heat_flow_trajectory(SpeciesVector.from_array(g, vals), tg)
+            return heat_flow_trajectory(SpeciesVector(g, vals), tg)
 
         return g, tg, m, traj
 
@@ -311,8 +309,8 @@ class TestLipschitzProbe:
         m = ReducedModel.from_alpha(np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0.05)
 
         def traj():
-            vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, 3).values for _ in range(3)])
-            return heat_flow_trajectory(SpeciesVector.from_array(g, vals), tg)
+            vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, 3) for _ in range(3)])
+            return heat_flow_trajectory(SpeciesVector(g, vals), tg)
 
         v, w = traj(), traj()
         p, cyls = 4.5, enumerate_cylinders(g, tg)
@@ -341,8 +339,8 @@ class TestLipschitzProbe:
         rng = np.random.default_rng(seed)
 
         def traj():
-            vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, kmax).values for _ in range(3)])
-            return heat_flow_trajectory(SpeciesVector.from_array(g, vals), tg)
+            vals = 0.02 + 0.04 * np.stack([random_band_limited(g, rng, kmax) for _ in range(3)])
+            return heat_flow_trajectory(SpeciesVector(g, vals), tg)
 
         return traj(), traj()
 
@@ -448,8 +446,8 @@ class TestHeatFlowProbes:
     @staticmethod
     def _data(g, seed, kmax=3):
         rng = np.random.default_rng(seed)
-        return [SpeciesVector.from_array(g, 0.02 + 0.04 * np.stack(
-            [random_band_limited(g, rng, kmax).values for _ in range(3)])) for _ in range(2)]
+        return [SpeciesVector(g, 0.02 + 0.04 * np.stack(
+            [random_band_limited(g, rng, kmax) for _ in range(3)])) for _ in range(2)]
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     def test_equal_probes_of_the_flows(self, n, N):
@@ -470,7 +468,7 @@ class TestHeatFlowProbes:
         # ratio 0 by convention, and the report against zero as for any w
         g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
         v0 = self._data(g, 40 + n)[0]
-        w0 = SpeciesVector.from_array(g, np.zeros_like(v0.stack())) if w_is == "zero" else v0
+        w0 = SpeciesVector(g, np.zeros_like(v0.values)) if w_is == "zero" else v0
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
@@ -509,7 +507,7 @@ class TestHeatFlowProbes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * len(tg) * v0.stack().nbytes
+        assert peak <= 1.75 * len(tg) * v0.values.nbytes
 
     def test_peak_memory_against_zero(self):
         # the probe against zero is a fifth scan of the same pass: 1.67x the
@@ -525,4 +523,4 @@ class TestHeatFlowProbes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * len(tg) * v0.stack().nbytes
+        assert peak <= 2.0 * len(tg) * v0.values.nbytes

@@ -53,8 +53,8 @@ class TestImex:
         grid, tg, _, _ = small
         decoupled = ReducedModel(K=1.0, delta=0.05, alpha=np.zeros((2, 2)))
         rng = np.random.default_rng(9)
-        h = SpeciesVector.from_array(
-            grid, 0.02 * np.stack([random_band_limited(grid, rng, 8).values for _ in range(2)])
+        h = SpeciesVector(
+            grid, 0.02 * np.stack([random_band_limited(grid, rng, 8) for _ in range(2)])
         )
         traj = imex_solve(h, decoupled, tg)
         ref = heat_flow_trajectory(h, tg)
@@ -83,8 +83,8 @@ class TestImex:
     def test_blowup_guard(self, small):
         grid, tg, _, _ = small
         rng = np.random.default_rng(8)
-        big = SpeciesVector.from_array(
-            grid, 50 * np.stack([random_band_limited(grid, rng, 10).values for _ in range(3)])
+        big = SpeciesVector(
+            grid, 50 * np.stack([random_band_limited(grid, rng, 10) for _ in range(3)])
         )
         wild = ReducedModel.from_alpha(ALPHA3, 0.5)
         with pytest.raises(DivergedError, match="diverged"):
@@ -141,7 +141,7 @@ def _imex_inline_flux(h, model, tg, truncated, dt):
         return np.sum(ddiv * fhat, axis=0)
 
     values = np.empty((len(tg), h.d) + grid.shape)
-    values[0] = h.stack()
+    values[0] = h.values
     what = to_coeffs(values[0], grid)
     for k in range(1, len(tg)):
         seg = float(tg.times[k]) - float(tg.times[k - 1])
@@ -265,8 +265,8 @@ class TestPicard:
     def test_smallness_warning(self, small):
         grid, tg, model, _ = small
         rng = np.random.default_rng(10)
-        h = SpeciesVector.from_array(
-            grid, 0.2 + 0.05 * np.stack([random_band_limited(grid, rng, 4).values for _ in range(3)])
+        h = SpeciesVector(
+            grid, 0.2 + 0.05 * np.stack([random_band_limited(grid, rng, 4) for _ in range(3)])
         )
         with pytest.warns(UserWarning, match="smallness"):
             picard_solve(h, model, tg, max_iter=2, metric="sup")
@@ -419,13 +419,13 @@ class TestStability:
         w, _ = picard_solve(h, model, tg, metric="sup", tol=1e-11)
         ratios = []
         for eps in (2e-3, 1e-3):
-            vals = h.stack().copy()
+            vals = h.values.copy()
             vals[0] += eps * mode
             vals[1:] -= eps * mode / 2
-            ht = SpeciesVector.from_array(grid, vals)
+            ht = SpeciesVector(grid, vals)
             wt, _ = picard_solve(ht, model, tg, metric="sup", tol=1e-11)
             # ||w - w~||_Xp / ||h - h~||_inf
-            den = np.max(np.abs(h.stack() - ht.stack()))
+            den = np.max(np.abs(h.values - ht.values))
             ratios.append(xp_norm(trajectory_difference(w, wt)) / den)
         assert all(np.isfinite(r) and r > 0 for r in ratios)
         assert ratios[1] == pytest.approx(ratios[0], rel=0.2)
