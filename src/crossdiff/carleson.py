@@ -65,10 +65,6 @@ class CylinderSpec:
             raise ValueError("cylinder radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.radius**2 / 2.0, self.radius**2)
-
 
 @dataclass(frozen=True)
 class CylinderLadder:

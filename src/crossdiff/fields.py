@@ -62,10 +62,11 @@ def make_grid(n: int, N: int) -> GridSpec:
     return GridSpec(n=n, N=N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeciesVector:
     """The d species of a datum on one grid: values of shape (d, *grid.shape),
-    d >= 1, checked once, copied and read-only."""
+    d >= 1, checked once, copied and read-only. Equality and hash are by
+    identity: nothing compares data by value."""
 
     grid: GridSpec
     values: np.ndarray

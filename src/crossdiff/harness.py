@@ -33,23 +33,19 @@ from .fields import (
     FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
-    from_coeffs,
     index_blocks,
-    laplacian_symbol,
     make_grid,
     random_band_limited,
     spectral_gradient,
-    to_coeffs,
 )
 from .model import RawCoefficients, ReducedModel, _heat_flow_probes, reduce_coefficients
 from .semigroup import heat_flow_trajectory, heat_propagate, kernel_gradient_lp, kernel_scaling_report
-from .solver import imex_solve, picard_solve
+from .solver import _distance_ratios, imex_solve, picard_solve
 from .trajectory import (
     FluxTrajectory,
     TimeGrid,
     Trajectory,
-    _fill_rows,
-    _split_point,
+    _in_halves,
     trajectory_difference,
 )
 
@@ -324,8 +320,7 @@ def generate_initial_data(spec: InitialDataSpec, grid: GridSpec, d: int, delta: 
                              "(a hard indicator is not band-limited)")
         x = grid.meshgrid()[0]
         cells = np.stack([((x >= i / d) & (x < (i + 1) / d)).astype(float) for i in range(d)])
-        smoother = np.exp(0.5 * spec.smoothing**2 * laplacian_symbol(grid))
-        smooth = from_coeffs(smoother * to_coeffs(cells, grid), grid)
+        smooth = heat_propagate(cells, grid, 0.5 * spec.smoothing**2)
         np.maximum(smooth, 0.0, out=smooth)  # spectral truncation can undershoot
         vals = delta * smooth / smooth.sum(axis=0)
     else:
@@ -589,8 +584,7 @@ def check_contraction(ctx: SuiteContext) -> list[Check]:
             f"picard contraction factor at delta={delta:g}", rep.theta_hat, 1.0, "<",
             note=f"{rep.iterates} iterations, converged={rep.converged}",
         ))
-        floor = 1e-15 * max(rep.distances[0], 1e-300)
-        ratios = [b / a for a, b in zip(rep.distances[:-1], rep.distances[1:]) if a > floor and b > floor]
+        ratios = _distance_ratios(rep.distances)
         if ratios:
             checks.append(make_check(
                 f"picard distances strictly decreasing at delta={delta:g}", max(ratios), 1.0, "<",
@@ -613,36 +607,20 @@ def check_contraction(ctx: SuiteContext) -> list[Check]:
     return checks
 
 
-# A check's seeded samples split between this process and one forked child
-# once count x sample_bytes (per sample, one trajectory: times x species x
-# nodes of float64) reach this many bytes. Each node makes dozens of small
-# numpy calls, each of which takes the GIL again, so threads overlapped
-# little (none on the 1-D suite); a fork, its join and the copy-on-write
-# faults after it cost about 11 ms. Split over serial time of whole checks
-# on 2 cores (medians of two runs of 9 interleaved pairs, 1-D, 89 time
-# nodes, d=3): 20 maximal-regularity samples at 334 and 668 KiB 1.25-1.31,
-# at 1.3 MiB 0.69-0.72, at 2.6 MiB 0.63-0.67; 20 Lipschitz samples at 334
-# KiB-2.6 MiB 0.65-0.88; 10 stability pairs at 334 KiB-1.3 MiB 0.55-0.72;
-# 2-4 samples of 33-534 KiB 1.19-2.63. From 1 MiB on every check gains, and
-# the 1-D suite's smallest map, 10 stability pairs of 134 KiB at N=64, splits.
-SPLIT_SAMPLE_BYTES = 1 << 20
-
-
 def _map_samples(fn, count: int, width: int, sample_bytes: int) -> list[list[float]]:
     """[fn(j) for j in range(count)], each fn(j) a tuple of width floats, in
     sample order; samples count//2.. run in a forked child once count x
-    sample_bytes reach SPLIT_SAMPLE_BYTES (trajectory._split_point). A
+    sample_bytes reach trajectory.SPLIT_BYTES (trajectory._in_halves). A
     sample that raises raises from here, the first one in sample order, as in
     the serial loop."""
+
+    def fill(samples, out):
+        for i, j in enumerate(samples):
+            out[i] = fn(j)
+
     rows = np.empty((count, width))
-    _fill_rows(lambda samples, out: _run_samples(fn, samples, out), rows,
-               _split_point(count, count * sample_bytes, SPLIT_SAMPLE_BYTES))
+    _in_halves(fill, count, count * sample_bytes, rows)
     return rows.tolist()
-
-
-def _run_samples(fn, samples: range, out: np.ndarray):
-    for i, j in enumerate(samples):
-        out[i] = fn(j)
 
 
 def _sample_bytes(ctx: SuiteContext, grid: GridSpec) -> int:

@@ -106,13 +106,6 @@ class ReducedModel:
         m.validate()
         return m
 
-    def raw(self) -> RawCoefficients:
-        """Raw coefficient matrix K*(1 + delta*alpha) realising this reduction."""
-        d = self.d
-        K = self.K * (1.0 + self.delta * self.alpha)
-        np.fill_diagonal(K, 0.0)
-        return RawCoefficients(d=d, K=K)
-
 
 def reduce_coefficients(raw: RawCoefficients) -> ReducedModel:
     """Extract the dominant linear diffusivity and the normalised coupling.

@@ -137,13 +137,15 @@ class ContractionReport:
         return self.distances[-1] if self.distances else 0.0
 
 
-def _theta_hat(distances: list[float]) -> float:
+def _distance_ratios(distances: list[float]) -> list[float]:
+    """Ratios of successive iterate distances, both above 1e-15 x the first
+    distance: below it a distance is round-off, and so is its ratio."""
     floor = 1e-15 * max(distances[0], 1e-300) if distances else 0.0
-    ratios = [
-        b / a
-        for a, b in zip(distances[:-1], distances[1:])
-        if a > floor and b > floor
-    ]
+    return [b / a for a, b in zip(distances[:-1], distances[1:]) if a > floor and b > floor]
+
+
+def _theta_hat(distances: list[float]) -> float:
+    ratios = _distance_ratios(distances)
     if not ratios:
         return 0.0
     return float(np.exp(np.mean(np.log(ratios))))

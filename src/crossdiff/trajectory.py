@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,12 +60,6 @@ class TimeGrid:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             pieces.append(np.linspace(lo, hi, steps_per_level + 1)[1:])
         return cls(np.concatenate(pieces), levels=levels, steps_per_level=steps_per_level)
-
-    @classmethod
-    def uniform(cls, t_end: float, steps: int) -> "TimeGrid":
-        if t_end <= 0 or steps < 1:
-            raise ValueError("need t_end > 0 and steps >= 1")
-        return cls(np.linspace(0.0, t_end, steps + 1))
 
 
 @dataclass
@@ -127,27 +121,21 @@ class Trajectory:
         return h.hexdigest()[:12]
 
     def save(self, directory) -> Path:
-        """Write manifest.json and one snapshot per node and species; above
-        SPLIT_TRAJECTORY_BYTES a forked child writes the second half of the
-        nodes. The files are the same on either path."""
+        """Write manifest.json and one snapshot per node and species; from
+        SPLIT_BYTES of values on, a forked child writes the second half of the
+        nodes (_in_halves). The files are the same on either path."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "manifest.json").write_text(self.manifest_text())
-        count = len(self.tg)
-        mid = _split_point(count, self.values.nbytes, SPLIT_TRAJECTORY_BYTES)
-        if mid == count:
-            _write_nodes(self, directory, range(count))
-        elif not _in_two_processes(lambda: _write_nodes(self, directory, range(mid)),
-                                   lambda: _write_nodes(self, directory, range(mid, count))):
-            # the child failed: its half again, here, raises what the serial path raises
-            _write_nodes(self, directory, range(mid, count))
+        _in_halves(lambda nodes, _: _write_nodes(self, directory, nodes), len(self.tg),
+                   self.values.nbytes)
         return directory
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
         """Read a saved trajectory; every snapshot's header must give the
-        manifest's n, N and time. Above SPLIT_TRAJECTORY_BYTES a forked child
-        parses the second half of the nodes into a shared buffer."""
+        manifest's n, N and time. From SPLIT_BYTES of values on, a forked
+        child parses the second half of the nodes (_in_halves)."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         grid = GridSpec(n=manifest["n"], N=manifest["N"])
@@ -156,24 +144,34 @@ class Trajectory:
             levels=manifest.get("levels"),
             steps_per_level=manifest.get("steps_per_level"),
         )
-        count = len(tg)
-        values = np.empty((count, manifest["d"]) + grid.shape)
-        _fill_rows(lambda nodes, out: _read_nodes(directory, grid, tg, nodes, out), values,
-                   _split_point(count, values.nbytes, SPLIT_TRAJECTORY_BYTES))
+        values = np.empty((len(tg), manifest["d"]) + grid.shape)
+        _in_halves(lambda nodes, out: _read_nodes(directory, grid, tg, nodes, out), len(tg),
+                   values.nbytes, values)
         return cls(grid, tg, values, metadata=manifest.get("metadata", {}))
 
 
-# Trajectory.save and .load split their nodes between this process and one
-# forked child once the values reach this many bytes: formatting and parsing
-# the text hold the GIL, so threads cannot overlap them, and a fork and join
-# cost milliseconds. Serial over split time on 2 cores (medians of 7-9
-# interleaved rounds, 89 time nodes, d=3): 1-D N=64 (0.13 MiB) save 46 -> 59
-# ms, load 25 -> 37 ms; 1-D N=128 (0.26 MiB) save 64 -> 71, load 36 -> 48;
-# at 0.52 MiB mixed (2-D N=16 save 139 -> 143, load 74 -> 62); from 1 MiB a
-# clear gain: 1-D N=512 save 221 -> 170, load 129 -> 107, 2-D N=32 (2.1
-# MiB) save 388 -> 262, load 259 -> 157, 2-D N=64 (8.3 MiB) save 1069 ->
-# 580, load 784 -> 485.
-SPLIT_TRAJECTORY_BYTES = 1 << 20
+# Work of at least this many bytes is split between this process and one
+# forked child (_in_halves): trajectory save and load (the values' bytes) and
+# a check's seeded samples (count x one sample's trajectory: times x species
+# x nodes of float64). Formatting and parsing text, and the dozens of small
+# numpy calls each sample makes per node, hold the GIL, so threads overlapped
+# little (none on the 1-D suite); a fork, its wait and the copy-on-write
+# faults after it cost milliseconds (about 11 ms around a sample map).
+# Measured on 2 cores, medians of interleaved rounds:
+# - save and load, serial -> split ms (7-9 rounds, 89 time nodes, d=3): 1-D
+#   N=64 (0.13 MiB) save 46 -> 59, load 25 -> 37; 1-D N=128 (0.26 MiB) save
+#   64 -> 71, load 36 -> 48; at 0.52 MiB mixed (2-D N=16 save 139 -> 143,
+#   load 74 -> 62); from 1 MiB a clear gain: 1-D N=512 save 221 -> 170, load
+#   129 -> 107, 2-D N=32 (2.1 MiB) save 388 -> 262, load 259 -> 157, 2-D
+#   N=64 (8.3 MiB) save 1069 -> 580, load 784 -> 485.
+# - whole checks, split over serial time (two runs of 9 interleaved pairs,
+#   1-D, 89 time nodes, d=3): 20 maximal-regularity samples at 334 and 668
+#   KiB 1.25-1.31, at 1.3 MiB 0.69-0.72, at 2.6 MiB 0.63-0.67; 20 Lipschitz
+#   samples at 334 KiB-2.6 MiB 0.65-0.88; 10 stability pairs at 334 KiB-1.3
+#   MiB 0.55-0.72; 2-4 samples of 33-534 KiB 1.19-2.63. From 1 MiB on every
+#   check gains, and the 1-D suite's smallest map, 10 stability pairs of 134
+#   KiB at N=64, splits.
+SPLIT_BYTES = 1 << 20
 
 
 def _usable_cores() -> int:
@@ -183,71 +181,47 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_point(count: int, nbytes: int, threshold: int) -> int:
-    """The first item of a forked child's half of count items that take
-    nbytes between them, or count when every item stays in this process:
-    below two items or threshold bytes, on one usable core, with another
-    thread alive (a fork copies only the calling thread, and any lock another
-    thread holds stays held in the child) or where fork is not a start
-    method."""
-    if (count < 2 or nbytes < threshold or _usable_cores() < 2
-            or threading.active_count() != 1):
-        return count
-    # imported here: most commands never split, and every one imports crossdiff
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return count
-    return count // 2
-
-
-def _fill_rows(fill, out: np.ndarray, mid: int):
-    """fill(range(len(out)), out), where fill(items, rows) writes item
-    items[j] into rows[j]: all here when mid == len(out), else items from mid
-    on in a forked child. The child writes into an anonymous shared mapping,
-    so no array is pickled. A child that fails has its items filled again
-    here, which raises what the serial path raises."""
-    count = len(out)
-    if mid == count:
+def _in_halves(fill, count: int, nbytes: int, out: np.ndarray | None = None):
+    """fill(range(count), out), where fill(items, rows) writes item items[j]
+    into rows[j] (rows is None when out is). Items count//2.. run in a forked
+    child once the count items take nbytes >= SPLIT_BYTES between them, on
+    two or more usable cores, with no other thread alive (a fork copies only
+    the calling thread, and any lock another thread holds stays held in the
+    child) and where the platform can fork. The child writes its rows into an
+    anonymous shared mapping, so nothing is pickled. A child that fails, or
+    a fork that fails, has its half run again here, which raises what the
+    serial path raises."""
+    if (count < 2 or nbytes < SPLIT_BYTES or _usable_cores() < 2
+            or threading.active_count() != 1 or not hasattr(os, "fork")):
         fill(range(count), out)
         return
-    # imported here, as the fork itself: most calls never split
-    import mmap
-
-    shared = np.frombuffer(mmap.mmap(-1, out[mid:].nbytes), out.dtype).reshape(out[mid:].shape)
-    if _in_two_processes(lambda: fill(range(mid), out[:mid]),
-                         lambda: fill(range(mid, count), shared)):
-        out[mid:] = shared
-    else:
-        fill(range(mid, count), out[mid:])
-
-
-def _in_two_processes(here, child) -> bool:
-    """Run child() in a forked process while this one runs here(); True when
-    child() returned, False when it failed or no process could be forked.
-    The child is always joined, also when here() raises."""
-    import multiprocessing
-
-    proc = multiprocessing.get_context("fork").Process(target=_exit_status, args=(child,))
+    mid = count // 2
+    head = tail = shared = None
+    if out is not None:
+        head, tail = out[:mid], out[mid:]
+        shared = np.frombuffer(mmap.mmap(-1, tail.nbytes), out.dtype).reshape(tail.shape)
     try:
-        proc.start()
-    except OSError:  # no process to be had: the caller runs child's part itself
-        here()
-        return False
+        pid = os.fork()
+    except OSError:  # no process to be had: both halves run here
+        pid = -1
+    if pid == 0:
+        # the parent redoes a failed half and raises its error itself, so
+        # the child prints nothing; os._exit skips flushing the stdio
+        # buffers it inherited, which the parent still holds
+        status = 1
+        try:
+            fill(range(mid, count), shared)
+            status = 0
+        finally:
+            os._exit(status)
     try:
-        here()
+        fill(range(mid), head)
     finally:
-        proc.join()
-    return proc.exitcode == 0
-
-
-def _exit_status(fn):
-    # a failure is reported by the exit code alone: the parent runs the same
-    # nodes again and raises the error itself, so the child prints nothing
-    try:
-        fn()
-    except Exception:
-        sys.exit(1)
+        done = pid > 0 and os.waitpid(pid, 0)[1] == 0
+    if not done:
+        fill(range(mid, count), tail)
+    elif out is not None:
+        tail[...] = shared
 
 
 def _snapshot_path(directory: Path, k: int, i: int) -> Path:

@@ -1,4 +1,5 @@
 import collections
+import os
 import sys
 
 import pytest
@@ -56,3 +57,14 @@ def transform_bytes(monkeypatch):
             elif value is real_from:
                 monkeypatch.setattr(module, key, from_coeffs)
     return seen
+
+
+@pytest.fixture
+def no_child_left():
+    """A check that this process has no child process left, running or
+    unreaped: os.waitpid(-1, WNOHANG) raises ChildProcessError."""
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check

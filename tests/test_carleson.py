@@ -41,7 +41,7 @@ def _scan_per_cylinder(grid, times, mags, p, cylinders):
     skipped = 0
     for radius, group in itertools.groupby(ordered, key=lambda c: c.radius):
         group = list(group)
-        lo, hi = group[0].window
+        lo, hi = radius**2 / 2, radius**2
         eps = 1e-12 * hi
         sel = np.nonzero((times >= lo - eps) & (times <= hi + eps))[0]
         if sel.size == 0:
@@ -121,10 +121,10 @@ class TestEnumerateCylinders:
             enumerate_cylinders(grid, tg)
 
     def test_window_definition(self):
-        cyl = CylinderSpec(center=(0.25,), radius=0.2)
-        lo, hi = cyl.window
-        assert lo == pytest.approx(0.02)
-        assert hi == pytest.approx(0.04)
+        # the window of radius 0.2 is [0.2**2 / 2, 0.2**2] = [0.02, 0.04]
+        times = (0.0, 0.01, 0.019, 0.02, 0.03, 0.04, 0.041, 0.05)
+        (nodes, _), = carleson._cylinder_windows(times, (0.2,))
+        assert times[nodes] == (0.02, 0.03, 0.04)
 
 
 class TestCylinderLadder:
@@ -184,7 +184,7 @@ class TestSeminorms:
         xs = np.linspace(0.0, 1.0, 200001)
         best = 0.0
         for cyl in _expand(cylinders):
-            lo, hi = cyl.window
+            lo, hi = cyl.radius**2 / 2, cyl.radius**2
             t_avg = (math.exp(-lam * lo) - math.exp(-lam * hi)) / (lam * (hi - lo))
             dist = np.abs(xs - cyl.center[0])
             dist = np.minimum(dist, 1.0 - dist)

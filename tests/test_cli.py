@@ -297,13 +297,13 @@ def test_text_printed_before_a_split_save_appears_once(tmp_path, tiny_args):
     # in the buffer when the save forks, and must not be written again by
     # the child
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from crossdiff import cli, trajectory\n"
-        "trajectory.SPLIT_TRAJECTORY_BYTES = 0\n"
+        "trajectory.SPLIT_BYTES = 0\n"
         "trajectory._usable_cores = lambda: 2\n"
         "forks = []\n"
-        "real = trajectory._in_two_processes\n"
-        "trajectory._in_two_processes = lambda *a: forks.append(1) or real(*a)\n"
+        "real = os.fork\n"
+        "os.fork = lambda: forks.append(1) or real()\n"
         "print('printed before the save')\n"
         f"code = cli.main(['solve', '--scheme', 'imex'] + {tiny_args!r})\n"
         "print(f'forks {len(forks)}', file=sys.stderr)\n"

@@ -1,8 +1,8 @@
 import math
-import multiprocessing
 import os
 import re
 import shutil
+import signal
 import threading
 import tracemalloc
 
@@ -309,7 +309,7 @@ class TestDealias:
         g = make_grid(1, 32)
         model = ReducedModel.from_alpha(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
         values = 0.2 + 0.1 * _rng(6).standard_normal((2, 2) + g.shape)
-        once = flux_trajectory(Trajectory(g, TimeGrid.uniform(1.0, 1), values), model).values
+        once = flux_trajectory(Trajectory(g, TimeGrid(np.linspace(0.0, 1.0, 2)), values), model).values
         fhat = to_coeffs(once, g)
         fhat[..., ~dealias_keep_mask(g)] = 0.0
         assert_allclose(from_coeffs(fhat, g), once, atol=1e-14)
@@ -370,6 +370,13 @@ class TestSpeciesVector:
         assert_allclose(sv.values.sum(axis=0), -1.0)
         assert sv.sup_norm() == 2.0
         assert SpeciesVector(g, np.ones((1, 16))).d == 1
+
+    def test_equality_and_hash_by_identity(self):
+        g, x = make_grid(1, 16), np.ones((2, 16))
+        h = SpeciesVector(g, x)
+        assert (SpeciesVector(g, x) == SpeciesVector(g, x)) is False
+        assert h == h and isinstance(hash(h), int)
+        assert {h: 1}[h] == 1
 
 
 def _random_band_limited_per_mode(grid, rng, kmax, amplitude=1.0, mean=0.0):
@@ -568,7 +575,7 @@ def _trajectory(g, count: int, d: int = 2) -> Trajectory:
         np.stack([_awkward_field(g, seed=10 * k + i) for i in range(d)])
         for k in range(count)
     ])
-    return Trajectory(g, TimeGrid.uniform(0.5, count - 1), values, metadata={"kind": "test"})
+    return Trajectory(g, TimeGrid(np.linspace(0.0, 0.5, count)), values, metadata={"kind": "test"})
 
 
 @pytest.fixture
@@ -608,7 +615,7 @@ def _serial_calls(count: int) -> list:
 @pytest.fixture
 def forking(monkeypatch):
     """Split every save and load, whatever its size and the host's cores."""
-    monkeypatch.setattr(trajectory, "SPLIT_TRAJECTORY_BYTES", 0)
+    monkeypatch.setattr(trajectory, "SPLIT_BYTES", 0)
     monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
 
 
@@ -617,16 +624,16 @@ def _files(directory) -> dict:
 
 
 class TestSplitSaveLoad:
-    """Above SPLIT_TRAJECTORY_BYTES a forked child writes and reads the
+    """From SPLIT_BYTES on a forked child writes and reads the
     second half of the nodes; files, values and errors must not depend on
     the path."""
 
     def test_above_threshold_files_equal_per_row_writer(self, tmp_path, monkeypatch, node_log):
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
         g = make_grid(2, 64)
-        count = -(-trajectory.SPLIT_TRAJECTORY_BYTES // (2 * g.num_nodes * 8))
+        count = -(-trajectory.SPLIT_BYTES // (2 * g.num_nodes * 8))
         traj = _trajectory(g, count)
-        assert traj.values.nbytes >= trajectory.SPLIT_TRAJECTORY_BYTES
+        assert traj.values.nbytes >= trajectory.SPLIT_BYTES
         out = traj.save(tmp_path / "run")
         back = Trajectory.load(out)
         assert node_log() == _split_calls(count)
@@ -642,20 +649,21 @@ class TestSplitSaveLoad:
     def test_small_trajectories_stay_serial(self, tmp_path, monkeypatch, node_log):
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
         traj = _trajectory(make_grid(2, 8), 5)
-        assert traj.values.nbytes < trajectory.SPLIT_TRAJECTORY_BYTES
+        assert traj.values.nbytes < trajectory.SPLIT_BYTES
         Trajectory.load(traj.save(tmp_path / "run"))
         assert node_log() == _serial_calls(5)
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_fork_only_on_two_or_more_cores(self, tmp_path, monkeypatch, forking, node_log, cores):
+    def test_fork_only_on_two_or_more_cores(self, tmp_path, monkeypatch, forking, node_log, no_child_left,
+                                            cores):
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: cores)
         traj = _trajectory(make_grid(1, 16), 7)
         back = Trajectory.load(traj.save(tmp_path / "run"))
         assert node_log() == (_serial_calls(7) if cores < 2 else _split_calls(7))
         assert back.values.tobytes() == traj.values.tobytes()
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
-    @pytest.mark.parametrize("fallback", ["one usable core", "second thread"])
+    @pytest.mark.parametrize("fallback", ["one usable core", "second thread", "no os.fork"])
     def test_serial_fallback_gives_the_same_files_and_values(self, tmp_path, monkeypatch, forking,
                                                              node_log, fallback):
         traj = _trajectory(make_grid(2, 8), 7)
@@ -666,8 +674,11 @@ class TestSplitSaveLoad:
         def serial():
             return Trajectory.load(traj.save(tmp_path / "serial"))
 
-        if fallback == "one usable core":
-            monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
+        if fallback != "second thread":
+            if fallback == "one usable core":
+                monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
+            else:
+                monkeypatch.delattr(os, "fork")
             serial_back = serial()
         else:
             result = []
@@ -683,16 +694,41 @@ class TestSplitSaveLoad:
             assert back.metadata == traj.metadata and back.grid == traj.grid
 
     def test_no_fork_to_be_had_runs_both_halves_here(self, tmp_path, monkeypatch, forking, node_log):
-        def refuse(self):
+        def refuse():
             raise BlockingIOError("no process")
 
-        monkeypatch.setattr(type(multiprocessing.get_context("fork").Process()), "start", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         traj = _trajectory(make_grid(2, 8), 7)
         back = Trajectory.load(traj.save(tmp_path / "run"))
         assert back.values.tobytes() == traj.values.tobytes()
         mid = 7 // 2
         assert node_log() == sorted((name, True, a, b) for name in ("_write_nodes", "_read_nodes")
                                     for a, b in ((0, mid), (mid, 7)))
+
+    @pytest.mark.parametrize("death", ["os._exit(3)", "SIGKILL"])
+    def test_child_dying_without_raising_has_its_half_redone_here(self, tmp_path, monkeypatch, forking,
+                                                                  node_log, capfd, no_child_left, death):
+        traj = _trajectory(make_grid(2, 8), 7)
+        out = traj.save(tmp_path / "run")
+        parent, real = os.getpid(), trajectory._read_nodes
+
+        def read_or_die(*args):
+            if os.getpid() != parent:
+                if death == "SIGKILL":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(trajectory, "_read_nodes", read_or_die)
+        capfd.readouterr()
+        back = Trajectory.load(out)
+        assert back.values.tobytes() == traj.values.tobytes()
+        # the child died before it read a node: its half was read again here
+        mid = 7 // 2
+        assert node_log() == sorted([("_write_nodes", True, 0, mid), ("_write_nodes", False, mid, 7),
+                                     ("_read_nodes", True, 0, mid), ("_read_nodes", True, mid, 7)])
+        assert capfd.readouterr().err == ""
+        no_child_left()
 
     @staticmethod
     def _serial_error(monkeypatch, call) -> pytest.ExceptionInfo:
@@ -707,7 +743,7 @@ class TestSplitSaveLoad:
     @pytest.mark.parametrize("fault", ["bad value", "nan value", "inf value", "1-D snapshot",
                                        "another node's time"])
     def test_bad_snapshot_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd,
-                                                  node, fault):
+                                                  no_child_left, node, fault):
         traj = _trajectory(make_grid(2, 16), 7)
         out = traj.save(tmp_path / "run")
         path = out / f"state_t{node:05d}_s1.txt"
@@ -729,10 +765,11 @@ class TestSplitSaveLoad:
             Trajectory.load(out)
         assert str(split.value) == str(serial.value)
         assert capfd.readouterr().err == ""
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     @pytest.mark.parametrize("node", [1, 5])
-    def test_failed_write_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd, node):
+    def test_failed_write_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd,
+                                                  no_child_left, node):
         traj = _trajectory(make_grid(2, 8), 7)
         blocked = tmp_path / "run" / f"state_t{node:05d}_s0.txt"
         blocked.mkdir(parents=True)
@@ -741,7 +778,7 @@ class TestSplitSaveLoad:
             traj.save(tmp_path / "run")
         assert str(split.value) == str(serial.value) and str(blocked) in str(split.value)
         assert capfd.readouterr().err == ""
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
 
 class TestLoadChecksHeaders:

@@ -1,8 +1,8 @@
 import csv
 import math
-import multiprocessing
 import os
 import re
+import signal
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -33,7 +33,7 @@ from crossdiff.harness import (
 from crossdiff.model import ReducedModel
 from crossdiff.semigroup import heat_flow_trajectory
 from crossdiff.solver import imex_solve
-from crossdiff.trajectory import TimeGrid, Trajectory, _in_two_processes
+from crossdiff.trajectory import TimeGrid, Trajectory
 
 TINY = ExperimentConfig(
     N=16, t_end=0.25, levels=3, steps_per_level=3, kmax=3, smoothing=0.02,
@@ -250,7 +250,7 @@ class TestChecks:
 
     def test_nonnegativity_and_mass(self):
         g = make_grid(1, 32)
-        tg = TimeGrid.uniform(0.1, 4)
+        tg = TimeGrid(np.linspace(0.0, 0.1, 5))
         h = generate_initial_data(InitialDataSpec("random-simplex", seed=4), g, 2, 0.1)
         traj = heat_flow_trajectory(h, tg)
         assert verify_nonnegativity(traj).passed
@@ -271,7 +271,7 @@ class TestEnergyProbe:
 
     def test_injected_negative_bump_detected(self):
         g = make_grid(1, 64)
-        tg = TimeGrid.uniform(0.1, 8)
+        tg = TimeGrid(np.linspace(0.0, 0.1, 9))
         x = g.axes()[0]
         bump = -0.05 * np.exp(-((x - 0.5) ** 2) / 0.002)
         vals = np.tile(np.stack([bump + 0.03, np.full(g.shape, 0.03)]), (len(tg), 1, 1))
@@ -474,6 +474,10 @@ class TestFiniteGates:
         assert not past.passed
 
 
+# os.fork itself, whichever wrapper a test puts in its place
+_REAL_FORK = os.fork
+
+
 @pytest.fixture
 def sample_log(tmp_path):
     """A sample function that logs (sample, process) to a file, and a reader
@@ -498,47 +502,49 @@ def sample_log(tmp_path):
 
 class TestSampleFanOut:
     """A check's samples split between this process and a forked child once
-    count x sample_bytes reach SPLIT_SAMPLE_BYTES; the checks, and the
+    count x sample_bytes reach trajectory.SPLIT_BYTES; the checks, and the
     errors, must not depend on the path."""
 
     CFG = ExperimentConfig(n=2, N=16, kmax=3, levels=4, steps_per_level=4, sweep_samples=5,
                            stability_pairs=3, refine=False, seed=11)
     # 7 samples, 0-2 in this process and 3-6 in the child
     COUNT = 7
-    ABOVE = -(-harness.SPLIT_SAMPLE_BYTES // COUNT)
+    ABOVE = -(-trajectory.SPLIT_BYTES // COUNT)
 
     @staticmethod
     def _force(monkeypatch, split) -> list:
         # two usable cores, whatever this machine has; returns a log of forks
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(harness, "SPLIT_SAMPLE_BYTES", 0 if split else math.inf)
+        monkeypatch.setattr(trajectory, "SPLIT_BYTES", 0 if split else math.inf)
         forks = []
-        monkeypatch.setattr(trajectory, "_in_two_processes",
-                            lambda *a: forks.append(1) or _in_two_processes(*a))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _REAL_FORK())
         return forks
 
     def _serial_rows(self, fn):
         return [list(fn(j)) for j in range(self.COUNT)]
 
     @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_child_takes_the_second_half_on_two_or_more_cores(self, monkeypatch, sample_log, cores):
+    def test_child_takes_the_second_half_on_two_or_more_cores(self, monkeypatch, sample_log, no_child_left,
+                                                              cores):
         fn, log = sample_log
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: cores)
         rows = harness._map_samples(fn, self.COUNT, 2, self.ABOVE)
-        assert self.COUNT * self.ABOVE >= harness.SPLIT_SAMPLE_BYTES
+        assert self.COUNT * self.ABOVE >= trajectory.SPLIT_BYTES
         assert log() == [(j, cores < 2 or j < self.COUNT // 2) for j in range(self.COUNT)]
         assert rows == self._serial_rows(fn)
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
-    @pytest.mark.parametrize("fallback", ["below the constant", "one sample", "second thread"])
+    @pytest.mark.parametrize("fallback", ["below the constant", "one sample", "second thread", "no os.fork"])
     def test_no_fork_below_the_constant_or_from_a_second_thread(self, monkeypatch, sample_log, fallback):
         fn, log = sample_log
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
         count, size = self.COUNT, self.ABOVE
         if fallback == "below the constant":
-            size = (harness.SPLIT_SAMPLE_BYTES - 1) // count
+            size = (trajectory.SPLIT_BYTES - 1) // count
         elif fallback == "one sample":
-            count, size = 1, harness.SPLIT_SAMPLE_BYTES
+            count, size = 1, trajectory.SPLIT_BYTES
+        elif fallback == "no os.fork":
+            monkeypatch.delattr(os, "fork")
         if fallback == "second thread":
             result = []
             thread = threading.Thread(target=lambda: result.append(harness._map_samples(fn, count, 2, size)))
@@ -555,7 +561,8 @@ class TestSampleFanOut:
     # which runs its half up to its first failure
     @pytest.mark.parametrize("fail,by_child", [((1,), [3, 4, 5, 6]), ((1, 5), [3, 4, 5]),
                                                ((4,), [3, 4]), ((4, 6), [3, 4])])
-    def test_failing_sample_raises_the_serial_error(self, monkeypatch, sample_log, capfd, fail, by_child):
+    def test_failing_sample_raises_the_serial_error(self, monkeypatch, sample_log, capfd, no_child_left,
+                                                    fail, by_child):
         fn, log = sample_log
         capfd.readouterr()
         monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
@@ -568,22 +575,45 @@ class TestSampleFanOut:
         assert str(split.value) == str(serial.value)
         assert [j for j, here in log() if not here] == by_child
         assert capfd.readouterr().err == ""
-        assert multiprocessing.active_children() == []
+        no_child_left()
+
+    @pytest.mark.parametrize("death", ["os._exit(3)", "SIGKILL"])
+    def test_child_dying_without_raising_has_its_half_redone_here(self, monkeypatch, sample_log, capfd,
+                                                                  no_child_left, death):
+        fn, log = sample_log
+        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        parent = os.getpid()
+
+        def sample(j):
+            row = fn(j)
+            if os.getpid() != parent and j == 5:
+                if death == "SIGKILL":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
+            return row
+
+        capfd.readouterr()
+        rows = harness._map_samples(sample, self.COUNT, 2, self.ABOVE)
+        # the child ran samples 3-5 before it died; all of 3-6 ran again here
+        assert log() == sorted([(j, True) for j in range(self.COUNT)] + [(j, False) for j in (3, 4, 5)])
+        assert rows == self._serial_rows(fn)
+        assert capfd.readouterr().err == ""
+        no_child_left()
 
     @pytest.mark.parametrize("check", ["check_maximal_regularity", "check_lipschitz", "check_stability"])
-    def test_threaded_equals_serial(self, check, monkeypatch):
+    def test_threaded_equals_serial(self, check, monkeypatch, no_child_left):
         values, forks = {}, {}
         for split in (False, True):
             forks[split] = self._force(monkeypatch, split)
             values[split] = [(c.name, c.value) for c in getattr(harness, check)(SuiteContext(self.CFG))]
         assert values[True] == values[False]
         assert (len(forks[False]), len(forks[True])) == (0, 1)
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     @pytest.mark.parametrize("group", ["maximal-regularity", "lipschitz", "stability"])
     @pytest.mark.parametrize("bad,match", [("p", "p in \\(1, inf\\), got 0.5"),
                                            ("kmax", "kmax must be in")])
-    def test_worker_error_reads_as_serial(self, group, bad, match, monkeypatch, capfd):
+    def test_worker_error_reads_as_serial(self, group, bad, match, monkeypatch, capfd, no_child_left):
         cfg = replace(self.CFG, kmax=8) if bad == "kmax" else replace(self.CFG)
         if bad == "p":
             cfg.p = 0.5  # past the config's own check, as a caller may set it
@@ -596,7 +626,7 @@ class TestSampleFanOut:
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"suite group {group!r} failed to run: ")
         assert capfd.readouterr().err == ""
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_run_suite_starts_no_thread(self, monkeypatch):
         started = []

@@ -46,7 +46,7 @@ ALPHA3 = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 def _flux(w, g, m, truncated=True):
     """The nodal flux of one state w (d, *g.shape), as flux_trajectory
     evaluates it along a trajectory."""
-    return flux_trajectory(Trajectory(g, TimeGrid.uniform(1.0, 1), np.stack([w, w])),
+    return flux_trajectory(Trajectory(g, TimeGrid(np.linspace(0.0, 1.0, 2)), np.stack([w, w])),
                            m, truncated).values[0]
 
 
@@ -145,7 +145,9 @@ class TestReduceCoefficients:
 
     def test_raw_round_trip(self):
         m = ReducedModel.from_alpha(np.array([[0, -1.0, 1.0], [-1.0, 0, 0], [1.0, 0, 0]]), 0.05)
-        again = reduce_coefficients(m.raw())
+        K = m.K * (1.0 + m.delta * m.alpha)
+        np.fill_diagonal(K, 0.0)
+        again = reduce_coefficients(RawCoefficients(d=m.d, K=K))
         assert again.delta == pytest.approx(0.05, rel=1e-12)
         assert np.allclose(again.alpha, m.alpha, atol=1e-12)
 
@@ -418,7 +420,7 @@ class TestLipschitzProbe:
         assert peak <= 1.5 * v.values.nbytes
 
     def test_nonfinite_flux_rejected(self):
-        g, tg = make_grid(1, 16), TimeGrid.uniform(0.1, 2)
+        g, tg = make_grid(1, 16), TimeGrid(np.linspace(0.0, 0.1, 3))
         v, w = self._pair(g, tg)
         # finite states whose products overflow
         huge = Trajectory(g, tg, 1e200 * v.values)

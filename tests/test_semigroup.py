@@ -59,7 +59,7 @@ class TestTimeGrid:
             assert inside == 8
 
     def test_uniform(self):
-        tg = TimeGrid.uniform(2.0, 4)
+        tg = TimeGrid(np.linspace(0.0, 2.0, 5))
         np.testing.assert_allclose(tg.times, [0, 0.5, 1.0, 1.5, 2.0])
 
     def test_validation(self):
@@ -75,7 +75,7 @@ class TestTrajectoryValues:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_trajectory_rejects_nonfinite(self, bad):
         grid = make_grid(2, 8)
-        tg = TimeGrid.uniform(1.0, 2)
+        tg = TimeGrid(np.linspace(0.0, 1.0, 3))
         vals = np.zeros((len(tg), 2) + grid.shape)
         Trajectory(grid, tg, vals)
         vals[2, 1, 3, 4] = bad
@@ -85,7 +85,7 @@ class TestTrajectoryValues:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_flux_trajectory_rejects_nonfinite(self, bad):
         grid = make_grid(1, 8)
-        tg = TimeGrid.uniform(1.0, 2)
+        tg = TimeGrid(np.linspace(0.0, 1.0, 3))
         vals = np.zeros((len(tg), 2, 1) + grid.shape)
         FluxTrajectory(grid, tg, vals)
         vals[1, 0, 0, 7] = bad
@@ -97,7 +97,7 @@ class TestFluxMagnitudes:
     @pytest.mark.parametrize("n", [1, 2])
     def test_bit_equal_to_summed_squares(self, n):
         grid = make_grid(n, 16)
-        tg = TimeGrid.uniform(1.0, 3)
+        tg = TimeGrid(np.linspace(0.0, 1.0, 4))
         vals = np.random.default_rng(n).standard_normal((len(tg), 2, n) + grid.shape)
         ref = np.sqrt((vals**2).sum(axis=2))
         assert np.array_equal(vector_magnitudes(vals), ref)
@@ -107,7 +107,7 @@ class TestFluxMagnitudes:
 
     def test_no_temporary_of_the_flux_size(self):
         grid = make_grid(2, 64)
-        tg = TimeGrid.uniform(1.0, 8)
+        tg = TimeGrid(np.linspace(0.0, 1.0, 9))
         flux = FluxTrajectory(grid, tg, np.random.default_rng(0).standard_normal((len(tg), 3, 2) + grid.shape))
         tracemalloc.start()
         try:
@@ -188,7 +188,7 @@ class TestDuhamel:
         # divergence of a constant flux vanishes
         g = make_grid(1, 32)
         h = _species(g, np.sin(2 * math.pi * g.axes()[0]))
-        tg = TimeGrid.uniform(0.2, 16)
+        tg = TimeGrid(np.linspace(0.0, 0.2, 17))
         const = FluxTrajectory(g, tg, np.full((len(tg), 1, 1) + g.shape, 3.7))
         sol = duhamel_solve(h, const, tg)
         ref = heat_flow_trajectory(h, tg)
@@ -199,7 +199,7 @@ class TestDuhamel:
         # closed-form mild solution: w = (exp(-t) - exp(-4 pi^2 t)) sin(2 pi x)
         g = make_grid(1, 64)
         x = g.axes()[0]
-        tg = TimeGrid.uniform(0.5, steps)
+        tg = TimeGrid(np.linspace(0.0, 0.5, steps + 1))
         h = _species(g, np.zeros(g.shape))
         amp = -(4 * math.pi**2 - 1) / (2 * math.pi)
 
@@ -230,7 +230,7 @@ class TestDuhamel:
     def test_shape_mismatch_rejected(self):
         g = make_grid(1, 32)
         h = _species(g, np.zeros(g.shape))
-        tg = TimeGrid.uniform(0.1, 4)
+        tg = TimeGrid(np.linspace(0.0, 0.1, 5))
         wrong = FluxTrajectory(g, tg, np.zeros((len(tg), 2, 1) + g.shape))
         with pytest.raises(ValueError, match="species"):
             duhamel_solve(h, wrong, tg)
@@ -250,8 +250,8 @@ class TestDuhamel:
         # a forcing one time node short is rejected before any block is due
         g = make_grid(1, 32)
         h = _species(g, np.zeros(g.shape))
-        tg = TimeGrid.uniform(0.1, 4)
-        short = FluxTrajectory(g, TimeGrid.uniform(0.1, 3), np.zeros((len(tg) - 1, 1, 1) + g.shape))
+        tg = TimeGrid(np.linspace(0.0, 0.1, 5))
+        short = FluxTrajectory(g, TimeGrid(np.linspace(0.0, 0.1, 4)), np.zeros((len(tg) - 1, 1, 1) + g.shape))
         with pytest.raises(ValueError, match="time grid"):
             _forced_blocks(h, short, tg)
         with pytest.raises(ValueError, match="time grid"):
@@ -317,7 +317,7 @@ class TestBatchedTransforms:
     # step: 1/32 and its multiples are exact) and a grid of all distinct steps
     TIME_GRIDS = {
         "dyadic": TimeGrid.dyadic(0.5, levels=4, steps_per_level=3),
-        "uniform": TimeGrid.uniform(0.5, 16),
+        "uniform": TimeGrid(np.linspace(0.0, 0.5, 17)),
         "distinct": TimeGrid(np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.05, 14))))),
     }
 
