@@ -97,7 +97,6 @@ class NormReport:
     sup_norm: float
     seminorm: float
     attaining: CylinderSpec | None
-    attaining_species: int | None
     cylinders_scanned: int
     cylinders_skipped: int = 0
     grid: GridSpec | None = None
@@ -266,13 +265,13 @@ class _CylinderScan:
                 self.first = i + 1
 
     def result(self):
-        """(best value, attaining CylinderSpec, its species, cylinders
-        scanned, cylinders skipped).
+        """(best value, attaining CylinderSpec, cylinders scanned, cylinders
+        skipped).
 
         Ties break deterministically toward the smallest radius, then the
-        first center in C order, then the first species (scan order with
-        strict improvement). A NaN in mags spreads through the transforms to
-        every center of its radius, and that radius never attains.
+        first center in C order (scan order with strict improvement). A NaN
+        in mags spreads through the transforms to every center of its
+        radius, and that radius never attains.
         """
         if self.fed != self.n_times:
             raise ValueError(f"the scan was fed {self.fed} of {self.n_times} time nodes")
@@ -287,7 +286,7 @@ class _CylinderScan:
         centers = (slice(None), slice(None)) + (slice(None, None, ladder.stride),) * grid.n
         scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
         counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
-        best, best_at, best_sp = 0.0, None, None
+        best, best_at = 0.0, None
         # live radii in increasing order, MAGNITUDE_BLOCK_BYTES of spectra at a time
         for block in index_blocks(len(live), 2 * self.q[0].nbytes, MAGNITUDE_BLOCK_BYTES):
             js = live[block]
@@ -300,10 +299,15 @@ class _CylinderScan:
                 if top[i, k] > best:
                     center = np.unravel_index(int(k), vals.shape[2:])
                     best, best_at = float(top[i, k]), (center, ladder.radii[js[i]])
-                    best_sp = int(np.argmax(vals[(i, slice(None)) + center]))
         cyl = None if best_at is None else CylinderSpec(
             tuple(int(i) * ladder.stride / grid.N for i in best_at[0]), best_at[1])
-        return best, cyl, best_sp, len(ladder) - skipped, skipped
+        return best, cyl, len(ladder) - skipped, skipped
+
+    def report(self, sup_norm: float) -> NormReport:
+        """The NormReport of the finished scan, with sup_norm alongside."""
+        semi, cyl, scanned, skipped = self.result()
+        return NormReport(p=self.p, sup_norm=sup_norm, seminorm=semi, attaining=cyl,
+                          cylinders_scanned=scanned, cylinders_skipped=skipped, grid=self.grid)
 
 
 def gradient_flux(traj: Trajectory) -> FluxTrajectory:
@@ -355,17 +359,7 @@ def xp_seminorm(
     scan = _CylinderScan(grid, traj.tg.times, p, cylinders)
     for b in index_blocks(len(traj.tg), traj.values[0].nbytes, MAGNITUDE_BLOCK_BYTES):
         scan.add(_gradient_magnitudes(to_coeffs(traj.values[b], grid), grid))
-    semi, cyl, sp, scanned, skipped = scan.result()
-    return NormReport(
-        p=p,
-        sup_norm=traj.sup_norm(),
-        seminorm=semi,
-        attaining=cyl,
-        attaining_species=sp,
-        cylinders_scanned=scanned,
-        cylinders_skipped=skipped,
-        grid=grid,
-    )
+    return scan.report(traj.sup_norm())
 
 
 def yp_norm(
@@ -387,17 +381,7 @@ def yp_norm(
         mags = vector_magnitudes(flux.values[b])
         sups.append(mags.max())
         scan.add(mags)
-    semi, cyl, sp, scanned, skipped = scan.result()
-    return NormReport(
-        p=p,
-        sup_norm=float(np.max(sups)),
-        seminorm=semi,
-        attaining=cyl,
-        attaining_species=sp,
-        cylinders_scanned=scanned,
-        cylinders_skipped=skipped,
-        grid=grid,
-    )
+    return scan.report(float(np.max(sups)))
 
 
 def xp_norm(

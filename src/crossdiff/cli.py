@@ -64,16 +64,16 @@ def _build_config(args) -> ExperimentConfig:
         _exit_invalid_config(exc)
 
 
-def _suite_config(args, groups=None) -> ExperimentConfig:
+def _suite_config(args) -> ExperimentConfig:
     """_build_config for the suite commands, whose sweeps always draw
     band-limited data and whose gradient-decay group always draws step-like
     data: the config leaves kmax and the smoothing width to the generators,
-    which would raise them from inside a suite group. groups are the suite
-    groups the command runs (None: all of them)."""
+    which would raise them from inside a suite group. args.groups are the
+    suite groups the command runs (None: all of them)."""
     cfg = _build_config(args)
     try:
         check_kmax(cfg.grid(), cfg.kmax)
-        if (groups is None or "gradient-decay" in groups) and not cfg.smoothing > 0:
+        if (args.groups is None or "gradient-decay" in args.groups) and not cfg.smoothing > 0:
             raise ValueError(f"the gradient-decay group draws step-like data, which needs "
                              f"a positive smoothing width, got {cfg.smoothing:g}")
     except ValueError as exc:
@@ -177,23 +177,15 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def cmd_lemma_checks(args) -> int:
-    cfg = _suite_config(args, LEMMA_GROUPS)
-    out = _out_dir(cfg, args, f"lemma-checks-{cfg.config_hash()}")
-    report = run_suite(cfg, out_dir=out, groups=LEMMA_GROUPS)
-    print(report.to_text())
-    print(f"report written to {out}")
-    return 0 if report.passed else 1
-
-
 def cmd_suite(args) -> int:
+    """`suite` (every group) and `lemma-checks` (LEMMA_GROUPS): args.groups."""
     cfg = _suite_config(args)
-    out = _out_dir(cfg, args, f"suite-{cfg.config_hash()}")
+    out = _out_dir(cfg, args, f"{args.command}-{cfg.config_hash()}")
     t0 = time.perf_counter()
-    report = run_suite(cfg, out_dir=out)
+    report = run_suite(cfg, out_dir=out, groups=args.groups)
     elapsed = time.perf_counter() - t0
     print(report.to_text())
-    print(f"suite finished in {elapsed:.1f}s; report written to {out}")
+    print(f"{args.command} finished in {elapsed:.1f}s; report written to {out}")
     return 0 if report.passed else 1
 
 
@@ -223,12 +215,12 @@ def main(argv=None) -> int:
                              help="kernel scaling, maximal regularity and Lipschitz suite groups")
     _add_common(p_lemma)
     p_lemma.add_argument("--out", type=Path)
-    p_lemma.set_defaults(fn=cmd_lemma_checks)
+    p_lemma.set_defaults(fn=cmd_suite, groups=LEMMA_GROUPS)
 
     p_suite = sub.add_parser("suite", help="full verification battery")
     _add_common(p_suite)
     p_suite.add_argument("--out", type=Path)
-    p_suite.set_defaults(fn=cmd_suite)
+    p_suite.set_defaults(fn=cmd_suite, groups=None)
 
     args = parser.parse_args(argv)
     try:

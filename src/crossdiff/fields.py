@@ -148,11 +148,11 @@ def from_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = Non
 FLUX_BLOCK_BYTES = 1 << 18
 
 
-def index_blocks(count: int, item_bytes: int, block_bytes: int, start: int = 0) -> list[slice]:
-    """Runs of consecutive indices from start up to count, each holding at
-    most block_bytes at item_bytes per item (at least one item per run)."""
+def index_blocks(count: int, item_bytes: int, block_bytes: int) -> list[slice]:
+    """Runs of consecutive indices from 0 up to count, each holding at most
+    block_bytes at item_bytes per item (at least one item per run)."""
     step = max(1, block_bytes // item_bytes)
-    return [slice(k, k + step) for k in range(start, count, step)]
+    return [slice(k, k + step) for k in range(0, count, step)]
 
 
 def frequencies(grid: GridSpec) -> tuple[np.ndarray, ...]:

@@ -39,7 +39,8 @@ from .fields import (
     spectral_gradient,
 )
 from .model import RawCoefficients, ReducedModel, _heat_flow_probes, reduce_coefficients
-from .semigroup import heat_flow_trajectory, heat_propagate, kernel_gradient_lp, kernel_scaling_report
+from .semigroup import (KERNEL_SCALING_SPREAD, heat_flow_trajectory, heat_propagate, kernel_gradient_lp,
+                        kernel_scaling_report)
 from .solver import _distance_ratios, imex_solve, picard_solve
 from .trajectory import (
     FluxTrajectory,
@@ -371,29 +372,24 @@ def make_check(name: str, value: float, threshold: float, op: str, note: str = "
                  passed=ok, note=note)
 
 
-def verify_partition(traj: Trajectory, delta: float, threshold: float = 1e-10) -> Check:
+def verify_partition(traj: Trajectory, delta: float) -> Check:
     """Max over time and space of |sum_i w_i - delta|."""
     dev = float(np.max(np.abs(traj.values.sum(axis=1) - delta)))
-    return make_check("partition-of-unity deviation", dev, threshold, "<=")
+    return make_check("partition-of-unity deviation", dev, 1e-10, "<=")
 
 
-def verify_nonnegativity(traj: Trajectory, threshold: float = -1e-8) -> Check:
+def verify_nonnegativity(traj: Trajectory) -> Check:
     """Min over species, nodes, and times."""
-    return make_check("species minimum", float(traj.values.min()), threshold, ">=")
+    return make_check("species minimum", float(traj.values.min()), -1e-8, ">=")
 
 
-def verify_mass_conservation(traj: Trajectory, threshold: float = 1e-10) -> Check:
+def verify_mass_conservation(traj: Trajectory) -> Check:
     means = traj.species_means()
     drift = float(np.max(np.abs(means - means[0])))
-    return make_check("per-species mean drift", drift, threshold, "<=")
+    return make_check("per-species mean drift", drift, 1e-10, "<=")
 
 
-def energy_identity_probe(
-    traj: Trajectory,
-    model: ReducedModel,
-    residual_threshold: float = 1e-12,
-    coercivity_threshold: float = 0.5,
-) -> list[Check]:
+def energy_identity_probe(traj: Trajectory, model: ReducedModel) -> list[Check]:
     """Evaluate both terms of the negative-part energy identity along the
     trajectory and the pointwise coercivity factor 1 + sum_j alpha_ij c_j.
 
@@ -421,8 +417,8 @@ def energy_identity_probe(
     dedt = _time_derivative(energy, times)
     residual = float(np.max(np.abs(dedt + dissipation)))
     return [
-        make_check("energy-identity residual", residual, residual_threshold, "<="),
-        make_check("coercivity factor minimum", coercivity, coercivity_threshold, ">="),
+        make_check("energy-identity residual", residual, 1e-12, "<="),
+        make_check("coercivity factor minimum", coercivity, 0.5, ">="),
     ]
 
 
@@ -523,7 +519,8 @@ def check_kernel_scaling(ctx: SuiteContext) -> list[Check]:
         for p in (1.0, 2.0, math.inf):
             rep = kernel_scaling_report(n, p, t_list)
             checks.append(make_check(
-                f"kernel-scaling n={n} p={p:g} ratio spread", rep.ratio_spread - 1.0, 0.02, "<=",
+                f"kernel-scaling n={n} p={p:g} ratio spread", rep.ratio_spread - 1.0,
+                KERNEL_SCALING_SPREAD, "<=",
                 note="max/min of norm / t^(-n/2-1/2+n/2p) over three decades",
             ))
     value = kernel_gradient_lp(1.0, 1.0, 1)
@@ -688,7 +685,7 @@ def check_gradient_decay(ctx: SuiteContext) -> list[Check]:
 
     def measure(grid):
         h = ctx.datum(delta, grid=grid, generator="step-like")
-        traj, _ = picard_solve(h, ctx.model(delta), ctx.tg, tol=1e-11,
+        traj, _ = picard_solve(h, ctx.model(delta), ctx.tg, tol=1e-11, max_iter=ctx.config.max_iter,
                                truncated=ctx.config.truncated, metric="sup")
         probe = decay_probe(traj, k=0, beta=beta, fit_window=fit)
         return probe.max_scaled / h.sup_norm(), probe.slope

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawCoefficients:
     """Symmetric positive cross-diffusion coefficients K_ij (diagonal unused)."""
 
@@ -70,7 +70,7 @@ class RawCoefficients:
         return cls(d=d, K=K)
 
 
-@dataclass
+@dataclass(eq=False)
 class ReducedModel:
     """Reference diffusivity K, coefficient spread delta, and the normalised
     coupling matrix alpha with |alpha_ij| <= 1 and zero diagonal.
@@ -101,8 +101,8 @@ class ReducedModel:
             raise ValueError("coupling diagonal must be zero")
 
     @classmethod
-    def from_alpha(cls, alpha, delta: float, K: float = 1.0) -> "ReducedModel":
-        m = cls(K=K, delta=delta, alpha=alpha)
+    def from_alpha(cls, alpha, delta: float) -> "ReducedModel":
+        m = cls(K=1.0, delta=delta, alpha=alpha)
         m.validate()
         return m
 

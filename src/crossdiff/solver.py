@@ -155,7 +155,7 @@ def _map_blocks(h: SpeciesVector, values: np.ndarray, coeffs: np.ndarray, model:
                 tg: TimeGrid, truncated: bool):
     """One application of the solution map to the iterate held as nodal
     values (n_times, d, *grid.shape) and their coefficients, over blocks of
-    FLUX_BLOCK_BYTES of flux: an iterator of (nodes, (coefficients, values))
+    FLUX_BLOCK_BYTES of flux: an iterator of (nodes, coefficients, values)
     of the next iterate per block of time nodes, node 0 being the datum.
 
     Per block, the divergence of the flux along the iterate is formed from
@@ -165,9 +165,9 @@ def _map_blocks(h: SpeciesVector, values: np.ndarray, coeffs: np.ndarray, model:
     """
     grid = h.grid
     blocks = index_blocks(len(tg), values[0].nbytes * grid.n, FLUX_BLOCK_BYTES)
-    divs = (_divergence_coeffs(values[b], gradient_from_coeffs(coeffs[b], grid), grid, model, truncated)
-            for b in blocks)
-    return zip(blocks, _duhamel_blocks(h, divs, tg))
+    divs = ((b, _divergence_coeffs(values[b], gradient_from_coeffs(coeffs[b], grid), grid, model,
+                                   truncated)) for b in blocks)
+    return _duhamel_blocks(h, divs, tg)
 
 
 def picard_solve(
@@ -220,7 +220,7 @@ def picard_solve(
     for _ in range(max_iter):
         scan = _CylinderScan(grid, tg.times, p, cylinders) if metric == "xp" else None
         sup = 0.0
-        for b, (next_coeffs, next_values) in _map_blocks(h, values, coeffs, model, tg, truncated):
+        for b, next_coeffs, next_values in _map_blocks(h, values, coeffs, model, tg, truncated):
             _check_bounded(next_values, tg.times[b], cap)
             # the differences overwrite the block of the previous iterate,
             # which the next block of the map does not read

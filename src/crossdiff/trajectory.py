@@ -22,13 +22,11 @@ from .fields import GridSpec, _abs_max, _check_finite, read_snapshot, write_snap
 __all__ = ["TimeGrid", "Trajectory", "FluxTrajectory", "trajectory_difference"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing output times, times[0] = 0, times[-1] = t_end."""
 
     times: np.ndarray
-    levels: int | None = None
-    steps_per_level: int | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -59,10 +57,10 @@ class TimeGrid:
         pieces = [np.array([0.0])]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             pieces.append(np.linspace(lo, hi, steps_per_level + 1)[1:])
-        return cls(np.concatenate(pieces), levels=levels, steps_per_level=steps_per_level)
+        return cls(np.concatenate(pieces))
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Species states aligned one-to-one with tg.times."""
 
@@ -102,8 +100,6 @@ class Trajectory:
             "N": self.grid.N,
             "d": self.d,
             "times": [float(t) for t in self.tg.times],
-            "levels": self.tg.levels,
-            "steps_per_level": self.tg.steps_per_level,
             "metadata": _jsonable(self.metadata),
         }
 
@@ -139,11 +135,7 @@ class Trajectory:
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         grid = GridSpec(n=manifest["n"], N=manifest["N"])
-        tg = TimeGrid(
-            np.asarray(manifest["times"]),
-            levels=manifest.get("levels"),
-            steps_per_level=manifest.get("steps_per_level"),
-        )
+        tg = TimeGrid(np.asarray(manifest["times"]))
         values = np.empty((len(tg), manifest["d"]) + grid.shape)
         _in_halves(lambda nodes, out: _read_nodes(directory, grid, tg, nodes, out), len(tg),
                    values.nbytes, values)
@@ -252,7 +244,7 @@ def _read_nodes(directory: Path, grid: GridSpec, tg: TimeGrid, nodes: range, out
             out[j, i] = values
 
 
-@dataclass
+@dataclass(eq=False)
 class FluxTrajectory:
     """Divergence-form fluxes F_i(t, .) per species, aligned with tg.times."""
 

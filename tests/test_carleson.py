@@ -37,7 +37,7 @@ def _scan_per_cylinder(grid, times, mags, p, cylinders):
     for the vectorised scan, which must return the same tuple exactly."""
     ordered = sorted(cylinders, key=lambda c: (c.radius, c.center))
     axes = tuple(range(1, 1 + grid.n))
-    best, best_cyl, best_sp = 0.0, None, None
+    best, best_cyl = 0.0, None
     skipped = 0
     for radius, group in itertools.groupby(ordered, key=lambda c: c.radius):
         group = list(group)
@@ -58,16 +58,14 @@ def _scan_per_cylinder(grid, times, mags, p, cylinders):
         vals = radius * avg ** (1.0 / p)
         for cyl in group:
             index = tuple(int(round(c * grid.N)) % grid.N for c in cyl.center)
-            col = vals[(slice(None),) + index]
-            sp = int(np.argmax(col))
-            v = float(col[sp])
+            v = float(vals[(slice(None),) + index].max())
             if v > best:
-                best, best_cyl, best_sp = v, cyl, sp
+                best, best_cyl = v, cyl
     if skipped:
         warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
         if skipped == len(ordered):
             raise ValueError("no cylinder window contains a stored time")
-    return best, best_cyl, best_sp, len(ordered) - skipped, skipped
+    return best, best_cyl, len(ordered) - skipped, skipped
 
 
 def _expand(ladder):
@@ -323,8 +321,8 @@ class TestScanMatchesPerCylinderLoop:
     def test_random_magnitudes(self, n, N, p):
         grid, tg, ladder, _ = self._case(n, N)
         mags = _magnitudes("random", tg, ladder)
-        best, cyl, sp, scanned, skipped = self._assert_same(grid, tg, mags, p, ladder)
-        assert best > 0.0 and cyl in _expand(ladder) and sp in range(3)
+        best, cyl, scanned, skipped = self._assert_same(grid, tg, mags, p, ladder)
+        assert best > 0.0 and cyl in _expand(ladder)
         assert (scanned, skipped) == (len(ladder), 0)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
@@ -332,17 +330,17 @@ class TestScanMatchesPerCylinderLoop:
         # every species and every center equal: exact ties
         grid, tg, ladder, _ = self._case(n, N)
         mags = _magnitudes("constant", tg, ladder)
-        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
+        best, cyl, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
         # R * (average)^(1/p) grows with R, so the largest ball attains,
-        # at the first center and the first species
-        assert (cyl, sp) == (CylinderSpec((0.0,) * n, ladder.radii[-1]), 0)
+        # at the first center
+        assert cyl == CylinderSpec((0.0,) * n, ladder.radii[-1])
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_single_spike(self, n, N):
         grid, tg, ladder, _ = self._case(n, N)
         mags = _magnitudes("spike", tg, ladder)
-        best, cyl, sp, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
-        assert best > 0.0 and sp == 1
+        best, cyl, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
+        assert best > 0.0
 
     def test_nan_cylinders_never_attain(self):
         # a NaN spreads over every center of the radii whose window holds it
@@ -352,13 +350,13 @@ class TestScanMatchesPerCylinderLoop:
         assert self._assert_same(grid, tg, mags, 4.0, ladder)[1].radius == r_max
         k = np.nonzero(tg.times > r_max**2 / 2)[0][0]  # inside the largest window
         mags[k, 2, 0, 0] = np.nan
-        best, cyl, _, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
+        best, cyl, _, _ = self._assert_same(grid, tg, mags, 4.0, ladder)
         assert math.isfinite(best) and cyl.radius < r_max
 
     def test_zero_magnitudes_attain_nothing(self):
         grid, tg, ladder, shape = self._case(2, 16)
         ref = self._assert_same(grid, tg, np.zeros(shape), 4.0, ladder)
-        assert ref[:3] == (0.0, None, None)
+        assert ref[:2] == (0.0, None)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_partly_empty_windows_warn(self, n, N):
@@ -369,7 +367,7 @@ class TestScanMatchesPerCylinderLoop:
         skipped = 2 * ladder.centers_per_radius
         with pytest.warns(UserWarning, match=f"skipped {skipped} cylinders"):
             ref = self._assert_same(grid, tg, mags, 4.0, tiny)
-        assert ref[3:] == (len(ladder), skipped)
+        assert ref[2:] == (len(ladder), skipped)
 
     # the tests above scan the default stride
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
@@ -379,7 +377,7 @@ class TestScanMatchesPerCylinderLoop:
         stride = {"N/2": N // 2, "N": N}.get(stride, stride)
         grid, tg, ladder, _ = self._case(n, N, stride)
         mags = _magnitudes(kind, tg, ladder)
-        best, cyl, sp, scanned, skipped = self._assert_same(grid, tg, mags, 4.0, ladder)
+        best, cyl, scanned, skipped = self._assert_same(grid, tg, mags, 4.0, ladder)
         assert (scanned, skipped) == (len(ladder), 0)
         assert (cyl is None) == (kind == "zero")
 
@@ -473,9 +471,9 @@ class TestTieBetweenRadii:
         ladder = CylinderLadder(grid, (0.25, 0.5), 4)
         mags = np.zeros((3, 2) + grid.shape)
         mags[1], mags[2] = 2.0, 1.0
-        best, cyl, sp, scanned, skipped = _scan_whole(grid, times, mags, 4.0, ladder)
+        best, cyl, scanned, skipped = _scan_whole(grid, times, mags, 4.0, ladder)
         assert best == 0.5
-        assert (cyl, sp) == (CylinderSpec((0.0,) * n, 0.25), 0)
+        assert cyl == CylinderSpec((0.0,) * n, 0.25)
         assert (scanned, skipped) == (len(ladder), 0)
 
 
@@ -533,17 +531,17 @@ class TestStreamingScan:
 def _xp_whole_array(traj, p, ladder):
     """xp_seminorm with the magnitudes of the whole trajectory in one array."""
     mags = carleson._gradient_magnitudes(to_coeffs(traj.values, traj.grid), traj.grid)
-    semi, cyl, sp, scanned, skipped = _scan_whole(
+    semi, cyl, scanned, skipped = _scan_whole(
         traj.grid, traj.tg.times, mags, p, ladder)
-    return carleson.NormReport(p, traj.sup_norm(), semi, cyl, sp, scanned, skipped, traj.grid)
+    return carleson.NormReport(p, traj.sup_norm(), semi, cyl, scanned, skipped, traj.grid)
 
 
 def _yp_whole_array(flux, p, ladder):
     """yp_norm with the magnitudes of the whole trajectory in one array."""
     mags = vector_magnitudes(flux.values)
-    semi, cyl, sp, scanned, skipped = _scan_whole(
+    semi, cyl, scanned, skipped = _scan_whole(
         flux.grid, flux.tg.times, mags, p, ladder)
-    return carleson.NormReport(p, float(np.max(mags)), semi, cyl, sp, scanned, skipped, flux.grid)
+    return carleson.NormReport(p, float(np.max(mags)), semi, cyl, scanned, skipped, flux.grid)
 
 
 class TestNormsFedInBlocks:

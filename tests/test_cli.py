@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,8 @@ def test_lemma_checks(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
+    assert re.search(rf"^lemma-checks finished in [0-9.]+s; report written to {re.escape(str(out_dir))}$",
+                     out, re.M)
     with open(out_dir / "checks.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     groups = {row[0].split(":")[0] for row in rows[1:]}
@@ -166,6 +169,19 @@ def test_kmax_is_not_checked_where_no_data_is_band_limited(generator, tmp_path, 
                  "--generator", generator, "--out", str(run_dir)]) == 0
     assert main(["norms", "--traj", str(run_dir)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_lemma_checks_default_directory(tmp_path, monkeypatch, capsys):
+    # <output_dir>/<command>-<config hash>, as for suite
+    monkeypatch.chdir(tmp_path)
+    flags = ["--N", "16", "--t-end", "0.25", "--levels", "3", "--steps-per-level", "3",
+             "--kmax", "3", "--sweep-samples", "2", "--no-refine"]
+    assert main(["lemma-checks"] + flags) == 0
+    cfg = ExperimentConfig(N=16, t_end=0.25, levels=3, steps_per_level=3, kmax=3, sweep_samples=2,
+                           refine=False)
+    out_dir = Path("runs") / f"lemma-checks-{cfg.config_hash()}"
+    assert (out_dir / "checks.csv").exists()
+    assert capsys.readouterr().out.endswith(f"report written to {out_dir}\n")
 
 
 @pytest.mark.parametrize("command", ["suite", "lemma-checks"])

@@ -233,8 +233,8 @@ class TestChecks:
         tg = TimeGrid.dyadic(0.5, levels=4, steps_per_level=4)
         h = generate_initial_data(InitialDataSpec("random-simplex", seed=3), g, 3, 0.05)
         traj = heat_flow_trajectory(h, tg)  # sum of species solves the heat equation
-        check = verify_partition(traj, 0.05, threshold=1e-12)
-        assert check.passed
+        check = verify_partition(traj, 0.05)
+        assert check.passed and check.value <= 1e-12
 
     def test_partition_check_fails_for_asymmetric_coupling(self):
         g = make_grid(1, 64)
@@ -378,6 +378,19 @@ class TestSuite:
         text = rep.to_text()
         assert "x: 1 <= 2" in text
         assert "1/1 checks passed" in text
+
+    @pytest.mark.parametrize("group", ["check_stability", "check_gradient_decay"])
+    def test_groups_pass_the_configured_max_iter(self, group, monkeypatch):
+        seen = []
+        real = harness.picard_solve
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs.get("max_iter"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "picard_solve", recorded)
+        getattr(harness, group)(SuiteContext(replace(TINY, max_iter=7)))
+        assert seen and set(seen) == {7}
 
     def test_context_caches_solves(self):
         ctx = SuiteContext(TINY)

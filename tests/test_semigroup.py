@@ -242,7 +242,7 @@ class TestDuhamel:
         h = _species(g, rng.standard_normal(g.shape), rng.standard_normal(g.shape))
         tg = TimeGrid.dyadic(0.25, levels=3, steps_per_level=3)
         flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 2, n) + g.shape))
-        (coeffs, values), = _duhamel_blocks(h, [spectral_divergence(flux.values, g)], tg)
+        (_, coeffs, values), = _duhamel_blocks(h, _one_block(spectral_divergence(flux.values, g)), tg)
         assert np.array_equal(values, duhamel_solve(h, flux, tg).values)
         assert np.max(np.abs(to_coeffs(values, g) - coeffs)) < 1e-14 * np.max(np.abs(coeffs))
 
@@ -297,6 +297,11 @@ def _duhamel_per_node(h, div_coeffs, tg):
 
 def _bit_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _one_block(div):
+    """The forcing of every time node as _duhamel_blocks's one (nodes, div) block."""
+    return [(slice(0, len(div)), div)]
 
 
 def _whole(blocks):
@@ -360,7 +365,7 @@ class TestBatchedTransforms:
         self._set_blocks(monkeypatch, flux, block_nodes)
         div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
         ref_values, ref_coeffs = _duhamel_per_node(h, div, tg)
-        (coeffs, values), = _duhamel_blocks(h, [div], tg)
+        (_, coeffs, values), = _duhamel_blocks(h, _one_block(div), tg)
         assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
         coeffs, values = _whole(_forced_blocks(h, flux, tg))
         assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
@@ -375,7 +380,8 @@ class TestBatchedTransforms:
         flux = FluxTrajectory(g, tg, rng.standard_normal((len(tg), 3, 1) + g.shape))
         node = h.values.nbytes
         div = spectral_divergence(flux.values, g)
-        for run in (lambda: heat_flow_trajectory(h, tg), lambda: list(_duhamel_blocks(h, [div], tg))):
+        for run in (lambda: heat_flow_trajectory(h, tg),
+                    lambda: list(_duhamel_blocks(h, _one_block(div), tg))):
             transform_bytes.clear()
             run()
             assert transform_bytes.calls["from_coeffs"] <= 2
@@ -422,10 +428,11 @@ class TestBatchedTransforms:
             div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
             want_values, want = _duhamel_per_node(h, div, tg)
             blocks = index_blocks(len(tg), div[0].nbytes, (block_nodes or len(tg)) * div[0].nbytes)
-            got = list(_duhamel_blocks(h, (div[b] for b in blocks), tg))
-            assert [(len(c), len(v)) for c, v in got] == [(len(div[b]),) * 2 for b in blocks]
-            assert _bit_equal(np.concatenate([c for c, _ in got]), want), times
-            assert _bit_equal(np.concatenate([v for _, v in got]), want_values), times
+            got = list(_duhamel_blocks(h, ((b, div[b]) for b in blocks), tg))
+            assert [(b, len(c), len(v)) for b, c, v in got] == [(b, len(div[b]), len(div[b]))
+                                                                for b in blocks]
+            assert _bit_equal(np.concatenate([c for _, c, _ in got]), want), times
+            assert _bit_equal(np.concatenate([v for _, _, v in got]), want_values), times
 
     @pytest.mark.parametrize("times", ["dyadic", "uniform", "distinct"])
     def test_segment_weights_once_per_distinct_step(self, times, monkeypatch):
@@ -441,12 +448,12 @@ class TestBatchedTransforms:
 
         monkeypatch.setattr(semigroup, "_segment_weights", counted)
         semigroup._step_table.cache_clear()
-        (got, _), = _duhamel_blocks(h, [div], tg)
+        (_, got, _), = _duhamel_blocks(h, _one_block(div), tg)
         assert sorted(steps) == sorted(set(np.diff(tg.times).tolist()))
         assert _bit_equal(got, _duhamel_per_node(h, div, tg)[1])
         # a second sweep on the same grid and time grid reuses the table
         calls = len(steps)
-        list(_duhamel_blocks(h, [div], tg))
+        list(_duhamel_blocks(h, _one_block(div), tg))
         assert len(steps) == calls
 
     def test_step_table_cached_read_only(self):
@@ -512,6 +519,14 @@ class TestKernelScalingReport:
         assert isinstance(rep, KernelEstimateReport)
         assert rep.passed
         assert rep.ratio_spread < 1.05
+
+    def test_three_percent_spread_fails(self):
+        # one bound, KERNEL_SCALING_SPREAD = 2%, decides passed
+        assert semigroup.KERNEL_SCALING_SPREAD == 0.02
+        rep = KernelEstimateReport(samples=[(0.1, 2.0, 1.0), (1.0, 1.03, 1.03)])
+        assert rep.ratio_spread == pytest.approx(1.03)
+        assert not rep.passed
+        assert KernelEstimateReport(samples=[(0.1, 2.0, 1.0), (1.0, 1.01, 1.01)]).passed
 
     def test_exponent_values(self):
         assert scaling_exponent(1, 1.0) == pytest.approx(-0.5)

@@ -162,7 +162,7 @@ def _fixed_point_map(h, w, model, truncated=True):
     h, block by block."""
     out = np.empty_like(w.values)
     coeffs = to_coeffs(w.values, w.grid)
-    for b, (_, values) in solver._map_blocks(h, w.values, coeffs, model, w.tg, truncated):
+    for b, _, values in solver._map_blocks(h, w.values, coeffs, model, w.tg, truncated):
         out[b] = values
     return out
 
@@ -357,7 +357,7 @@ def _picard_whole_array(h, model, tg, truncated, metric):
     distances, converged = [], False
     for _ in range(30):
         div = _divergence_coeffs(values, gradient_from_coeffs(coeffs, grid), grid, model, truncated)
-        (next_coeffs, next_values), = _duhamel_blocks(h, [div], tg)
+        (_, next_coeffs, next_values), = _duhamel_blocks(h, [(slice(0, len(tg)), div)], tg)
         dist = float(np.max(np.abs(next_values - values)))
         if metric == "xp":
             mags = carleson._gradient_magnitudes(next_coeffs - coeffs, grid)
