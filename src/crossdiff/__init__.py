@@ -8,10 +8,8 @@ from .fields import (
     SpeciesVector,
     make_grid,
     random_band_limited,
-    read_snapshot,
     spectral_divergence,
     spectral_gradient,
-    write_snapshot,
 )
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, trajectory_difference
 from .semigroup import (

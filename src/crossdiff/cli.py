@@ -142,7 +142,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     traj = Trajectory.load(args.traj)
     model = _load_model(traj)
-    delta = float(traj.metadata.get("delta", args.delta or 0.0))
+    # an explicit --delta wins over the run's own delta
+    delta = args.delta if args.delta is not None else float(traj.metadata.get("delta", 0.0))
     checks = []
     if delta > 0:
         checks.append(verify_partition(traj, delta))

@@ -24,8 +24,6 @@ __all__ = [
     "spectral_divergence",
     "check_kmax",
     "random_band_limited",
-    "write_snapshot",
-    "read_snapshot",
 ]
 
 
@@ -291,51 +289,3 @@ def random_band_limited(
         coeffs[-k1[column] % N, 0] = np.conj(c[column])
     coeffs[(0,) * grid.n] = mean
     return from_coeffs(coeffs, grid)
-
-
-# -- snapshot text format ----------------------------------------------------
-
-
-@functools.lru_cache(maxsize=4)
-def _snapshot_template(grid: GridSpec) -> str:
-    """Snapshot body with the coordinates formatted and one '%.17g' slot per
-    node for its value, in C order."""
-    coords = [c.ravel().tolist() for c in grid.meshgrid()]
-    return "".join(" ".join(f"{x:.17g}" for x in row) + " %.17g\n" for row in zip(*coords))
-
-
-def write_snapshot(values: np.ndarray, grid: GridSpec, t: float, path):
-    """Columnar text snapshot of one field's nodal values (grid.shape): header
-    '# n N t', one row 'x_1 .. x_n value' per node.
-
-    Every number is written as '%.17g', so values read back bit for bit.
-    """
-    body = _snapshot_template(grid) % tuple(values.ravel().tolist())
-    with open(path, "w") as fh:
-        fh.write(f"# {grid.n} {grid.N} {t:.17g}\n" + body)
-
-
-def read_snapshot(path) -> tuple[np.ndarray, GridSpec, float]:
-    """Read a write_snapshot file: the nodal values, their grid and time.
-
-    The body is split once and only its value column, every (n+1)-th
-    number, is converted; a body of any other length, or a value that is
-    not a finite number, raises a ValueError that names the file.
-    """
-    with open(path, "rb") as fh:
-        header = fh.readline().split()
-        body = fh.read()
-    if len(header) != 4 or header[0] != b"#":
-        raise ValueError(f"bad snapshot header in {path}")
-    n, N, t = int(header[1]), int(header[2]), float(header[3])
-    grid = GridSpec(n=n, N=N)
-    tokens = body.split()
-    if len(tokens) != grid.num_nodes * (n + 1):
-        raise ValueError(f"snapshot {path} holds {len(tokens)} numbers, expected "
-                         f"{grid.num_nodes} rows of {n + 1}")
-    try:
-        values = np.array([float(x) for x in tokens[n::n + 1]])
-        _check_finite(values, "snapshot")
-    except ValueError as exc:
-        raise ValueError(f"bad value in snapshot {path}: {exc}") from None
-    return values.reshape(grid.shape), grid, t

@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
-import os
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fields import GridSpec, _abs_max, _check_finite, read_snapshot, write_snapshot
+from .fields import GridSpec, _abs_max, _check_finite
 
 __all__ = ["TimeGrid", "Trajectory", "FluxTrajectory", "trajectory_difference"]
 
@@ -113,135 +110,37 @@ class Trajectory:
         """Hash of the manifest and the values: it names the data, not only
         the times and metadata."""
         h = hashlib.sha256(self.manifest_text().encode())
-        h.update(self.values.tobytes())
+        h.update(np.ascontiguousarray(self.values))
         return h.hexdigest()[:12]
 
     def save(self, directory) -> Path:
-        """Write manifest.json and one snapshot per node and species; from
-        SPLIT_BYTES of values on, a forked child writes the second half of the
-        nodes (_in_halves). The files are the same on either path."""
+        """Write manifest.json and the values, C order, as values.npy."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "manifest.json").write_text(self.manifest_text())
-        _in_halves(lambda nodes, _: _write_nodes(self, directory, nodes), len(self.tg),
-                   self.values.nbytes)
+        np.save(directory / "values.npy", self.values, allow_pickle=False)
         return directory
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
-        """Read a saved trajectory; every snapshot's header must give the
-        manifest's n, N and time. From SPLIT_BYTES of values on, a forked
-        child parses the second half of the nodes (_in_halves)."""
+        """Read a saved trajectory. values.npy must hold finite float64 of
+        shape (times, d, *grid.shape) from the manifest; any other array
+        raises a ValueError naming the file."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         grid = GridSpec(n=manifest["n"], N=manifest["N"])
         tg = TimeGrid(np.asarray(manifest["times"]))
-        values = np.empty((len(tg), manifest["d"]) + grid.shape)
-        _in_halves(lambda nodes, out: _read_nodes(directory, grid, tg, nodes, out), len(tg),
-                   values.nbytes, values)
-        return cls(grid, tg, values, metadata=manifest.get("metadata", {}))
-
-
-# Work of at least this many bytes is split between this process and one
-# forked child (_in_halves): trajectory save and load (the values' bytes) and
-# a check's seeded samples (count x one sample's trajectory: times x species
-# x nodes of float64). Formatting and parsing text, and the dozens of small
-# numpy calls each sample makes per node, hold the GIL, so threads overlapped
-# little (none on the 1-D suite); a fork, its wait and the copy-on-write
-# faults after it cost milliseconds (about 11 ms around a sample map).
-# Measured on 2 cores, medians of interleaved rounds:
-# - save and load, serial -> split ms (7-9 rounds, 89 time nodes, d=3): 1-D
-#   N=64 (0.13 MiB) save 46 -> 59, load 25 -> 37; 1-D N=128 (0.26 MiB) save
-#   64 -> 71, load 36 -> 48; at 0.52 MiB mixed (2-D N=16 save 139 -> 143,
-#   load 74 -> 62); from 1 MiB a clear gain: 1-D N=512 save 221 -> 170, load
-#   129 -> 107, 2-D N=32 (2.1 MiB) save 388 -> 262, load 259 -> 157, 2-D
-#   N=64 (8.3 MiB) save 1069 -> 580, load 784 -> 485.
-# - whole checks, split over serial time (two runs of 9 interleaved pairs,
-#   1-D, 89 time nodes, d=3): 20 maximal-regularity samples at 334 and 668
-#   KiB 1.25-1.31, at 1.3 MiB 0.69-0.72, at 2.6 MiB 0.63-0.67; 20 Lipschitz
-#   samples at 334 KiB-2.6 MiB 0.65-0.88; 10 stability pairs at 334 KiB-1.3
-#   MiB 0.55-0.72; 2-4 samples of 33-534 KiB 1.19-2.63. From 1 MiB on every
-#   check gains, and the 1-D suite's smallest map, 10 stability pairs of 134
-#   KiB at N=64, splits.
-SPLIT_BYTES = 1 << 20
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _in_halves(fill, count: int, nbytes: int, out: np.ndarray | None = None):
-    """fill(range(count), out), where fill(items, rows) writes item items[j]
-    into rows[j] (rows is None when out is). Items count//2.. run in a forked
-    child once the count items take nbytes >= SPLIT_BYTES between them, on
-    two or more usable cores, with no other thread alive (a fork copies only
-    the calling thread, and any lock another thread holds stays held in the
-    child) and where the platform can fork. The child writes its rows into an
-    anonymous shared mapping, so nothing is pickled. A child that fails, or
-    a fork that fails, has its half run again here, which raises what the
-    serial path raises."""
-    if (count < 2 or nbytes < SPLIT_BYTES or _usable_cores() < 2
-            or threading.active_count() != 1 or not hasattr(os, "fork")):
-        fill(range(count), out)
-        return
-    mid = count // 2
-    head = tail = shared = None
-    if out is not None:
-        head, tail = out[:mid], out[mid:]
-        shared = np.frombuffer(mmap.mmap(-1, tail.nbytes), out.dtype).reshape(tail.shape)
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had: both halves run here
-        pid = -1
-    if pid == 0:
-        # the parent redoes a failed half and raises its error itself, so
-        # the child prints nothing; os._exit skips flushing the stdio
-        # buffers it inherited, which the parent still holds
-        status = 1
+        path = directory / "values.npy"
         try:
-            fill(range(mid, count), shared)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        fill(range(mid), head)
-    finally:
-        done = pid > 0 and os.waitpid(pid, 0)[1] == 0
-    if not done:
-        fill(range(mid, count), tail)
-    elif out is not None:
-        tail[...] = shared
-
-
-def _snapshot_path(directory: Path, k: int, i: int) -> Path:
-    return directory / f"state_t{k:05d}_s{i}.txt"
-
-
-def _write_nodes(traj: Trajectory, directory: Path, nodes: range):
-    for k in nodes:
-        t = float(traj.tg.times[k])
-        for i in range(traj.d):
-            write_snapshot(traj.values[k, i], traj.grid, t, _snapshot_path(directory, k, i))
-
-
-def _read_nodes(directory: Path, grid: GridSpec, tg: TimeGrid, nodes: range, out: np.ndarray):
-    """Read the snapshots of nodes into out, node nodes[j] into out[j]. A
-    header whose n, N or time (bit for bit) differs from the manifest's
-    raises a ValueError naming the file."""
-    for j, k in enumerate(nodes):
-        t_want = float(tg.times[k])
-        for i in range(out.shape[1]):
-            path = _snapshot_path(directory, k, i)
-            values, got, t = read_snapshot(path)
-            if got != grid or t.hex() != t_want.hex():
-                raise ValueError(
-                    f"snapshot {path} holds n={got.n} N={got.N} t={t!r}; "
-                    f"the manifest gives n={grid.n} N={grid.N} t={t_want!r}"
-                )
-            out[j, i] = values
+            values = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:  # not an npy file, or a cut one
+            raise ValueError(f"{path}: {exc}") from None
+        shape = (len(tg), manifest["d"]) + grid.shape
+        if values.dtype != np.float64 or values.shape != shape:
+            raise ValueError(f"{path} holds {values.dtype} of shape {values.shape}; "
+                             f"the manifest gives float64 of shape {shape}")
+        _check_finite(values, str(path))
+        return cls(grid, tg, values, metadata=manifest.get("metadata", {}))
 
 
 @dataclass(eq=False)

@@ -27,7 +27,7 @@ def test_solve_verify_norms_round_trip(tmp_path, tiny_args, capsys):
     run_dir = tmp_path / "run"
     assert (run_dir / "manifest.json").exists()
     assert (run_dir / "config.ini").exists()
-    assert list(run_dir.glob("state_t*_s0.txt"))
+    assert (run_dir / "values.npy").exists()
     out = capsys.readouterr().out
     assert "partition deviation" in out
 
@@ -308,20 +308,22 @@ def test_norms_reads_run_config(tmp_path, capsys):
     assert (run_dir / "norms.csv").read_text().startswith("# p=6.0 ")
 
 
-def test_text_printed_before_a_split_save_appears_once(tmp_path, tiny_args):
-    # a piped stdout is block-buffered: text printed before the save is still
-    # in the buffer when the save forks, and must not be written again by
-    # the child
+def test_text_printed_before_a_split_sample_map_appears_once(tmp_path):
+    # a piped stdout is block-buffered: text printed before a sample map is
+    # still in the buffer when the map forks, and must not be written again
+    # by the child
+    args = ["lemma-checks", "--N", "16", "--t-end", "0.25", "--levels", "3", "--steps-per-level", "3",
+            "--kmax", "3", "--sweep-samples", "2", "--no-refine", "--out", str(tmp_path / "lemmas")]
     script = (
         "import os, sys\n"
-        "from crossdiff import cli, trajectory\n"
-        "trajectory.SPLIT_BYTES = 0\n"
-        "trajectory._usable_cores = lambda: 2\n"
+        "from crossdiff import cli, harness\n"
+        "harness.SPLIT_BYTES = 0\n"
+        "harness._usable_cores = lambda: 2\n"
         "forks = []\n"
         "real = os.fork\n"
         "os.fork = lambda: forks.append(1) or real()\n"
-        "print('printed before the save')\n"
-        f"code = cli.main(['solve', '--scheme', 'imex'] + {tiny_args!r})\n"
+        "print('printed before the split')\n"
+        f"code = cli.main({args!r})\n"
         "print(f'forks {len(forks)}', file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
@@ -330,10 +332,21 @@ def test_text_printed_before_a_split_save_appears_once(tmp_path, tiny_args):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                           env={**env, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "forks 1\n"
-    assert proc.stdout.count("printed before the save") == 1, proc.stdout
-    assert proc.stdout.count("partition deviation") == 1, proc.stdout
-    assert len(list((tmp_path / "run").glob("state_t*_s*.txt"))) == 7 * 3
+    assert proc.stderr == "forks 2\n"
+    assert proc.stdout.count("printed before the split") == 1, proc.stdout
+    assert proc.stdout.count("lemma-checks finished in") == 1, proc.stdout
+    assert (tmp_path / "lemmas" / "checks.csv").exists()
+
+
+def test_verify_delta_flag_wins_over_the_run(tmp_path, tiny_args, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--scheme", "imex", "--delta", "0.05"] + tiny_args) == 0
+    assert main(["verify", "--traj", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--traj", str(run_dir), "--delta", "0.5"]) == 1
+    line, = [row for row in capsys.readouterr().out.splitlines() if "partition-of-unity" in row]
+    assert line.startswith("[FAIL] ")
+    assert float(re.search(r"deviation: (\S+) <=", line).group(1)) == pytest.approx(0.45, rel=1e-4)
 
 
 def test_solve_into_closed_pipe_keeps_run_and_prints_no_traceback(tmp_path):
@@ -355,5 +368,5 @@ def test_solve_into_closed_pipe_keeps_run_and_prints_no_traceback(tmp_path):
     assert proc.returncode == 1
     saved = ExperimentConfig.load(run_dir / "config.ini")
     traj = Trajectory.load(run_dir)
-    assert len(list(run_dir.glob("state_t*_s*.txt"))) == len(traj.tg) * saved.d
+    assert traj.d == saved.d
     assert traj.metadata["converged"]

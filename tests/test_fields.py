@@ -1,10 +1,6 @@
 import json
 import math
-import os
 import re
-import shutil
-import signal
-import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from crossdiff import fields, trajectory
+from crossdiff import fields
 from crossdiff.fields import (
     SpeciesVector,
     dealias_keep_mask,
@@ -27,12 +23,10 @@ from crossdiff.fields import (
     laplacian_symbol,
     make_grid,
     random_band_limited,
-    read_snapshot,
     rfft_shape,
     spectral_divergence,
     spectral_gradient,
     to_coeffs,
-    write_snapshot,
 )
 from crossdiff.model import RawCoefficients, ReducedModel, flux_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
@@ -468,16 +462,6 @@ class TestRandomBandLimited:
             random_band_limited(make_grid(1, 8), _rng(0), 4)
 
 
-def _write_snapshot_per_row(values: np.ndarray, grid, t: float, path):
-    """Reference writer: the per-row loop that defined the snapshot bytes."""
-    coords = grid.meshgrid()
-    flat = [c.ravel() for c in coords] + [values.ravel()]
-    with open(path, "w") as fh:
-        fh.write(f"# {grid.n} {grid.N} {t:.17g}\n")
-        for row in zip(*flat):
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
 # zeros of both signs, subnormal, huge and tiny magnitudes, non-dyadic and
 # integral values
 AWKWARD_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 0.1, -0.1, 1 / 3,
@@ -490,38 +474,41 @@ def _awkward_field(g, seed=0) -> np.ndarray:
     return _rng(seed + 1).permutation(values).reshape(g.shape)
 
 
-class TestSnapshots:
-    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-    @pytest.mark.parametrize("t", [0.0, 0.375, 0.1, 1 / 3])
-    def test_bytes_equal_per_row_writer(self, tmp_path, n, N, t):
-        g = make_grid(n, N)
-        f = _awkward_field(g)
-        write_snapshot(f, g, t, tmp_path / "new.txt")
-        _write_snapshot_per_row(f, g, t, tmp_path / "ref.txt")
-        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
-        back, g_back, t_back = read_snapshot(tmp_path / "new.txt")
-        assert t_back == t and g_back == g
-        assert back.tobytes() == f.tobytes()
+def _trajectory(g, count: int, d: int = 2) -> Trajectory:
+    values = np.stack([
+        np.stack([_awkward_field(g, seed=10 * k + i) for i in range(d)])
+        for k in range(count)
+    ])
+    return Trajectory(g, TimeGrid(np.linspace(0.0, 0.5, count)), values, metadata={"kind": "test"})
 
-    def test_trajectory_2d_files_equal_per_row_writer(self, tmp_path):
-        g = make_grid(2, 8)
-        tg = TimeGrid.dyadic(0.3, levels=2, steps_per_level=2)
-        d = 2
-        values = np.stack([
-            np.stack([_awkward_field(g, seed=10 * k + i) for i in range(d)])
-            for k in range(len(tg))
-        ])
-        traj = Trajectory(g, tg, values, metadata={"kind": "test"})
+
+class TestSnapshots:
+    """A saved run is manifest.json and values.npy; load gives the values
+    back bit for bit, and rejects a values.npy it cannot trust, naming it."""
+
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
+    def test_round_trip(self, tmp_path, n, N):
+        traj = _trajectory(make_grid(n, N), 5)
         out = traj.save(tmp_path / "run")
-        for k, t in enumerate(tg.times):
-            for i in range(d):
-                name = f"state_t{k:05d}_s{i}.txt"
-                _write_snapshot_per_row(values[k, i], g, float(t), tmp_path / "ref.txt")
-                assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
-        assert len(list(out.glob("state_t*.txt"))) == len(tg) * d
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "values.npy"]
         back = Trajectory.load(out)
         assert back.values.tobytes() == traj.values.tobytes()
+        assert back.tg.times.tobytes() == traj.tg.times.tobytes()
+        assert back.grid == traj.grid and back.metadata == traj.metadata
         assert back.content_hash() == traj.content_hash()
+
+    def test_header_format(self, tmp_path):
+        # the array is written in C order, whatever the strides of the values
+        traj = _trajectory(make_grid(1, 16), 6)
+        strided = Trajectory(traj.grid, TimeGrid(traj.tg.times[::2]), traj.values[::2])
+        assert not strided.values.flags["C_CONTIGUOUS"]
+        for saved in (traj, strided):
+            path = saved.save(tmp_path / "run") / "values.npy"
+            with open(path, "rb") as fh:
+                np.lib.format.read_magic(fh)
+                header = np.lib.format.read_array_header_1_0(fh)
+            assert header == (saved.values.shape, False, np.dtype(float))
+            assert Trajectory.load(path.parent).values.tobytes() == saved.values.tobytes()
 
     def test_manifest_with_levels_loads(self, tmp_path):
         # older runs' manifests also hold levels and steps_per_level, which
@@ -539,313 +526,70 @@ class TestSnapshots:
         assert back.tg.times.tobytes() == tg.times.tobytes()
         assert back.metadata == traj.metadata
 
-    @pytest.mark.parametrize("n,N", [(1, 16), (2, 8)])
-    def test_round_trip(self, tmp_path, n, N):
-        g = make_grid(n, N)
-        f = _rng(9).standard_normal(g.shape)
-        path = tmp_path / "snap.txt"
-        write_snapshot(f, g, 0.375, path)
-        back, back_grid, t = read_snapshot(path)
-        assert t == 0.375
-        assert back_grid == g
-        assert_allclose(back, f, rtol=0, atol=0)
-
-    def test_header_format(self, tmp_path):
-        g = make_grid(1, 8)
-        path = tmp_path / "snap.txt"
-        write_snapshot(np.ones(g.shape), g, 0.5, path)
-        header = path.read_text().splitlines()[0].split()
-        assert header == ["#", "1", "8", "0.5"]
-
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
+        path = _trajectory(make_grid(1, 16), 3).save(tmp_path / "run") / "values.npy"
         path.write_text("nonsense\n")
-        with pytest.raises(ValueError, match="header"):
-            read_snapshot(path)
-
-    @staticmethod
-    def _written(tmp_path, n):
-        g = make_grid(n, 16 if n == 1 else 8)
-        path = tmp_path / "snap.txt"
-        write_snapshot(_awkward_field(g), g, 0.25, path)
-        return path, path.read_text().splitlines(keepends=True)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            Trajectory.load(path.parent)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_truncated_body_rejected(self, tmp_path, n):
-        path, lines = self._written(tmp_path, n)
-        for body in (lines[1:-1], lines[1:-1] + [lines[-1].rsplit(" ", 1)[0] + "\n"], []):
-            path.write_text(lines[0] + "".join(body))
-            with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds"):
-                read_snapshot(path)
+        traj = _trajectory(make_grid(n, 16 if n == 1 else 8), 5)
+        path = traj.save(tmp_path / "run") / "values.npy"
+        data = path.read_bytes()
+        # one value short, one byte short, the header alone, half the header, nothing
+        header = len(data) - traj.values.nbytes
+        for cut in (data[:-8], data[:-1], data[:header], data[:header // 2], b""):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                Trajectory.load(path.parent)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_extra_column_rejected(self, tmp_path, n):
-        path, lines = self._written(tmp_path, n)
-        path.write_text(lines[0] + "".join(line[:-1] + " 0\n" for line in lines[1:]))
-        with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds"):
-            read_snapshot(path)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("token", ["abc", "0x1p3", "1,5", "nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_numeric_value_rejected(self, tmp_path, n, token):
-        path, lines = self._written(tmp_path, n)
-        row = lines[5].split()
-        lines[5] = " ".join(row[:-1] + [token]) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=f"bad value in snapshot {re.escape(str(path))}"):
-            read_snapshot(path)
-
-    def test_reads_back_what_loadtxt_reads(self, tmp_path):
-        # the value column alone is converted, to the same floats np.loadtxt gives
-        for n, N in ((1, 16), (2, 8)):
-            g = make_grid(n, N)
-            write_snapshot(_awkward_field(g), g, 0.5, tmp_path / "snap.txt")
-            want = np.loadtxt(tmp_path / "snap.txt", ndmin=2)[:, -1]
-            assert read_snapshot(tmp_path / "snap.txt")[0].ravel().tobytes() == want.tobytes()
-
-
-def _trajectory(g, count: int, d: int = 2) -> Trajectory:
-    values = np.stack([
-        np.stack([_awkward_field(g, seed=10 * k + i) for i in range(d)])
-        for k in range(count)
-    ])
-    return Trajectory(g, TimeGrid(np.linspace(0.0, 0.5, count)), values, metadata={"kind": "test"})
-
-
-@pytest.fixture
-def node_log(monkeypatch, tmp_path):
-    """Log every call of trajectory._write_nodes and _read_nodes with the
-    process that made it; the returned function gives the calls so far as
-    (name, made by this process, first node, end node), sorted, as the two
-    processes append in either order."""
-    log = tmp_path / "nodes.log"
-    for name, nodes_arg in (("_write_nodes", -1), ("_read_nodes", -2)):
-        def spy(*args, _real=getattr(trajectory, name), _name=name, _at=nodes_arg):
-            with open(log, "a") as fh:
-                fh.write(f"{_name} {os.getpid()} {args[_at].start} {args[_at].stop}\n")
-            return _real(*args)
-
-        monkeypatch.setattr(trajectory, name, spy)
-
-    def calls():
-        if not log.exists():
-            return []
-        rows = [line.split() for line in log.read_text().splitlines()]
-        return sorted((name, int(pid) == os.getpid(), int(a), int(b)) for name, pid, a, b in rows)
-
-    return calls
-
-
-def _split_calls(count: int) -> list:
-    mid = count // 2
-    return sorted((name, here, a, b) for name in ("_write_nodes", "_read_nodes")
-                  for here, a, b in ((True, 0, mid), (False, mid, count)))
-
-
-def _serial_calls(count: int) -> list:
-    return sorted([("_write_nodes", True, 0, count), ("_read_nodes", True, 0, count)])
-
-
-@pytest.fixture
-def forking(monkeypatch):
-    """Split every save and load, whatever its size and the host's cores."""
-    monkeypatch.setattr(trajectory, "SPLIT_BYTES", 0)
-    monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
-
-
-def _files(directory) -> dict:
-    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
-
-
-class TestSplitSaveLoad:
-    """From SPLIT_BYTES on a forked child writes and reads the
-    second half of the nodes; files, values and errors must not depend on
-    the path."""
-
-    def test_above_threshold_files_equal_per_row_writer(self, tmp_path, monkeypatch, node_log):
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
-        g = make_grid(2, 64)
-        count = -(-trajectory.SPLIT_BYTES // (2 * g.num_nodes * 8))
-        traj = _trajectory(g, count)
-        assert traj.values.nbytes >= trajectory.SPLIT_BYTES
-        out = traj.save(tmp_path / "run")
-        back = Trajectory.load(out)
-        assert node_log() == _split_calls(count)
-        for k, t in enumerate(traj.tg.times):
-            for i in range(traj.d):
-                name = f"state_t{k:05d}_s{i}.txt"
-                _write_snapshot_per_row(traj.values[k, i], g, float(t), tmp_path / "ref.txt")
-                assert (out / name).read_bytes() == (tmp_path / "ref.txt").read_bytes(), name
-        assert len(list(out.glob("state_t*.txt"))) == count * traj.d
-        assert back.values.tobytes() == traj.values.tobytes()
-        assert back.content_hash() == traj.content_hash()
-
-    def test_small_trajectories_stay_serial(self, tmp_path, monkeypatch, node_log):
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
-        traj = _trajectory(make_grid(2, 8), 5)
-        assert traj.values.nbytes < trajectory.SPLIT_BYTES
-        Trajectory.load(traj.save(tmp_path / "run"))
-        assert node_log() == _serial_calls(5)
-
-    @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_fork_only_on_two_or_more_cores(self, tmp_path, monkeypatch, forking, node_log, no_child_left,
-                                            cores):
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: cores)
-        traj = _trajectory(make_grid(1, 16), 7)
-        back = Trajectory.load(traj.save(tmp_path / "run"))
-        assert node_log() == (_serial_calls(7) if cores < 2 else _split_calls(7))
-        assert back.values.tobytes() == traj.values.tobytes()
-        no_child_left()
-
-    @pytest.mark.parametrize("fallback", ["one usable core", "second thread", "no os.fork"])
-    def test_serial_fallback_gives_the_same_files_and_values(self, tmp_path, monkeypatch, forking,
-                                                             node_log, fallback):
-        traj = _trajectory(make_grid(2, 8), 7)
-        split_dir = traj.save(tmp_path / "split")
-        split_back = Trajectory.load(split_dir)
-        assert node_log() == _split_calls(7)
-
-        def serial():
-            return Trajectory.load(traj.save(tmp_path / "serial"))
-
-        if fallback != "second thread":
-            if fallback == "one usable core":
-                monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
-            else:
-                monkeypatch.delattr(os, "fork")
-            serial_back = serial()
-        else:
-            result = []
-            thread = threading.Thread(target=lambda: result.append(serial()))
-            thread.start()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-            serial_back, = result
-        assert node_log() == sorted(_split_calls(7) + _serial_calls(7))
-        assert _files(tmp_path / "serial") == _files(split_dir)
-        for back in (split_back, serial_back):
-            assert back.values.tobytes() == traj.values.tobytes()
-            assert back.metadata == traj.metadata and back.grid == traj.grid
-
-    def test_no_fork_to_be_had_runs_both_halves_here(self, tmp_path, monkeypatch, forking, node_log):
-        def refuse():
-            raise BlockingIOError("no process")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        traj = _trajectory(make_grid(2, 8), 7)
-        back = Trajectory.load(traj.save(tmp_path / "run"))
-        assert back.values.tobytes() == traj.values.tobytes()
-        mid = 7 // 2
-        assert node_log() == sorted((name, True, a, b) for name in ("_write_nodes", "_read_nodes")
-                                    for a, b in ((0, mid), (mid, 7)))
-
-    @pytest.mark.parametrize("death", ["os._exit(3)", "SIGKILL"])
-    def test_child_dying_without_raising_has_its_half_redone_here(self, tmp_path, monkeypatch, forking,
-                                                                  node_log, capfd, no_child_left, death):
-        traj = _trajectory(make_grid(2, 8), 7)
-        out = traj.save(tmp_path / "run")
-        parent, real = os.getpid(), trajectory._read_nodes
-
-        def read_or_die(*args):
-            if os.getpid() != parent:
-                if death == "SIGKILL":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(3)
-            return real(*args)
-
-        monkeypatch.setattr(trajectory, "_read_nodes", read_or_die)
-        capfd.readouterr()
-        back = Trajectory.load(out)
-        assert back.values.tobytes() == traj.values.tobytes()
-        # the child died before it read a node: its half was read again here
-        mid = 7 // 2
-        assert node_log() == sorted([("_write_nodes", True, 0, mid), ("_write_nodes", False, mid, 7),
-                                     ("_read_nodes", True, 0, mid), ("_read_nodes", True, mid, 7)])
-        assert capfd.readouterr().err == ""
-        no_child_left()
-
-    @staticmethod
-    def _serial_error(monkeypatch, call) -> pytest.ExceptionInfo:
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
-        with pytest.raises(Exception) as serial:
-            call()
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
-        return serial
-
-    # nodes 0-2 are the parent's half of 7, nodes 3-6 the child's
-    @pytest.mark.parametrize("node", [1, 5])
-    @pytest.mark.parametrize("fault", ["bad value", "nan value", "inf value", "1-D snapshot",
-                                       "another node's time"])
-    def test_bad_snapshot_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd,
-                                                  no_child_left, node, fault):
-        traj = _trajectory(make_grid(2, 16), 7)
-        out = traj.save(tmp_path / "run")
-        path = out / f"state_t{node:05d}_s1.txt"
-        if fault.endswith("value"):
-            lines = path.read_text().splitlines(keepends=True)
-            token = {"bad value": "abc", "nan value": "nan", "inf value": "inf"}[fault]
-            lines[5] = lines[5].rsplit(" ", 1)[0] + f" {token}\n"
-            path.write_text("".join(lines))
-        elif fault == "1-D snapshot":
-            write_snapshot(np.ones(16), make_grid(1, 16), float(traj.tg.times[node]), path)
-        else:
-            shutil.copyfile(out / f"state_t{2 if node == 1 else 1:05d}_s1.txt", path)
-        capfd.readouterr()
-        serial = self._serial_error(monkeypatch, lambda: Trajectory.load(out))
-        assert serial.type is ValueError and str(path) in str(serial.value)
-        if fault in ("nan value", "inf value"):
-            assert "finite" in str(serial.value)
-        with pytest.raises(ValueError) as split:
-            Trajectory.load(out)
-        assert str(split.value) == str(serial.value)
-        assert capfd.readouterr().err == ""
-        no_child_left()
-
-    @pytest.mark.parametrize("node", [1, 5])
-    def test_failed_write_raises_the_serial_error(self, tmp_path, monkeypatch, forking, capfd,
-                                                  no_child_left, node):
-        traj = _trajectory(make_grid(2, 8), 7)
-        blocked = tmp_path / "run" / f"state_t{node:05d}_s0.txt"
-        blocked.mkdir(parents=True)
-        serial = self._serial_error(monkeypatch, lambda: traj.save(tmp_path / "run"))
-        with pytest.raises(serial.type) as split:
-            traj.save(tmp_path / "run")
-        assert str(split.value) == str(serial.value) and str(blocked) in str(split.value)
-        assert capfd.readouterr().err == ""
-        no_child_left()
+        traj = _trajectory(make_grid(n, 16 if n == 1 else 8), 5)
+        traj.values[3, 1].flat[5] = float(token)
+        path = tmp_path / "run" / "values.npy"
+        path.parent.mkdir()
+        (path.parent / "manifest.json").write_text(traj.manifest_text())
+        np.save(path, traj.values, allow_pickle=False)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} values must be finite"):
+            Trajectory.load(path.parent)
 
 
 class TestLoadChecksHeaders:
-    """Each snapshot's header must give the manifest's n, N and time."""
+    """The header of values.npy must give float64 and the shape (times, d,
+    *grid.shape) of the manifest; any other array raises a ValueError that
+    names the file."""
 
     @pytest.fixture
     def saved(self, tmp_path):
         return _trajectory(make_grid(2, 16), 5).save(tmp_path / "run")
 
-    def test_1d_snapshot_in_2d_run_rejected(self, saved):
-        path = saved / "state_t00002_s0.txt"
-        write_snapshot(np.arange(16.0), make_grid(1, 16), 0.25, path)
-        with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds n=1 N=16 t=0.25; "
-                                             "the manifest gives n=2 N=16 t=0.25"):
+    @staticmethod
+    def _rejects(saved, array, got: str):
+        path = saved / "values.npy"
+        np.save(path, array, allow_pickle=False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} holds {got}; the manifest gives float64 of shape (5, 2, 16, 16)")):
             Trajectory.load(saved)
+
+    def test_1d_snapshot_in_2d_run_rejected(self, saved):
+        self._rejects(saved, np.zeros((5, 2, 16)), "float64 of shape (5, 2, 16)")
 
     def test_other_N_rejected(self, saved):
-        path = saved / "state_t00002_s0.txt"
-        write_snapshot(np.zeros((8, 8)), make_grid(2, 8), 0.25, path)
-        with pytest.raises(ValueError, match="holds n=2 N=8 t=0.25; the manifest gives n=2 N=16"):
-            Trajectory.load(saved)
+        self._rejects(saved, np.zeros((5, 2, 8, 8)), "float64 of shape (5, 2, 8, 8)")
 
-    def test_copy_of_another_node_rejected(self, saved):
-        path = saved / "state_t00003_s1.txt"
-        shutil.copyfile(saved / "state_t00001_s1.txt", path)
-        with pytest.raises(ValueError, match=f"snapshot {re.escape(str(path))} holds n=2 N=16 t=0.125; "
-                                             "the manifest gives n=2 N=16 t=0.375"):
-            Trajectory.load(saved)
+    def test_one_node_short_rejected(self, saved):
+        values = Trajectory.load(saved).values
+        self._rejects(saved, values[:-1], "float64 of shape (4, 2, 16, 16)")
 
-    def test_time_compared_bit_for_bit(self, saved):
-        path = saved / "state_t00001_s0.txt"
-        lines = path.read_text().splitlines(keepends=True)
-        near = float(np.nextafter(0.125, 1.0))
-        path.write_text(f"# 2 16 {near:.17g}\n" + "".join(lines[1:]))
-        with pytest.raises(ValueError, match=re.escape(f"t={near!r}; the manifest gives n=2 N=16 t=0.125")):
+    def test_float32_rejected(self, saved):
+        self._rejects(saved, np.zeros((5, 2, 16, 16), np.float32), "float32 of shape (5, 2, 16, 16)")
+
+    def test_object_array_rejected(self, saved):
+        path = saved / "values.npy"
+        values = Trajectory.load(saved).values
+        np.save(path, values.astype(object), allow_pickle=True)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             Trajectory.load(saved)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossdiff import harness, trajectory
+from crossdiff import harness
 from crossdiff.carleson import _time_derivative, enumerate_cylinders, gradient_flux
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import (
@@ -515,20 +515,20 @@ def sample_log(tmp_path):
 
 class TestSampleFanOut:
     """A check's samples split between this process and a forked child once
-    count x sample_bytes reach trajectory.SPLIT_BYTES; the checks, and the
+    count x sample_bytes reach harness.SPLIT_BYTES; the checks, and the
     errors, must not depend on the path."""
 
     CFG = ExperimentConfig(n=2, N=16, kmax=3, levels=4, steps_per_level=4, sweep_samples=5,
                            stability_pairs=3, refine=False, seed=11)
     # 7 samples, 0-2 in this process and 3-6 in the child
     COUNT = 7
-    ABOVE = -(-trajectory.SPLIT_BYTES // COUNT)
+    ABOVE = -(-harness.SPLIT_BYTES // COUNT)
 
     @staticmethod
     def _force(monkeypatch, split) -> list:
         # two usable cores, whatever this machine has; returns a log of forks
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(trajectory, "SPLIT_BYTES", 0 if split else math.inf)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "SPLIT_BYTES", 0 if split else math.inf)
         forks = []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _REAL_FORK())
         return forks
@@ -540,9 +540,9 @@ class TestSampleFanOut:
     def test_child_takes_the_second_half_on_two_or_more_cores(self, monkeypatch, sample_log, no_child_left,
                                                               cores):
         fn, log = sample_log
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
         rows = harness._map_samples(fn, self.COUNT, 2, self.ABOVE)
-        assert self.COUNT * self.ABOVE >= trajectory.SPLIT_BYTES
+        assert self.COUNT * self.ABOVE >= harness.SPLIT_BYTES
         assert log() == [(j, cores < 2 or j < self.COUNT // 2) for j in range(self.COUNT)]
         assert rows == self._serial_rows(fn)
         no_child_left()
@@ -550,12 +550,12 @@ class TestSampleFanOut:
     @pytest.mark.parametrize("fallback", ["below the constant", "one sample", "second thread", "no os.fork"])
     def test_no_fork_below_the_constant_or_from_a_second_thread(self, monkeypatch, sample_log, fallback):
         fn, log = sample_log
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
         count, size = self.COUNT, self.ABOVE
         if fallback == "below the constant":
-            size = (trajectory.SPLIT_BYTES - 1) // count
+            size = (harness.SPLIT_BYTES - 1) // count
         elif fallback == "one sample":
-            count, size = 1, trajectory.SPLIT_BYTES
+            count, size = 1, harness.SPLIT_BYTES
         elif fallback == "no os.fork":
             monkeypatch.delattr(os, "fork")
         if fallback == "second thread":
@@ -578,11 +578,11 @@ class TestSampleFanOut:
                                                     fail, by_child):
         fn, log = sample_log
         capfd.readouterr()
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
         with pytest.raises(ValueError) as serial:
             harness._map_samples(lambda j: fn(j, fail), self.COUNT, 2, self.ABOVE)
         assert str(serial.value) == f"sample {fail[0]} failed"
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
         with pytest.raises(ValueError) as split:
             harness._map_samples(lambda j: fn(j, fail), self.COUNT, 2, self.ABOVE)
         assert str(split.value) == str(serial.value)
@@ -594,7 +594,7 @@ class TestSampleFanOut:
     def test_child_dying_without_raising_has_its_half_redone_here(self, monkeypatch, sample_log, capfd,
                                                                   no_child_left, death):
         fn, log = sample_log
-        monkeypatch.setattr(trajectory, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
         parent = os.getpid()
 
         def sample(j):
@@ -612,6 +612,18 @@ class TestSampleFanOut:
         assert rows == self._serial_rows(fn)
         assert capfd.readouterr().err == ""
         no_child_left()
+
+    def test_no_fork_to_be_had_runs_both_halves_here(self, monkeypatch, sample_log):
+        fn, log = sample_log
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+
+        def refuse():
+            raise BlockingIOError("no process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        rows = harness._map_samples(fn, self.COUNT, 2, self.ABOVE)
+        assert log() == [(j, True) for j in range(self.COUNT)]
+        assert rows == self._serial_rows(fn)
 
     @pytest.mark.parametrize("check", ["check_maximal_regularity", "check_lipschitz", "check_stability"])
     def test_threaded_equals_serial(self, check, monkeypatch, no_child_left):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -13,7 +14,7 @@ from crossdiff.fields import (
     random_band_limited,
     to_coeffs,
 )
-from crossdiff.harness import InitialDataSpec, generate_initial_data
+from crossdiff.harness import ExperimentConfig, InitialDataSpec, SuiteContext, generate_initial_data
 from crossdiff.model import ReducedModel, _divergence_coeffs, flux_trajectory
 from crossdiff.semigroup import (
     _duhamel_blocks,
@@ -469,6 +470,27 @@ class TestTrajectoryPersistence:
         other = Trajectory(traj.grid, traj.tg, bumped, metadata=dict(traj.metadata))
         assert other.manifest_hash() == traj.manifest_hash()
         assert other.content_hash() != traj.content_hash()
+
+    def test_content_hash_reads_the_values_in_c_order_without_a_copy(self):
+        # the suite's refined reference keeps every second node of a finer
+        # solve, a strided view; the digest is that of the C-order bytes
+        ctx = SuiteContext(ExperimentConfig(N=16, kmax=3, t_end=0.25, levels=3, steps_per_level=3))
+        strided = ctx.imex(0.05, refine=2)
+        assert not strided.values.flags["C_CONTIGUOUS"]
+        dense = Trajectory(strided.grid, strided.tg, strided.values.copy(), dict(strided.metadata))
+        for traj in (strided, dense):
+            h = hashlib.sha256(traj.manifest_text().encode())
+            h.update(traj.values.tobytes())
+            assert traj.content_hash() == h.hexdigest()[:12]
+        # C-contiguous values are hashed in place, not copied
+        big = Trajectory(make_grid(2, 64), TimeGrid(np.linspace(0.0, 1.0, 5)), np.ones((5, 3, 64, 64)))
+        tracemalloc.start()
+        try:
+            big.content_hash()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.values.nbytes // 2
 
 
 class TestContractionReport:
