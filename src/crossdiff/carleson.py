@@ -187,12 +187,6 @@ def _trap_weights(times: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-# xp_seminorm and yp_norm form and scan at most this many bytes of
-# magnitudes at a time (at least one node), and the scan takes this many
-# bytes of ball-average spectra at a time
-MAGNITUDE_BLOCK_BYTES = 1 << 20
-
-
 @functools.lru_cache(maxsize=16)
 def _cylinder_windows(times: tuple[float, ...], radii: tuple[float, ...]) -> tuple:
     """Per radius, the stored times in its window [R^2/2, R^2]: a slice of
@@ -287,8 +281,8 @@ class _CylinderScan:
         scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
         counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
         best, best_at = 0.0, None
-        # live radii in increasing order, MAGNITUDE_BLOCK_BYTES of spectra at a time
-        for block in index_blocks(len(live), 2 * self.q[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+        # live radii in increasing order, in index_blocks of spectra
+        for block in index_blocks(len(live), 2 * self.q[0].nbytes):
             js = live[block]
             avg = np.fft.ifftn(np.fft.fftn(self.q[block], axes=axes) * spectra[js][:, None],
                                axes=axes).real
@@ -349,15 +343,14 @@ def xp_seminorm(
     """Scale-invariant cylinder supremum of L^p averages of |grad w|,
     plus the trajectory sup norm (reported alongside).
 
-    One pass over MAGNITUDE_BLOCK_BYTES blocks of time nodes transforms the
-    block, forms |grad w| from its coefficients and feeds the cylinder scan,
-    so neither the coefficients nor the gradient of the whole trajectory is
-    held.
+    One pass over index_blocks of time nodes transforms the block, forms
+    |grad w| from its coefficients and feeds the cylinder scan, so neither
+    the coefficients nor the gradient of the whole trajectory is held.
     """
     grid = traj.grid
     p, cylinders = _gradient_exponent(grid, traj.tg, p, cylinders)
     scan = _CylinderScan(grid, traj.tg.times, p, cylinders)
-    for b in index_blocks(len(traj.tg), traj.values[0].nbytes, MAGNITUDE_BLOCK_BYTES):
+    for b in index_blocks(len(traj.tg), traj.values[0].nbytes):
         scan.add(_gradient_magnitudes(to_coeffs(traj.values[b], grid), grid))
     return scan.report(traj.sup_norm())
 
@@ -377,7 +370,7 @@ def yp_norm(
         cylinders = enumerate_cylinders(grid, flux.tg)
     scan = _CylinderScan(grid, flux.tg.times, p, cylinders)
     sups = []
-    for b in index_blocks(len(flux.tg), flux.values[0].nbytes // grid.n, MAGNITUDE_BLOCK_BYTES):
+    for b in index_blocks(len(flux.tg), flux.values[0].nbytes // grid.n):
         mags = vector_magnitudes(flux.values[b])
         sups.append(mags.max())
         scan.add(mags)

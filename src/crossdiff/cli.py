@@ -92,6 +92,16 @@ def _out_dir(cfg: ExperimentConfig, args, default_name: str) -> Path:
     return base
 
 
+def _load_run(directory: Path) -> Trajectory:
+    """The run saved in directory; one that cannot be read exits with code 2,
+    not the 1 of a verify whose checks fail."""
+    try:
+        return Trajectory.load(directory)
+    except (OSError, ValueError) as exc:
+        print(f"crossdiff: cannot read the run in {directory}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _load_model(traj: Trajectory) -> ReducedModel | None:
     meta = traj.metadata
     if "alpha" not in meta:
@@ -140,7 +150,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    traj = Trajectory.load(args.traj)
+    traj = _load_run(args.traj)
     model = _load_model(traj)
     # an explicit --delta wins over the run's own delta
     delta = args.delta if args.delta is not None else float(traj.metadata.get("delta", 0.0))
@@ -160,7 +170,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    traj = Trajectory.load(args.traj)
+    traj = _load_run(args.traj)
     # the cylinder ladder and p of the run's config.ini; an explicit --p wins
     saved = Path(args.traj) / "config.ini"
     args.config = saved if saved.exists() else None

@@ -138,18 +138,19 @@ def from_coeffs(coeffs: np.ndarray, grid: GridSpec, out: np.ndarray | None = Non
     return out
 
 
-# Blocked transforms over time nodes take at most this many bytes of flux
-# (or of states) per call, and at least one node. One call over a whole
-# trajectory would hold several trajectory-sized temporaries at once; with
-# this budget a 2-D flux trajectory at N=64 still goes one node per call,
-# while a 1-D one needs one or two calls.
-FLUX_BLOCK_BYTES = 1 << 18
+# Every streamed pass over time nodes (or over cylinder radii) takes at most
+# this many bytes of its widest per-item array at a time, and at least one
+# item. One call over a whole trajectory would hold several trajectory-sized
+# temporaries at once; with this budget a 2-D flux trajectory at N=64 still
+# goes one node per call, while a 1-D one needs one or two calls.
+BLOCK_BYTES = 1 << 18
 
 
-def index_blocks(count: int, item_bytes: int, block_bytes: int) -> list[slice]:
+def index_blocks(count: int, item_bytes: int) -> list[slice]:
     """Runs of consecutive indices from 0 up to count, each holding at most
-    block_bytes at item_bytes per item (at least one item per run)."""
-    step = max(1, block_bytes // item_bytes)
+    BLOCK_BYTES (read at the call) at item_bytes per item, and at least one
+    item per run."""
+    step = max(1, BLOCK_BYTES // item_bytes)
     return [slice(k, k + step) for k in range(0, count, step)]
 
 

@@ -33,7 +33,6 @@ from .carleson import (
     _time_derivative,
 )
 from .fields import (
-    FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
     index_blocks,
@@ -177,6 +176,9 @@ class ExperimentConfig:
                              f"got {self.contraction_deltas}")
         if self.centers_stride is not None and not 1 <= self.centers_stride <= self.N:
             raise ValueError(f"centers_stride must be in [1, N], got {self.centers_stride}")
+        if self.coefficients is not None:  # d(d-1)/2 entries that do not all coincide
+            reduce_coefficients(RawCoefficients.from_upper_triangle(self.d, self.coefficients))
+        self.cylinders(self.grid(), self.time_grid())  # a time grid that resolves a cylinder
 
     def grid(self) -> GridSpec:
         return make_grid(self.n, self.N)
@@ -397,17 +399,17 @@ def energy_identity_probe(traj: Trajectory, model: ReducedModel) -> list[Check]:
 
     For nonnegative trajectories both energy terms vanish identically.
 
-    One pass over blocks of FLUX_BLOCK_BYTES of gradient forms, per time
-    node and species, the energy and the dissipation, and the minimum of the
-    factor; only the time derivative of the (T, d) energy table is taken
-    after it, so no field of the whole trajectory is made.
+    One pass over index_blocks of gradient forms, per time node and species,
+    the energy and the dissipation, and the minimum of the factor; only the
+    time derivative of the (T, d) energy table is taken after it, so no field
+    of the whole trajectory is made.
     """
     grid, times = traj.grid, traj.tg.times
     axes = tuple(range(2, 2 + grid.n))
     energy = np.empty(traj.values.shape[:2])  # (T, d)
     dissipation = np.empty_like(energy)
     coercivity = math.inf
-    for b in index_blocks(len(times), traj.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
+    for b in index_blocks(len(times), traj.values[0].nbytes * grid.n):
         values = traj.values[b]
         neg = np.minimum(values, 0.0)  # (nodes, d, *shape)
         energy[b] = 0.5 * np.mean(neg**2, axis=axes)

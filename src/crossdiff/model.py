@@ -11,7 +11,6 @@ import numpy as np
 
 from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent
 from .fields import (
-    FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
     _abs_max,
@@ -161,7 +160,7 @@ def _dealiased_coeffs(products: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def flux_trajectory(traj: Trajectory, model: ReducedModel, truncated: bool = True) -> FluxTrajectory:
     """Nodal fluxes F_i = sum_j alpha_ij (c_j grad w_i - c_i grad w_j) along
-    every stored state, FLUX_BLOCK_BYTES of output at a time.
+    every stored state, over index_blocks of output.
 
     c = w clamped to [0, delta] when truncated, else c = w; gradients are
     always taken from the unclamped state. Products are formed nodally and
@@ -169,7 +168,7 @@ def flux_trajectory(traj: Trajectory, model: ReducedModel, truncated: bool = Tru
     """
     grid = traj.grid
     blocks = []
-    for b in index_blocks(len(traj.tg), traj.values[0].nbytes * grid.n, FLUX_BLOCK_BYTES):
+    for b in index_blocks(len(traj.tg), traj.values[0].nbytes * grid.n):
         values = traj.values[b]
         products = _flux_products(values, grid, model, truncated, spectral_gradient(values, grid))
         blocks.append(from_coeffs(_dealiased_coeffs(products, grid), grid))

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .fields import (
-    FLUX_BLOCK_BYTES,
     GridSpec,
     SpeciesVector,
     from_coeffs,
@@ -50,10 +49,9 @@ def heat_propagate(values: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
 
 
 def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
-    """The pure heat flow of every species over consecutive blocks of time
-    nodes, FLUX_BLOCK_BYTES of states each: yields (nodes, coeffs, values),
-    coeffs of shape (nodes, d, *rfft_shape(grid)) and values of shape
-    (nodes, d, *grid.shape).
+    """The pure heat flow of every species over index_blocks of states at
+    consecutive time nodes: yields (nodes, coeffs, values), coeffs of shape
+    (nodes, d, *rfft_shape(grid)) and values of shape (nodes, d, *grid.shape).
 
     Each block's coefficients are one exp over its rows of the symbol x
     node-times table, each row the heat_multiplier of its node. Node 0 of
@@ -62,7 +60,7 @@ def _heat_flow_blocks(h: SpeciesVector, tg: TimeGrid):
     """
     grid, datum = h.grid, h.values
     what, symbol = to_coeffs(datum, grid), laplacian_symbol(grid)
-    for b in index_blocks(len(tg), datum.nbytes, FLUX_BLOCK_BYTES):
+    for b in index_blocks(len(tg), datum.nbytes):
         coeffs = what * np.exp(np.multiply.outer(tg.times[b], symbol))[:, None]
         values = np.empty((len(coeffs),) + datum.shape)
         first = 0
@@ -177,7 +175,7 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
 
 def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
     """The mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h and a
-    nodal FluxTrajectory aligned with tg, over FLUX_BLOCK_BYTES blocks of
+    nodal FluxTrajectory aligned with tg, over index_blocks of
     flux: the (nodes, coeffs, values) blocks of _duhamel_blocks. The forcing
     is checked here, and each block's divergence is taken only when its
     block of the recurrence is due, so neither the divergence nor the
@@ -187,7 +185,7 @@ def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != h.d:
         raise ValueError(f"forcing has {forcing.d} species, datum has {h.d}")
-    blocks = index_blocks(len(tg), forcing.values[0].nbytes, FLUX_BLOCK_BYTES)
+    blocks = index_blocks(len(tg), forcing.values[0].nbytes)
     return _duhamel_blocks(h, ((b, spectral_divergence(forcing.values[b], h.grid)) for b in blocks), tg)
 
 

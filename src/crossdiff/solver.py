@@ -13,7 +13,6 @@ import numpy as np
 
 from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent, _gradient_magnitudes
 from .fields import (
-    FLUX_BLOCK_BYTES,
     SpeciesVector,
     _abs_max,
     derivative_symbol,
@@ -154,9 +153,9 @@ def _theta_hat(distances: list[float]) -> float:
 def _map_blocks(h: SpeciesVector, values: np.ndarray, coeffs: np.ndarray, model: ReducedModel,
                 tg: TimeGrid, truncated: bool):
     """One application of the solution map to the iterate held as nodal
-    values (n_times, d, *grid.shape) and their coefficients, over blocks of
-    FLUX_BLOCK_BYTES of flux: an iterator of (nodes, coefficients, values)
-    of the next iterate per block of time nodes, node 0 being the datum.
+    values (n_times, d, *grid.shape) and their coefficients, over index_blocks
+    of flux: an iterator of (nodes, coefficients, values) of the next iterate
+    per block of time nodes, node 0 being the datum.
 
     Per block, the divergence of the flux along the iterate is formed from
     its values and coefficients and fed to the Duhamel recurrence. A block
@@ -164,7 +163,7 @@ def _map_blocks(h: SpeciesVector, values: np.ndarray, coeffs: np.ndarray, model:
     caller may overwrite each block of the iterate once it is yielded.
     """
     grid = h.grid
-    blocks = index_blocks(len(tg), values[0].nbytes * grid.n, FLUX_BLOCK_BYTES)
+    blocks = index_blocks(len(tg), values[0].nbytes * grid.n)
     divs = ((b, _divergence_coeffs(values[b], gradient_from_coeffs(coeffs[b], grid), grid, model,
                                    truncated)) for b in blocks)
     return _duhamel_blocks(h, divs, tg)

@@ -124,18 +124,23 @@ class Trajectory:
     @classmethod
     def load(cls, directory) -> "Trajectory":
         """Read a saved trajectory. values.npy must hold finite float64 of
-        shape (times, d, *grid.shape) from the manifest; any other array
-        raises a ValueError naming the file."""
+        shape (times, d, *grid.shape) from the manifest; any other array, or
+        a manifest without one of those keys, raises a ValueError naming the
+        file."""
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        grid = GridSpec(n=manifest["n"], N=manifest["N"])
-        tg = TimeGrid(np.asarray(manifest["times"]))
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        try:
+            grid = GridSpec(n=manifest["n"], N=manifest["N"])
+            tg = TimeGrid(np.asarray(manifest["times"]))
+            shape = (len(tg), manifest["d"]) + grid.shape
+        except KeyError as exc:
+            raise ValueError(f"{path} lacks the key {exc}") from None
         path = directory / "values.npy"
         try:
             values = np.load(path, allow_pickle=False)
         except (ValueError, EOFError) as exc:  # not an npy file, or a cut one
             raise ValueError(f"{path}: {exc}") from None
-        shape = (len(tg), manifest["d"]) + grid.shape
         if values.dtype != np.float64 or values.shape != shape:
             raise ValueError(f"{path} holds {values.dtype} of shape {values.shape}; "
                              f"the manifest gives float64 of shape {shape}")

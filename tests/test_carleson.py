@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from crossdiff import carleson, semigroup
+from crossdiff import carleson, fields
 from crossdiff.carleson import (
     CylinderLadder,
     CylinderSpec,
@@ -279,7 +279,7 @@ class TestGradientMagnitudes:
         vals = np.random.default_rng(n).standard_normal((len(tg), 3) + grid.shape)
         if block_nodes is not None:
             node = 3 * grid.num_nodes * 8
-            monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", block_nodes * node)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", block_nodes * node)
         mags = carleson._gradient_magnitudes(to_coeffs(vals, grid), grid)
         assert np.array_equal(mags, vector_magnitudes(gradient_flux(Trajectory(grid, tg, vals)).values))
 
@@ -411,8 +411,8 @@ class TestScanMatchesPerCylinderLoop:
 
 
 class TestScanBlocksAndWindows:
-    """The scan takes the radii in blocks of MAGNITUDE_BLOCK_BYTES of spectra
-    and reads each radius's time window from one cached table."""
+    """The scan takes the radii in index_blocks of spectra and reads each
+    radius's time window from one cached table."""
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("kind", ["random", "constant", "spike", "nan", "zero"])
@@ -422,15 +422,15 @@ class TestScanBlocksAndWindows:
         ladder = enumerate_cylinders(grid, tg)
         mags = _magnitudes(kind, tg, ladder)
         ref = _scan_per_cylinder(grid, tg.times, mags, 4.0, _expand(ladder))
-        monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", 1)
+        monkeypatch.setattr(fields, "BLOCK_BYTES", 1)
         assert _scan_whole(grid, tg.times, mags, 4.0, ladder) == ref
 
     def test_several_blocks_at_2d_n64(self):
-        # about five radii of 3 species per block of spectra
+        # one radius of 3 species per block of spectra
         grid = make_grid(2, 64)
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
         ladder = enumerate_cylinders(grid, tg)
-        assert 2 * 3 * grid.num_nodes * 8 * len(ladder.radii) > carleson.MAGNITUDE_BLOCK_BYTES
+        assert 2 * 3 * grid.num_nodes * 8 * len(ladder.radii) > fields.BLOCK_BYTES
         mags = _magnitudes("random", tg, ladder)
         ref = _scan_per_cylinder(grid, tg.times, mags, 5.0, _expand(ladder))
         assert _scan_whole(grid, tg.times, mags, 5.0, ladder) == ref
@@ -559,13 +559,13 @@ class TestNormsFedInBlocks:
                 for p in (2.5, 5.0)]
         if nodes is not None:
             nodes = len(tg) if nodes == "all" else nodes
-            monkeypatch.setattr(carleson, "MAGNITUDE_BLOCK_BYTES", nodes * 3 * grid.num_nodes * 8)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", nodes * 3 * grid.num_nodes * 8)
         for p, (xp_ref, yp_ref) in zip((2.5, 5.0), refs):
             assert xp_seminorm(traj, p, ladder) == xp_ref
             assert yp_norm(flux, p, ladder) == yp_ref
 
     def test_yp_peak_memory(self):
-        # blocks of magnitudes and one window of mags^p at a time: 0.57x the
+        # blocks of magnitudes and one window of mags^p at a time: 0.34x the
         # state trajectory measured; the magnitudes of the whole flux peaked
         # at 2.0x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
@@ -583,7 +583,7 @@ class TestNormsFedInBlocks:
 
     def test_xp_peak_memory(self):
         # the coefficients, gradient and magnitudes of one block of nodes and
-        # the scan's windows: 0.80x the trajectory measured; the coefficients
+        # the scan's windows: 0.35x the trajectory measured; the coefficients
         # of the whole trajectory held first peaked at 2.06x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
         h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6)
@@ -662,7 +662,7 @@ class TestMaximalRegularity:
         # bit for bit, with blocks of 1, 3 or all flux nodes
         h, flux, tg, cylinders = self._problem(n, N)
         want = [_ratio_separate_passes(h, flux, tg, p, cylinders) for p in (2.5, 4.0)]
-        monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", (nodes or len(tg)) * flux.values[0].nbytes)
+        monkeypatch.setattr(fields, "BLOCK_BYTES", (nodes or len(tg)) * flux.values[0].nbytes)
         assert [maximal_regularity_ratio(h, flux, tg, p, cylinders) for p in (2.5, 4.0)] == want
 
     def test_transforms_no_more_than_separate_passes(self, transform_bytes):
@@ -674,8 +674,8 @@ class TestMaximalRegularity:
         assert sum(transform_bytes) <= separate
 
     def test_peak_memory_streamed(self):
-        # on the default time grid, with the flux built before tracing: 0.77x
-        # the trajectory of w measured (0.62x with the tables cached per grid
+        # on the default time grid, with the flux built before tracing: 0.70x
+        # the trajectory of w measured (0.59x with the tables cached per grid
         # warm); the Duhamel solution and its coefficients held whole peaked
         # at 3.17x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)

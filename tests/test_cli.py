@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import re
 import subprocess
@@ -98,6 +99,63 @@ def test_out_of_range_value_exits_with_usage_code(tmp_path, flag, value, match, 
     assert match in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "suite"])
+@pytest.mark.parametrize("coefficients,match", [("1 2", "expected 3 upper-triangular entries, got 2"),
+                                                ("1 1 1", "degenerate")])
+def test_unusable_coefficients_exit_with_usage_code(command, coefficients, match, tmp_path, capsys):
+    # d=3 needs three entries that do not all coincide; the config says so
+    # before any suite group runs
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--N", "16", "--kmax", "4", "--coefficients", coefficients,
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: ") and match in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "suite"])
+def test_time_grid_without_a_cylinder_exits_with_usage_code(command, tmp_path, capsys):
+    # the first stored time 2 wants R_min = 2, past the cap R = 1/2
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--N", "16", "--kmax", "4", "--t-end", "4", "--levels", "1",
+              "--steps-per-level", "1", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: empty radius ladder")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def _drop_manifest_key(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["N"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _cut_values(run_dir):
+    path = run_dir / "values.npy"
+    path.write_bytes(path.read_bytes()[:-100])
+
+
+@pytest.mark.parametrize("command", ["verify", "norms"])
+@pytest.mark.parametrize("damage,match", [(None, "No such file"), (_drop_manifest_key, "lacks the key 'N'"),
+                                          (_cut_values, "values.npy")])
+def test_unreadable_run_exits_with_usage_code(command, damage, match, tmp_path, tiny_args, capsys):
+    run_dir = tmp_path / "run"
+    if damage is not None:
+        assert main(["solve", "--scheme", "imex"] + tiny_args) == 0
+        damage(run_dir)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--traj", str(run_dir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crossdiff: cannot read the run in {run_dir}: ") and match in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unparsable_flag_names_its_parser(tmp_path, capsys):

@@ -115,11 +115,13 @@ class TestTransform:
 
 
 class TestIndexBlocks:
-    def test_runs_cover_the_range_within_the_budget(self):
-        assert index_blocks(13, 8, 40) == [slice(0, 5), slice(5, 10), slice(10, 15)]
+    def test_runs_cover_the_range_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(fields, "BLOCK_BYTES", 40)
+        assert index_blocks(13, 8) == [slice(0, 5), slice(5, 10), slice(10, 15)]
 
-    def test_at_least_one_item_per_run(self):
-        assert index_blocks(3, 100, 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    def test_at_least_one_item_per_run(self, monkeypatch):
+        monkeypatch.setattr(fields, "BLOCK_BYTES", 1)
+        assert index_blocks(3, 100) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 class TestDifferentiation:

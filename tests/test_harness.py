@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossdiff import harness
+from crossdiff import fields, harness
 from crossdiff.carleson import _time_derivative, enumerate_cylinders, gradient_flux
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import (
@@ -301,7 +301,7 @@ class TestEnergyProbe:
         assert ref[0] > 0.0 and ref[1] < 1.0
         node = traj.values[0].nbytes * n  # the gradient of one node
         for nodes in (1, 3, len(tg)):
-            monkeypatch.setattr(harness, "FLUX_BLOCK_BYTES", nodes * node)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", nodes * node)
             got = [c.value for c in energy_identity_probe(traj, model)]
             assert [v.hex() for v in got] == [v.hex() for v in ref]
 
@@ -346,6 +346,15 @@ class TestSuite:
         names = [c.name for c in r1.checks]
         assert any(n.startswith("kernel-scaling") for n in names)
         assert any(n.startswith("negative-controls") for n in names)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_suite_ignores_blocking(self, n, monkeypatch):
+        # every streamed pass, run one node (or one radius) per block, gives
+        # every check the same value, bit for bit
+        cfg = replace(TINY, n=n)
+        want = [(c.name, float(c.value).hex()) for c in run_suite(cfg).checks]
+        monkeypatch.setattr(fields, "BLOCK_BYTES", 1)
+        assert [(c.name, float(c.value).hex()) for c in run_suite(cfg).checks] == want
 
     def test_checks_csv_rows_parse_to_six_fields(self, tmp_path):
         # a name and a note that hold commas, as the kernel-scaling check's

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crossdiff import carleson
+from crossdiff import carleson, fields
 from crossdiff import model as model_module
 from crossdiff.carleson import enumerate_cylinders, xp_norm, yp_norm
 from crossdiff.fields import (
@@ -51,12 +51,12 @@ def _flux(w, g, m, truncated=True):
 
 
 def _probe(v, w, model, p=None, cylinders=None, against_zero=False):
-    """The Lipschitz pass of the trajectories v and w, fed FLUX_BLOCK_BYTES
-    blocks of time nodes with their gradients: (report of v against w,
+    """The Lipschitz pass of the trajectories v and w, fed index_blocks
+    of time nodes with their gradients: (report of v against w,
     report of v against 0 or None)."""
     grid = v.grid
     probe = _LipschitzPass(grid, v.tg, model, p, cylinders, against_zero)
-    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, model_module.FLUX_BLOCK_BYTES):
+    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n):
         vb, wb = v.values[b], w.values[b]
         probe.add(vb, wb, spectral_gradient(vb, grid), spectral_gradient(wb, grid))
     return probe.result()
@@ -76,7 +76,7 @@ def _probe_whole_array(v, w, model, p, cylinders):
     grid = v.grid
     mags = np.empty((4,) + v.values.shape)
     sup_diff = 0.0
-    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n, model_module.FLUX_BLOCK_BYTES):
+    for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n):
         gv = gradient_from_coeffs(to_coeffs(v.values[b], grid), grid)
         gw = gradient_from_coeffs(to_coeffs(w.values[b], grid), grid)
         prod = model_module._flux_products(v.values[b], grid, model, False, gv)
@@ -229,7 +229,7 @@ class TestFluxTrajectory:
         # states on both sides of [0, delta], so the clamp is active
         vals = 0.02 + 0.05 * np.random.default_rng(n).standard_normal((len(tg), 3) + g.shape)
         node_bytes = 3 * n * g.num_nodes * 8
-        monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", 5 * node_bytes)
+        monkeypatch.setattr(fields, "BLOCK_BYTES", 5 * node_bytes)
         real = model_module._flux_products
         blocks = []
         monkeypatch.setattr(model_module, "_flux_products",
@@ -380,7 +380,7 @@ class TestLipschitzProbe:
     def test_report_equals_whole_array_formulation(self, n, N, nodes, monkeypatch):
         # the scans fed block by block equal the scans of the magnitude fields
         # held whole, bit for bit, with the same blocks of transforms (None:
-        # the default FLUX_BLOCK_BYTES); the report against zero equals the
+        # the default BLOCK_BYTES); the report against zero equals the
         # whole-array report of v against an all-zero trajectory
         g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
         v, w = self._pair(g, tg, seed=6 + n)
@@ -388,7 +388,7 @@ class TestLipschitzProbe:
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         if nodes is not None:
-            monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", nodes * v.values[0].nbytes * n)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", nodes * v.values[0].nbytes * n)
         for p in (4.5, 5.0):
             assert _probe(v, w, m, p, cyls, against_zero=True) == (
                 _probe_whole_array(v, w, m, p, cyls), _probe_whole_array(v, zero, m, p, cyls))
@@ -399,7 +399,7 @@ class TestLipschitzProbe:
         # finite states whose products overflow in the last node only
         values = v.values.copy()
         values[-1] *= 1e200
-        monkeypatch.setattr(model_module, "FLUX_BLOCK_BYTES", v.values[0].nbytes)  # one node
+        monkeypatch.setattr(fields, "BLOCK_BYTES", v.values[0].nbytes)  # one node
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
             _probe(Trajectory(g, tg, values), w, ReducedModel.from_alpha(ALPHA3, 0.05))
 

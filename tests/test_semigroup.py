@@ -344,7 +344,7 @@ class TestBatchedTransforms:
         if block_nodes is not None:
             # blocks of block_nodes flux nodes (the last one short), and of
             # n times as many nodes of the values
-            monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", block_nodes * flux.values[0].nbytes)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", block_nodes * flux.values[0].nbytes)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64)])
     @pytest.mark.parametrize("block_nodes", [None, 2])
@@ -403,10 +403,9 @@ class TestBatchedTransforms:
         want = _values_per_node(_heat_flow_coeffs_per_node(h, tg), g, h.values)
         assert _bit_equal(heat_flow_trajectory(h, tg).values, want)
         if block_nodes is not None:
-            monkeypatch.setattr(semigroup, "FLUX_BLOCK_BYTES", block_nodes * h.values.nbytes)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", block_nodes * h.values.nbytes)
         blocks = list(_heat_flow_blocks(h, tg))
-        assert [b for b, _, _ in blocks] == index_blocks(
-            len(tg), h.values.nbytes, semigroup.FLUX_BLOCK_BYTES)
+        assert [b for b, _, _ in blocks] == index_blocks(len(tg), h.values.nbytes)
         coeffs, values = _whole(blocks)
         assert _bit_equal(coeffs, _heat_flow_coeffs_per_node(h, tg))
         assert _bit_equal(values, want)
@@ -418,7 +417,7 @@ class TestBatchedTransforms:
 
     @pytest.mark.parametrize("n,N", [(1, 64), (1, 128), (2, 16), (2, 64)])
     @pytest.mark.parametrize("block_nodes", [1, 3, None])
-    def test_duhamel_blocks(self, n, N, block_nodes):
+    def test_duhamel_blocks(self, n, N, block_nodes, monkeypatch):
         # the recurrence fed the forcing in blocks of any size, the first
         # block short of a whole one or not, equals the per-node loop, on
         # time grids of few and of all distinct steps: the coefficients, and
@@ -427,7 +426,8 @@ class TestBatchedTransforms:
             g, tg, h, flux = self._problem(n, N, times)
             div = np.stack([spectral_divergence(flux.values[k], g) for k in range(len(tg))])
             want_values, want = _duhamel_per_node(h, div, tg)
-            blocks = index_blocks(len(tg), div[0].nbytes, (block_nodes or len(tg)) * div[0].nbytes)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", (block_nodes or len(tg)) * div[0].nbytes)
+            blocks = index_blocks(len(tg), div[0].nbytes)
             got = list(_duhamel_blocks(h, ((b, div[b]) for b in blocks), tg))
             assert [(b, len(c), len(v)) for b, c, v in got] == [(b, len(div[b]), len(div[b]))
                                                                 for b in blocks]

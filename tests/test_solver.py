@@ -382,7 +382,7 @@ def test_picard_streamed_equals_whole_array(n, truncated, metric, monkeypatch):
     values, distances, converged, theta_hat = _picard_whole_array(h, model, tg, truncated, metric)
     node = values[0].nbytes * n  # the flux of one node
     for nodes in (1, 3, len(tg)):
-        monkeypatch.setattr(solver, "FLUX_BLOCK_BYTES", nodes * node)
+        monkeypatch.setattr(fields, "BLOCK_BYTES", nodes * node)
         traj, rep = picard_solve(h, model, tg, truncated=truncated, metric=metric)
         assert traj.values.tobytes() == values.tobytes()
         assert [d.hex() for d in rep.distances] == [d.hex() for d in distances]
