@@ -36,7 +36,6 @@ from .carleson import (
 )
 from .model import (
     LipschitzReport,
-    RawCoefficients,
     ReducedModel,
     flux_trajectory,
     reduce_coefficients,

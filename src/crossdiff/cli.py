@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -92,22 +93,35 @@ def _out_dir(cfg: ExperimentConfig, args, default_name: str) -> Path:
     return base
 
 
+def _exit_unreadable(directory: Path, exc: Exception) -> NoReturn:
+    """A run that cannot be read exits with code 2, not the 1 of a verify
+    whose checks fail."""
+    print(f"crossdiff: cannot read the run in {directory}: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def _load_run(directory: Path) -> Trajectory:
-    """The run saved in directory; one that cannot be read exits with code 2,
-    not the 1 of a verify whose checks fail."""
     try:
         return Trajectory.load(directory)
     except (OSError, ValueError) as exc:
-        print(f"crossdiff: cannot read the run in {directory}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _exit_unreadable(directory, exc)
 
 
-def _load_model(traj: Trajectory) -> ReducedModel | None:
+def _load_model(traj: Trajectory, directory: Path) -> ReducedModel | None:
+    """The coupling the run's metadata records, or None when it records no
+    alpha; a record that gives no usable model exits with code 2."""
     meta = traj.metadata
     if "alpha" not in meta:
         return None
-    return ReducedModel(K=float(meta.get("K", 1.0)), delta=float(meta["delta"]),
-                        alpha=np.asarray(meta["alpha"]))
+    try:
+        if "delta" not in meta:
+            raise ValueError("its metadata records alpha but no delta")
+        alpha, d = np.asarray(meta["alpha"], dtype=float), traj.values.shape[1]
+        if alpha.shape != (d, d):
+            raise ValueError(f"its alpha must be {d}x{d} for {d} species, got shape {alpha.shape}")
+        return ReducedModel.from_alpha(alpha, float(meta["delta"]))
+    except (TypeError, ValueError) as exc:
+        _exit_unreadable(directory, exc)
 
 
 def cmd_solve(args) -> int:
@@ -150,8 +164,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.delta is not None and not 0 < args.delta < math.inf:
+        print(f"crossdiff verify: --delta must be positive and finite, got {args.delta}", file=sys.stderr)
+        return 2
     traj = _load_run(args.traj)
-    model = _load_model(traj)
+    model = _load_model(traj, args.traj)
     # an explicit --delta wins over the run's own delta
     delta = args.delta if args.delta is not None else float(traj.metadata.get("delta", 0.0))
     checks = []

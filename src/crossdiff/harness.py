@@ -40,7 +40,7 @@ from .fields import (
     random_band_limited,
     spectral_gradient,
 )
-from .model import RawCoefficients, ReducedModel, _heat_flow_probes, reduce_coefficients
+from .model import ReducedModel, _heat_flow_probes, reduce_coefficients
 from .semigroup import (KERNEL_SCALING_SPREAD, heat_flow_trajectory, heat_propagate, kernel_gradient_lp,
                         kernel_scaling_report)
 from .solver import _distance_ratios, imex_solve, picard_solve
@@ -163,21 +163,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
-        if self.d < 2:
-            raise ValueError("need at least two species")
-        for name in ("delta", "t_end", "tol", "max_iter", "radii_per_octave", "levels",
+        for name in ("t_end", "tol", "max_iter", "radii_per_octave", "levels",
                      "steps_per_level", "stability_pairs", "sweep_samples"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("t_end", "tol", "amplitude", "smoothing"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p is not None and not 1.0 < self.p < math.inf:
             raise ValueError(f"p must be in (1, inf), got {self.p}")
-        if not self.contraction_deltas or not all(x > 0 for x in self.contraction_deltas):
-            raise ValueError(f"contraction_deltas must be one or more positive spreads, "
+        if not self.contraction_deltas or not all(0 < x < math.inf for x in self.contraction_deltas):
+            raise ValueError(f"contraction_deltas must be one or more positive finite spreads, "
                              f"got {self.contraction_deltas}")
-        if self.centers_stride is not None and not 1 <= self.centers_stride <= self.N:
-            raise ValueError(f"centers_stride must be in [1, N], got {self.centers_stride}")
-        if self.coefficients is not None:  # d(d-1)/2 entries that do not all coincide
-            reduce_coefficients(RawCoefficients.from_upper_triangle(self.d, self.coefficients))
+        self.reduced_model()  # d >= 2, a positive finite delta, and usable coefficients
         self.cylinders(self.grid(), self.time_grid())  # a time grid that resolves a cylinder
 
     def grid(self) -> GridSpec:
@@ -203,16 +201,9 @@ class ExperimentConfig:
     def reduced_model(self, delta: float | None = None) -> ReducedModel:
         """Coupling from the configured coefficients (or the default template)
         at the configured (or overridden) spread delta."""
-        if self.coefficients is None:
-            alpha = default_alpha(self.d)
-        else:
-            raw = RawCoefficients.from_upper_triangle(self.d, self.coefficients)
-            m = reduce_coefficients(raw)
-            if delta is None and abs(m.delta - self.delta) <= 1e-12 * self.delta:
-                return m
-            alpha = m.alpha
-        delta = self.delta if delta is None else delta
-        return ReducedModel.from_alpha(alpha, delta)
+        alpha = (default_alpha(self.d) if self.coefficients is None
+                 else reduce_coefficients(self.d, self.coefficients))
+        return ReducedModel.from_alpha(alpha, self.delta if delta is None else delta)
 
     # -- serialization -------------------------------------------------------
 
@@ -861,7 +852,7 @@ def check_negative_controls(ctx: SuiteContext) -> list[Check]:
     asym = np.zeros((d, d))
     asym[0, 1] = 1.0
     asym[1, 0] = -1.0
-    broken = ReducedModel(K=1.0, delta=delta, alpha=asym)
+    broken = ReducedModel(delta=delta, alpha=asym)
     h = ctx.datum(delta)
     traj = imex_solve(h, broken, ctx.tg, truncated=ctx.config.truncated)
     dev = verify_partition(traj, delta).value

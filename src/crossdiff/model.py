@@ -1,10 +1,12 @@
-"""Coefficient reduction from raw cross-diffusion matrices to the
-diffusion-dominant small-data form, the (optionally truncated) flux of
-the nonlinearity, and the empirical Lipschitz diagnostic for the flux map.
+"""Coefficient reduction from raw cross-diffusion coefficients to the
+normalised coupling of the diffusion-dominant small-data form, the
+(optionally truncated) flux of the nonlinearity, and the empirical
+Lipschitz diagnostic for the flux map.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,6 @@ from .semigroup import _heat_flow_blocks
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
-    "RawCoefficients",
     "ReducedModel",
     "LipschitzReport",
     "reduce_coefficients",
@@ -33,52 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class RawCoefficients:
-    """Symmetric positive cross-diffusion coefficients K_ij (diagonal unused)."""
-
-    d: int
-    K: np.ndarray
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        if self.d < 2:
-            raise ValueError("need at least two species")
-        if K.shape != (self.d, self.d):
-            raise ValueError(f"coefficient matrix must be {self.d}x{self.d}, got {K.shape}")
-        off = ~np.eye(self.d, dtype=bool)
-        if np.any(K[off] <= 0):
-            raise ValueError("off-diagonal coefficients must be positive")
-        if not np.allclose(K, K.T, rtol=1e-12, atol=0.0):
-            raise ValueError("coefficients must be symmetric: K_ij = K_ji")
-        object.__setattr__(self, "K", K)
-
-    @classmethod
-    def from_upper_triangle(cls, d: int, entries) -> "RawCoefficients":
-        """Build from the flat row-major list of the d(d-1)/2 upper-triangular entries."""
-        entries = list(entries)
-        expect = d * (d - 1) // 2
-        if len(entries) != expect:
-            raise ValueError(f"expected {expect} upper-triangular entries, got {len(entries)}")
-        K = np.zeros((d, d))
-        pos = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                K[i, j] = K[j, i] = entries[pos]
-                pos += 1
-        return cls(d=d, K=K)
-
-
 @dataclass(eq=False)
 class ReducedModel:
-    """Reference diffusivity K, coefficient spread delta, and the normalised
-    coupling matrix alpha with |alpha_ij| <= 1 and zero diagonal.
+    """The normalised system, with unit diffusion: the spread delta and the
+    coupling alpha, |alpha_ij| <= 1 with zero diagonal. Construction is
+    permissive (the negative controls inject broken couplings on purpose);
+    from_alpha checks what it builds."""
 
-    Construction is permissive (test harnesses inject broken couplings on
-    purpose); reduce_coefficients produces validated instances.
-    """
-
-    K: float
     delta: float
     alpha: np.ndarray
 
@@ -89,43 +51,46 @@ class ReducedModel:
     def d(self) -> int:
         return self.alpha.shape[0]
 
-    def validate(self):
-        if self.K <= 0 or self.delta <= 0:
-            raise ValueError("K and delta must be positive")
-        if np.any(np.abs(self.alpha) > 1.0 + 1e-12):
-            raise ValueError("coupling entries must satisfy |alpha_ij| <= 1")
-        if not np.allclose(self.alpha, self.alpha.T, rtol=0.0, atol=1e-12):
-            raise ValueError("coupling matrix must be symmetric")
-        if np.any(np.diag(self.alpha) != 0.0):
-            raise ValueError("coupling diagonal must be zero")
-
     @classmethod
     def from_alpha(cls, alpha, delta: float) -> "ReducedModel":
-        m = cls(K=1.0, delta=delta, alpha=alpha)
-        m.validate()
+        if not 0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
+        m = cls(delta=delta, alpha=alpha)
+        if not np.all(np.abs(m.alpha) <= 1.0 + 1e-12):
+            raise ValueError("coupling entries must satisfy |alpha_ij| <= 1")
+        if not np.allclose(m.alpha, m.alpha.T, rtol=0.0, atol=1e-12):
+            raise ValueError("coupling matrix must be symmetric")
+        if np.any(np.diag(m.alpha) != 0.0):
+            raise ValueError("coupling diagonal must be zero")
         return m
 
 
-def reduce_coefficients(raw: RawCoefficients) -> ReducedModel:
-    """Extract the dominant linear diffusivity and the normalised coupling.
+def reduce_coefficients(d: int, entries) -> np.ndarray:
+    """The normalised coupling alpha of the raw cross-diffusion coefficients
+    K_ij = K (1 + delta alpha_ij), given as the flat row-major list of the
+    d(d-1)/2 upper-triangular entries.
 
-    K is the midpoint of the off-diagonal coefficient range, delta the
-    maximal relative spread |K_ij/K - 1|, and alpha_ij = (K_ij/K - 1)/delta.
+    K is the midpoint of the entries' range and alpha_ij = (K_ij/K - 1)/s
+    with s the largest |K_ij/K - 1|; the spread delta is the model's own.
     Raises when all coefficients coincide: the spread vanishes and the
     system decouples into independent heat equations.
     """
-    off = ~np.eye(raw.d, dtype=bool)
-    kmax, kmin = float(raw.K[off].max()), float(raw.K[off].min())
-    K = 0.5 * (kmax + kmin)
-    rel = raw.K / K - 1.0
-    rel[~off] = 0.0
-    delta = float(np.max(np.abs(rel)))
-    if delta <= 1e-14:
+    if d < 2:
+        raise ValueError("need at least two species")
+    entries = np.asarray(entries, dtype=float)
+    expect = d * (d - 1) // 2
+    if entries.shape != (expect,):
+        raise ValueError(f"expected {expect} upper-triangular entries, got {entries.size}")
+    if not np.all((0 < entries) & (entries < math.inf)):  # NaN fails both
+        raise ValueError(f"coefficients must be positive and finite, got {entries.tolist()}")
+    rel = entries / (0.5 * (entries.max() + entries.min())) - 1.0
+    spread = float(np.max(np.abs(rel)))
+    if spread <= 1e-14:
         raise ValueError("degenerate: all cross-diffusion coefficients equal; "
                          "the system decouples into independent heat equations")
-    model = ReducedModel(K=K, delta=delta, alpha=rel / delta)
-    model.validate()
-    return model
+    alpha = np.zeros((d, d))
+    alpha[np.triu_indices(d, 1)] = rel / spread
+    return alpha + alpha.T
 
 
 def _flux_products(

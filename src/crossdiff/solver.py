@@ -116,7 +116,7 @@ def imex_solve(
             what = E * (what + 0.5 * sub * n1) + 0.5 * sub * n2
         values[k] = from_coeffs(what, grid)
     meta = {"scheme": "imex", "dt": dt, "truncated": truncated,
-            "delta": model.delta, "K": model.K, "alpha": model.alpha.tolist()}
+            "delta": model.delta, "alpha": model.alpha.tolist()}
     _check_bounded(values, tg.times, cap)
     return Trajectory(grid, tg, values, metadata=meta)
 
@@ -240,6 +240,5 @@ def picard_solve(
         converged=converged,
     )
     meta = {"scheme": "picard", "truncated": truncated, "delta": model.delta,
-            "K": model.K, "alpha": model.alpha.tolist(),
-            "iterates": report.iterates, "converged": converged}
+            "alpha": model.alpha.tolist(), "iterates": report.iterates, "converged": converged}
     return Trajectory(grid, tg, values, metadata=meta), report

@@ -158,6 +158,71 @@ def test_unreadable_run_exits_with_usage_code(command, damage, match, tmp_path, 
     assert len(err.strip().splitlines()) == 1
 
 
+def _edit_metadata(run_dir, edit):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    edit(manifest["metadata"])
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda meta: meta.pop("delta"), "records alpha but no delta"),
+    (lambda meta: meta.update(alpha=[[0.0, 1.0], [1.0, 0.0]]), "alpha must be 3x3"),
+    (lambda meta: meta.update(alpha=[[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+     "|alpha_ij| <= 1"),
+    (lambda meta: meta.update(delta=None), "float"),
+], ids=["no-delta", "alpha-2x2", "alpha-too-large", "delta-null"])
+def test_broken_model_record_exits_with_usage_code(edit, match, tmp_path, tiny_args, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--scheme", "imex"] + tiny_args) == 0
+    _edit_metadata(run_dir, edit)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--traj", str(run_dir)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crossdiff: cannot read the run in {run_dir}: ") and match in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_run_that_records_a_diffusivity_still_verifies(tmp_path, tiny_args, capsys):
+    # runs saved before the model lost its diffusivity K hold it in their
+    # metadata, which nothing reads
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--scheme", "imex"] + tiny_args) == 0
+    assert "K" not in json.loads((run_dir / "manifest.json").read_text())["metadata"]
+    _edit_metadata(run_dir, lambda meta: meta.update(K=1.0))
+    capsys.readouterr()
+    assert main(["verify", "--traj", str(run_dir)]) == 0
+    assert "5/5 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+def test_verify_delta_that_is_not_positive_exits_with_usage_code(delta, tmp_path, tiny_args, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--scheme", "imex"] + tiny_args) == 0
+    capsys.readouterr()
+    # not a silent run without the partition check, which 0, -1 and nan once gave
+    assert main(["verify", "--traj", str(run_dir), "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"crossdiff verify: --delta must be positive and finite, got {float(delta)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,value,match", [("--delta", "inf", "delta must be positive and finite"),
+                                              ("--contraction-deltas", "inf", "contraction_deltas"),
+                                              ("--tol", "inf", "tol must be finite"),
+                                              ("--amplitude", "nan", "amplitude must be finite"),
+                                              ("--coefficients", "nan 1 1", "coefficients must be")])
+def test_nonfinite_value_exits_before_the_suite(flag, value, match, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--N", "16", "--kmax", "4", flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: ") and match in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unparsable_flag_names_its_parser(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--p", "abc", "--out", str(tmp_path / "run")])

@@ -28,7 +28,7 @@ from crossdiff.fields import (
     spectral_gradient,
     to_coeffs,
 )
-from crossdiff.model import RawCoefficients, ReducedModel, flux_trajectory
+from crossdiff.model import ReducedModel, flux_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory
 
 GRID_MATRIX = [(1, 8), (1, 64), (1, 128), (2, 8), (2, 32)]
@@ -382,9 +382,8 @@ _ALPHA = np.array([[0.0, 1.0], [1.0, 0.0]])
     lambda: TimeGrid.dyadic(1.0, 3, 2),
     lambda: Trajectory(_G16, _TG3, np.ones((3, 2, 16))),
     lambda: FluxTrajectory(_G16, _TG3, np.ones((3, 2, 1, 16))),
-    lambda: RawCoefficients(2, 1.0 + _ALPHA),
-    lambda: ReducedModel(K=1.0, delta=0.1, alpha=_ALPHA),
-], ids=["TimeGrid", "Trajectory", "FluxTrajectory", "RawCoefficients", "ReducedModel"])
+    lambda: ReducedModel(delta=0.1, alpha=_ALPHA),
+], ids=["TimeGrid", "Trajectory", "FluxTrajectory", "ReducedModel"])
 def test_array_dataclasses_compare_by_identity(make):
     # each holds an ndarray, which has no single truth value
     a, b = make(), make()

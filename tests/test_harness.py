@@ -105,6 +105,14 @@ class TestConfig:
         ("steps_per_level", 0, "steps_per_level must be positive"),
         ("sweep_samples", 0, "sweep_samples must be positive"),
         ("stability_pairs", 0, "stability_pairs must be positive"),
+        ("delta", math.inf, "delta must be positive and finite"),
+        ("t_end", math.inf, "t_end must be finite"),
+        ("tol", math.inf, "tol must be finite"),
+        ("amplitude", math.nan, "amplitude must be finite"),
+        ("smoothing", math.nan, "smoothing must be finite"),
+        ("contraction_deltas", (0.01, math.inf), "contraction_deltas must be"),
+        ("coefficients", (math.nan, 1.0, 1.0), "coefficients must be positive and finite"),
+        ("coefficients", (math.inf, 1.0, 1.0), "coefficients must be positive and finite"),
     ])
     def test_invalid_values_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -112,7 +120,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig().with_overrides(**{field: value})
         section = next(sec for sec, names in _SECTIONS.items() if field in names)
-        text = f"[{section}]\n{field} = {value}\n"
+        text = f"[{section}]\n{field} = {harness._format_value(value)}\n"
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_text(text)
 
@@ -163,6 +171,14 @@ class TestConfig:
         m = cfg.reduced_model(0.02)
         assert m.delta == 0.02
         assert np.max(np.abs(m.alpha)) == pytest.approx(1.0)
+
+    def test_reduced_model_keeps_the_configured_delta(self):
+        # the coefficients set alpha only; delta is the configured value,
+        # whatever the coefficients' own spread
+        cfg = ExperimentConfig(coefficients=(0.95, 1.05, 1.0))
+        m, again = cfg.reduced_model(), cfg.reduced_model(0.05)
+        assert m.delta == 0.05
+        assert np.array_equal(m.alpha, again.alpha)
 
     def test_default_alpha_extremes(self):
         a = default_alpha(3)
@@ -241,7 +257,7 @@ class TestChecks:
         tg = TimeGrid.dyadic(0.5, levels=5, steps_per_level=4)
         asym = np.zeros((3, 3))
         asym[0, 1], asym[1, 0] = 1.0, -1.0
-        broken = ReducedModel(K=1.0, delta=0.2, alpha=asym)
+        broken = ReducedModel(delta=0.2, alpha=asym)
         h = generate_initial_data(InitialDataSpec("random-simplex", seed=3), g, 3, 0.2)
         traj = imex_solve(h, broken, tg)
         check = verify_partition(traj, 0.2)

@@ -52,7 +52,7 @@ class TestImex:
 
     def test_decoupled_matches_heat_flow(self, small):
         grid, tg, _, _ = small
-        decoupled = ReducedModel(K=1.0, delta=0.05, alpha=np.zeros((2, 2)))
+        decoupled = ReducedModel(delta=0.05, alpha=np.zeros((2, 2)))
         rng = np.random.default_rng(9)
         h = SpeciesVector(
             grid, 0.02 * np.stack([random_band_limited(grid, rng, 8) for _ in range(2)])
@@ -200,7 +200,7 @@ class TestFixedPointMap:
 
     def test_zero_flux_gives_heat_flow(self, small):
         grid, tg, _, h = small
-        decoupled = ReducedModel(K=1.0, delta=0.05, alpha=np.zeros((3, 3)))
+        decoupled = ReducedModel(delta=0.05, alpha=np.zeros((3, 3)))
         w = heat_flow_trajectory(h, tg)
         out = _fixed_point_map(h, w, decoupled)
         assert np.max(np.abs(out - w.values)) < 1e-13
@@ -461,6 +461,14 @@ class TestTrajectoryPersistence:
         assert back.metadata["scheme"] == "imex"
         assert back.manifest_hash() == traj.manifest_hash()
         assert back.content_hash() == traj.content_hash()
+
+    def test_metadata_records_the_model_as_delta_and_alpha(self, small):
+        grid, _, model, h = small
+        tg = TimeGrid.dyadic(0.01, levels=2, steps_per_level=2)
+        for traj in (imex_solve(h, model, tg), picard_solve(h, model, tg)[0]):
+            assert "K" not in traj.metadata
+            assert traj.metadata["delta"] == model.delta
+            assert traj.metadata["alpha"] == model.alpha.tolist()
 
     def test_content_hash_names_the_values(self, small):
         grid, tg, model, h = small
