@@ -309,18 +309,6 @@ def gradient_flux(traj: Trajectory) -> FluxTrajectory:
     return FluxTrajectory(traj.grid, traj.tg, spectral_gradient(traj.values, traj.grid))
 
 
-def _gradient_magnitudes(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|grad w| per (time, species) from the coefficients of w: shape
-    (nodes, d, *rfft_shape(grid)) -> (nodes, d, *grid.shape).
-
-    On coefficients from to_coeffs the result is bit for bit
-    vector_magnitudes(gradient_flux(traj).values), however the nodes are
-    blocked; xp_seminorm calls it on blocks of time nodes, so the gradient
-    of a whole trajectory is never held.
-    """
-    return vector_magnitudes(gradient_from_coeffs(coeffs, grid))
-
-
 def _gradient_exponent(
     grid: GridSpec, tg: TimeGrid, p: float | None, cylinders: CylinderLadder | None,
 ) -> tuple[float, CylinderLadder]:
@@ -351,7 +339,7 @@ def xp_seminorm(
     p, cylinders = _gradient_exponent(grid, traj.tg, p, cylinders)
     scan = _CylinderScan(grid, traj.tg.times, p, cylinders)
     for b in index_blocks(len(traj.tg), traj.values[0].nbytes):
-        scan.add(_gradient_magnitudes(to_coeffs(traj.values[b], grid), grid))
+        scan.add(vector_magnitudes(gradient_from_coeffs(to_coeffs(traj.values[b], grid), grid)))
     return scan.report(traj.sup_norm())
 
 
@@ -413,7 +401,7 @@ def maximal_regularity_ratio(
         if not math.isfinite(block_sup):
             raise ValueError("trajectory values must be finite")
         sup = max(sup, block_sup)
-        grad_scan.add(_gradient_magnitudes(coeffs, grid))
+        grad_scan.add(vector_magnitudes(gradient_from_coeffs(coeffs, grid)))
         flux_scan.add(vector_magnitudes(flux.values[b]))
     num = sup + grad_scan.result()[0]
     den = flux_scan.result()[0] + h.sup_norm()
@@ -446,25 +434,6 @@ class DecayProbe:
                 fh.write(f"{t:.17g},{sup:.17g},{scaled:.17g}\n")
 
 
-def _time_derivative(arr: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """First time derivative on a nonuniform grid: 3-point centered stencil
-    in the interior, one-sided at the endpoints."""
-    if times.size < 3:
-        raise ValueError("insufficient time nodes for the derivative stencil")
-    out = np.empty_like(arr)
-    shape = (-1,) + (1,) * (arr.ndim - 1)
-    hp = (times[1:-1] - times[:-2]).reshape(shape)
-    hn = (times[2:] - times[1:-1]).reshape(shape)
-    out[0] = (arr[1] - arr[0]) / (times[1] - times[0])
-    out[-1] = (arr[-1] - arr[-2]) / (times[-1] - times[-2])
-    out[1:-1] = (
-        -hn / (hp * (hp + hn)) * arr[:-2]
-        + (hn - hp) / (hp * hn) * arr[1:-1]
-        + hp / (hn * (hp + hn)) * arr[2:]
-    )
-    return out
-
-
 def decay_probe(
     traj: Trajectory,
     k: int = 0,
@@ -475,8 +444,8 @@ def decay_probe(
     and fit the log-log decay slope of the raw sup over fit_window.
 
     Supported orders: k <= 1, |beta| <= 2, k + |beta| <= 2. Spatial
-    derivatives are spectral; the time derivative uses finite differences
-    on the stored (dyadic) times. The default fit window is the first two
+    derivatives are spectral; the time derivative is np.gradient on the
+    stored (dyadic) times. The default fit window is the first two
     decades above the first positive time.
     """
     grid = traj.grid
@@ -496,7 +465,7 @@ def decay_probe(
             sym = sym * derivative_symbol(grid, m) ** b
     deriv = from_coeffs(sym * chat, grid)
     if k == 1:
-        deriv = _time_derivative(deriv, times)
+        deriv = np.gradient(deriv, times, axis=0)
     axes = tuple(range(1, deriv.ndim))
     sups = np.max(np.abs(deriv), axis=axes)
     scale = times ** (k + sum(beta) / 2.0)

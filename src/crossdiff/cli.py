@@ -107,19 +107,25 @@ def _load_run(directory: Path) -> Trajectory:
         _exit_unreadable(directory, exc)
 
 
-def _load_model(traj: Trajectory, directory: Path) -> ReducedModel | None:
-    """The coupling the run's metadata records, or None when it records no
-    alpha; a record that gives no usable model exits with code 2."""
+def _load_model(traj: Trajectory, directory: Path) -> tuple[float | None, ReducedModel | None]:
+    """The partition level delta and the coupling the run's metadata
+    records, each None when it records no delta or no alpha; a record that
+    gives no usable delta or model exits with code 2."""
     meta = traj.metadata
-    if "alpha" not in meta:
-        return None
     try:
         if "delta" not in meta:
-            raise ValueError("its metadata records alpha but no delta")
+            if "alpha" in meta:
+                raise ValueError("its metadata records alpha but no delta")
+            return None, None
+        delta = float(meta["delta"])
+        if not 0 < delta < math.inf:
+            raise ValueError(f"its delta must be positive and finite, got {delta}")
+        if "alpha" not in meta:
+            return delta, None
         alpha, d = np.asarray(meta["alpha"], dtype=float), traj.values.shape[1]
         if alpha.shape != (d, d):
             raise ValueError(f"its alpha must be {d}x{d} for {d} species, got shape {alpha.shape}")
-        return ReducedModel.from_alpha(alpha, float(meta["delta"]))
+        return delta, ReducedModel.from_alpha(alpha, delta)
     except (TypeError, ValueError) as exc:
         _exit_unreadable(directory, exc)
 
@@ -168,11 +174,11 @@ def cmd_verify(args) -> int:
         print(f"crossdiff verify: --delta must be positive and finite, got {args.delta}", file=sys.stderr)
         return 2
     traj = _load_run(args.traj)
-    model = _load_model(traj, args.traj)
+    run_delta, model = _load_model(traj, args.traj)
     # an explicit --delta wins over the run's own delta
-    delta = args.delta if args.delta is not None else float(traj.metadata.get("delta", 0.0))
+    delta = args.delta if args.delta is not None else run_delta
     checks = []
-    if delta > 0:
+    if delta is not None:
         checks.append(verify_partition(traj, delta))
     checks.append(verify_nonnegativity(traj))
     checks.append(verify_mass_conservation(traj))

@@ -11,6 +11,7 @@ import hashlib
 import io
 import math
 import mmap
+import operator
 import os
 import threading
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -30,7 +31,6 @@ from .carleson import (
     xp_norm,
     xp_seminorm,
     yp_norm,
-    _time_derivative,
 )
 from .fields import (
     GridSpec,
@@ -343,12 +343,7 @@ def perturb_initial_data(
 # -- checks ------------------------------------------------------------------
 
 
-_OPS = {
-    "<=": lambda v, t: v <= t,
-    ">=": lambda v, t: v >= t,
-    "<": lambda v, t: v < t,
-    ">": lambda v, t: v > t,
-}
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 
 @dataclass
@@ -409,7 +404,7 @@ def energy_identity_probe(traj: Trajectory, model: ReducedModel) -> list[Check]:
         factor = 1.0 + np.einsum("ij,tj...->ti...", model.alpha, clamped)
         dissipation[b] = np.mean(grad_sq * factor, axis=axes)
         coercivity = min(coercivity, float(factor.min()))
-    dedt = _time_derivative(energy, times)
+    dedt = np.gradient(energy, times, axis=0)
     residual = float(np.max(np.abs(dedt + dissipation)))
     return [
         make_check("energy-identity residual", residual, 1e-12, "<="),

@@ -79,7 +79,6 @@ def heat_flow_trajectory(h: SpeciesVector, tg: TimeGrid) -> Trajectory:
     return Trajectory(h.grid, tg, values, metadata={"scheme": "heat-flow"})
 
 
-@functools.lru_cache(maxsize=64)
 def _segment_weights(grid: GridSpec, dt: float):
     """Exact per-mode weights for one Duhamel segment of length dt.
 
@@ -90,7 +89,7 @@ def _segment_weights(grid: GridSpec, dt: float):
     stiff limit (a plain endpoint trapezoid would leave the stiffest modes
     undamped and lets the fixed-point iteration amplify round-off).
 
-    Cached per (grid, dt); the returned arrays are shared, hence read-only.
+    The arrays are read-only: the cached _step_table shares the E arrays.
     """
     z = laplacian_symbol(grid) * dt
     ez = np.exp(z)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent, _gradient_magnitudes
+from .carleson import CylinderLadder, _CylinderScan, _gradient_exponent
 from .fields import (
     SpeciesVector,
     _abs_max,
@@ -24,7 +24,7 @@ from .fields import (
 )
 from .model import ReducedModel, _divergence_coeffs
 from .semigroup import _duhamel_blocks, _heat_flow_blocks, heat_multiplier
-from .trajectory import TimeGrid, Trajectory
+from .trajectory import TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
     "DivergedError",
@@ -226,7 +226,7 @@ def picard_solve(
             sup = max(sup, _abs_max(np.subtract(next_values, values[b], out=values[b])))
             if scan is not None:
                 diff_hat = np.subtract(next_coeffs, coeffs[b], out=coeffs[b])
-                scan.add(_gradient_magnitudes(diff_hat, grid))
+                scan.add(vector_magnitudes(gradient_from_coeffs(diff_hat, grid)))
             values[b], coeffs[b] = next_values, next_coeffs
         dmn = sup if scan is None else sup + scan.result()[0]
         distances.append(dmn)

@@ -91,17 +91,12 @@ class Trajectory:
 
     # -- persistence ---------------------------------------------------------
 
-    def manifest_dict(self) -> dict:
-        return {
-            "n": self.grid.n,
-            "N": self.grid.N,
-            "d": self.d,
-            "times": [float(t) for t in self.tg.times],
-            "metadata": _jsonable(self.metadata),
-        }
-
     def manifest_text(self) -> str:
-        return json.dumps(self.manifest_dict(), indent=2, sort_keys=True)
+        """The manifest as JSON; a numpy value in the metadata (an array or
+        a scalar, np.bool_ included) is written as its tolist()."""
+        manifest = {"n": self.grid.n, "N": self.grid.N, "d": self.d,
+                    "times": self.tg.times.tolist(), "metadata": self.metadata}
+        return json.dumps(manifest, indent=2, sort_keys=True, default=lambda o: o.tolist())
 
     def manifest_hash(self) -> str:
         return hashlib.sha256(self.manifest_text().encode()).hexdigest()[:12]
@@ -125,11 +120,13 @@ class Trajectory:
     def load(cls, directory) -> "Trajectory":
         """Read a saved trajectory. values.npy must hold finite float64 of
         shape (times, d, *grid.shape) from the manifest; any other array, or
-        a manifest without one of those keys, raises a ValueError naming the
-        file."""
+        a manifest that is not a JSON object or lacks one of those keys,
+        raises a ValueError naming the file."""
         directory = Path(directory)
         path = directory / "manifest.json"
         manifest = json.loads(path.read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{path} is not a JSON object")
         try:
             grid = GridSpec(n=manifest["n"], N=manifest["N"])
             tg = TimeGrid(np.asarray(manifest["times"]))
@@ -189,14 +186,3 @@ def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
         raise ValueError("trajectories must share grid and time grid")
     return Trajectory(a.grid, a.tg, a.values - b.values, metadata={"kind": "difference"})
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj

@@ -19,8 +19,8 @@ from crossdiff.carleson import (
     xp_seminorm,
     yp_norm,
 )
-from crossdiff.fields import SpeciesVector, make_grid, random_band_limited, to_coeffs
-from crossdiff.harness import InitialDataSpec, generate_initial_data
+from crossdiff.fields import SpeciesVector, gradient_from_coeffs, make_grid, random_band_limited, to_coeffs
+from crossdiff.harness import ExperimentConfig, InitialDataSpec, generate_initial_data
 from crossdiff.semigroup import _forced_blocks, duhamel_solve, heat_flow_trajectory
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
@@ -280,7 +280,7 @@ class TestGradientMagnitudes:
         if block_nodes is not None:
             node = 3 * grid.num_nodes * 8
             monkeypatch.setattr(fields, "BLOCK_BYTES", block_nodes * node)
-        mags = carleson._gradient_magnitudes(to_coeffs(vals, grid), grid)
+        mags = vector_magnitudes(gradient_from_coeffs(to_coeffs(vals, grid), grid))
         assert np.array_equal(mags, vector_magnitudes(gradient_flux(Trajectory(grid, tg, vals)).values))
 
 
@@ -530,7 +530,7 @@ class TestStreamingScan:
 
 def _xp_whole_array(traj, p, ladder):
     """xp_seminorm with the magnitudes of the whole trajectory in one array."""
-    mags = carleson._gradient_magnitudes(to_coeffs(traj.values, traj.grid), traj.grid)
+    mags = vector_magnitudes(gradient_from_coeffs(to_coeffs(traj.values, traj.grid), traj.grid))
     semi, cyl, scanned, skipped = _scan_whole(
         traj.grid, traj.tg.times, mags, p, ladder)
     return carleson.NormReport(p, traj.sup_norm(), semi, cyl, scanned, skipped, traj.grid)
@@ -604,7 +604,7 @@ def _ratio_separate_passes(h, flux, tg, p, cylinders):
     coefficients in one scan, and yp_norm."""
     _, coeffs, values = zip(*_forced_blocks(h, flux, tg))
     coeffs, values = np.concatenate(coeffs), np.concatenate(values)
-    mags = carleson._gradient_magnitudes(coeffs, h.grid)
+    mags = vector_magnitudes(gradient_from_coeffs(coeffs, h.grid))
     semi = _scan_whole(h.grid, tg.times, mags, p, cylinders)[0]
     num = Trajectory(h.grid, tg, values).sup_norm() + semi
     return num / (yp_norm(flux, p, cylinders).seminorm + h.sup_norm())
@@ -762,3 +762,51 @@ class TestDecayProbe:
         assert text[0].startswith("# k=0 beta=(1,)")
         assert text[0].endswith(" manifest=abc content=def")
         assert text[1] == "t,sup,scaled"
+
+
+def _stencil_time_derivative(arr, times):
+    """The first time derivative as crossdiff once wrote it out by hand: the
+    3-point nonuniform stencil in the interior, one-sided at the endpoints.
+    The reference for np.gradient(arr, times, axis=0), which replaced it."""
+    out = np.empty_like(arr)
+    shape = (-1,) + (1,) * (arr.ndim - 1)
+    hp = (times[1:-1] - times[:-2]).reshape(shape)
+    hn = (times[2:] - times[1:-1]).reshape(shape)
+    out[0] = (arr[1] - arr[0]) / (times[1] - times[0])
+    out[-1] = (arr[-1] - arr[-2]) / (times[-1] - times[-2])
+    out[1:-1] = (
+        -hn / (hp * (hp + hn)) * arr[:-2]
+        + (hn - hp) / (hp * hn) * arr[1:-1]
+        + hp / (hn * (hp + hn)) * arr[2:]
+    )
+    return out
+
+
+class TestTimeDerivative:
+    """The decay probe and the energy identity take the time derivative with
+    np.gradient, which on a nonuniform time grid is the stencil bit for bit."""
+
+    TIMES = {
+        "default-dyadic": ExperimentConfig().time_grid().times,
+        "dyadic-3x3": TimeGrid.dyadic(0.5, levels=3, steps_per_level=3).times,
+        "three-nodes": np.array([0.0, 0.1, 0.25]),
+        "two-nodes": np.array([0.0, 0.5]),  # one-sided at both ends; the stencil once raised
+        "random-41": np.concatenate([[0.0], np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 40))]),
+    }
+
+    @pytest.mark.parametrize("times", TIMES)
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 16), (2, 16, 16)])
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e5])
+    def test_gradient_is_the_stencil_bit_for_bit(self, times, shape, scale):
+        times = self.TIMES[times]
+        arr = scale * np.random.default_rng(len(shape)).standard_normal((len(times),) + shape)
+        got, want = np.gradient(arr, times, axis=0), _stencil_time_derivative(arr, times)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_uniform_grid_agrees_to_round_off(self):
+        # on equal steps np.gradient takes (f[k+1] - f[k-1]) / 2h, which can
+        # round differently from the stencil's weights -1/2h, 0 and 1/2h
+        times, h = 3.0 * np.arange(9.0), 3.0
+        arr = np.random.default_rng(2).standard_normal((9, 3, 16))
+        got, want = np.gradient(arr, times, axis=0), _stencil_time_derivative(arr, times)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(arr)) / h

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -141,9 +142,14 @@ def _cut_values(run_dir):
     path.write_bytes(path.read_bytes()[:-100])
 
 
+def _list_manifest(run_dir):
+    (run_dir / "manifest.json").write_text("[1, 2]")
+
+
 @pytest.mark.parametrize("command", ["verify", "norms"])
 @pytest.mark.parametrize("damage,match", [(None, "No such file"), (_drop_manifest_key, "lacks the key 'N'"),
-                                          (_cut_values, "values.npy")])
+                                          (_cut_values, "values.npy"),
+                                          (_list_manifest, "manifest.json is not a JSON object")])
 def test_unreadable_run_exits_with_usage_code(command, damage, match, tmp_path, tiny_args, capsys):
     run_dir = tmp_path / "run"
     if damage is not None:
@@ -164,13 +170,26 @@ def _edit_metadata(run_dir, edit):
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _without_alpha(delta):
+    """The metadata edit that drops alpha and records delta."""
+    return lambda meta: (meta.pop("alpha"), meta.update(delta=delta))
+
+
 @pytest.mark.parametrize("edit,match", [
     (lambda meta: meta.pop("delta"), "records alpha but no delta"),
     (lambda meta: meta.update(alpha=[[0.0, 1.0], [1.0, 0.0]]), "alpha must be 3x3"),
     (lambda meta: meta.update(alpha=[[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
      "|alpha_ij| <= 1"),
     (lambda meta: meta.update(delta=None), "float"),
-], ids=["no-delta", "alpha-2x2", "alpha-too-large", "delta-null"])
+    # without alpha, not a traceback (null, text) nor a silent run without
+    # the partition check (negative, zero, nan)
+    (_without_alpha(None), "float"),
+    (_without_alpha("abc"), "'abc'"),
+    (_without_alpha(-1), "delta must be positive and finite, got -1.0"),
+    (_without_alpha(0), "delta must be positive and finite, got 0.0"),
+    (_without_alpha(math.nan), "delta must be positive and finite, got nan"),
+], ids=["no-delta", "alpha-2x2", "alpha-too-large", "delta-null", "no-alpha-delta-null", "no-alpha-delta-text",
+        "no-alpha-delta-negative", "no-alpha-delta-zero", "no-alpha-delta-nan"])
 def test_broken_model_record_exits_with_usage_code(edit, match, tmp_path, tiny_args, capsys):
     run_dir = tmp_path / "run"
     assert main(["solve", "--scheme", "imex"] + tiny_args) == 0
@@ -182,6 +201,20 @@ def test_broken_model_record_exits_with_usage_code(edit, match, tmp_path, tiny_a
     err = capsys.readouterr().err
     assert err.startswith(f"crossdiff: cannot read the run in {run_dir}: ") and match in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit,checks", [(lambda meta: meta.pop("delta"), 2), (lambda meta: None, 3)],
+                         ids=["no-delta", "delta"])
+def test_run_without_alpha_checks_the_partition_when_it_records_delta(edit, checks, tmp_path, tiny_args,
+                                                                       capsys):
+    run_dir = tmp_path / "run"
+    assert main(["solve", "--scheme", "imex"] + tiny_args) == 0
+    _edit_metadata(run_dir, lambda meta: (meta.pop("alpha"), edit(meta)))
+    capsys.readouterr()
+    assert main(["verify", "--traj", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert f"{checks}/{checks} checks passed" in out
+    assert ("partition-of-unity" in out) == (checks == 3)
 
 
 def test_run_that_records_a_diffusivity_still_verifies(tmp_path, tiny_args, capsys):

@@ -527,6 +527,20 @@ class TestSnapshots:
         assert back.tg.times.tobytes() == tg.times.tobytes()
         assert back.metadata == traj.metadata
 
+    def test_numpy_metadata_round_trips(self, tmp_path):
+        # a numpy value in the metadata is written as its tolist(), np.bool_ included
+        traj = _trajectory(make_grid(1, 16), 3)
+        traj.metadata.update(flag=np.bool_(True), count=np.int64(7), level=np.float32(0.25),
+                             alpha=np.array([[0.0, -1.0], [-1.0, 0.0]]), nested=(np.float64(0.1), [np.int32(2)]))
+        plain = {"kind": "test", "flag": True, "count": 7, "level": 0.25,
+                 "alpha": [[0.0, -1.0], [-1.0, 0.0]], "nested": [0.1, [2]]}
+        back = Trajectory.load(traj.save(tmp_path / "run"))
+        assert back.metadata == plain and type(back.metadata["flag"]) is bool
+        # the manifest is that of the same metadata in plain Python values
+        same = Trajectory(traj.grid, traj.tg, traj.values, metadata=plain)
+        assert back.manifest_hash() == traj.manifest_hash() == same.manifest_hash()
+        assert back.content_hash() == traj.content_hash()
+
     def test_bad_header_rejected(self, tmp_path):
         path = _trajectory(make_grid(1, 16), 3).save(tmp_path / "run") / "values.npy"
         path.write_text("nonsense\n")

@@ -29,7 +29,7 @@ from crossdiff.solver import (
     imex_solve,
     picard_solve,
 )
-from crossdiff.trajectory import TimeGrid, Trajectory, trajectory_difference
+from crossdiff.trajectory import TimeGrid, Trajectory, trajectory_difference, vector_magnitudes
 
 ALPHA3 = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
@@ -361,7 +361,7 @@ def _picard_whole_array(h, model, tg, truncated, metric):
         (_, next_coeffs, next_values), = _duhamel_blocks(h, [(slice(0, len(tg)), div)], tg)
         dist = float(np.max(np.abs(next_values - values)))
         if metric == "xp":
-            mags = carleson._gradient_magnitudes(next_coeffs - coeffs, grid)
+            mags = vector_magnitudes(gradient_from_coeffs(next_coeffs - coeffs, grid))
             scan = carleson._CylinderScan(grid, tg.times, p, cylinders)
             scan.add(mags)
             dist += scan.result()[0]
@@ -469,6 +469,18 @@ class TestTrajectoryPersistence:
             assert "K" not in traj.metadata
             assert traj.metadata["delta"] == model.delta
             assert traj.metadata["alpha"] == model.alpha.tolist()
+
+    def test_manifest_hash_is_pinned(self, small):
+        # the manifest of a solved run names the same run whatever writes it.
+        # The content hash is pinned by its formula: the values themselves
+        # round with the FFT and SIMD paths of the numpy build.
+        grid, _, model, h = small
+        tg = TimeGrid.dyadic(0.01, levels=2, steps_per_level=2)
+        pins = {"imex": "68be57faebf5", "picard": "a8ba6e2b7d77"}
+        for traj in (imex_solve(h, model, tg), picard_solve(h, model, tg)[0]):
+            assert traj.manifest_hash() == pins[traj.metadata["scheme"]]
+            digest = hashlib.sha256(traj.manifest_text().encode() + traj.values.tobytes())
+            assert traj.content_hash() == digest.hexdigest()[:12]
 
     def test_content_hash_names_the_values(self, small):
         grid, tg, model, h = small
