@@ -15,8 +15,7 @@ import numpy as np
 from .carleson import xp_seminorm
 from .fields import check_kmax
 from .harness import (
-    _PARSERS,
-    _SECTIONS,
+    _KEYS,
     ExperimentConfig,
     VerificationReport,
     energy_identity_probe,
@@ -42,11 +41,10 @@ def _add_common(parser: argparse.ArgumentParser):
     it (so `--p none` means the default); truncated and refine are the
     paired flags. A flag not given leaves no attribute."""
     parser.add_argument("--config", type=Path, help="INI config file; flags override its values")
-    for names in _SECTIONS.values():
-        for name in names:
-            if name not in ("truncated", "refine"):
-                parser.add_argument(f"--{name.replace('_', '-')}", type=_PARSERS[name],
-                                    default=argparse.SUPPRESS)
+    for name, key in _KEYS.items():
+        if name not in ("truncated", "refine"):
+            parser.add_argument(f"--{name.replace('_', '-')}", type=key.metadata["parse"],
+                                default=argparse.SUPPRESS)
     parser.add_argument("--truncated", dest="truncated", action="store_true", default=argparse.SUPPRESS)
     parser.add_argument("--untruncated", dest="truncated", action="store_false",
                         default=argparse.SUPPRESS)
@@ -55,13 +53,13 @@ def _add_common(parser: argparse.ArgumentParser):
 
 def _build_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with the flags given applied; an
-    invalid config exits with code 2, as argparse does for a bad flag."""
-    overrides = {name: getattr(args, name) for names in _SECTIONS.values() for name in names
-                 if hasattr(args, name)}
+    invalid config, or a config file that cannot be read, exits with code 2,
+    as argparse does for a bad flag."""
+    overrides = {name: getattr(args, name) for name in _KEYS if hasattr(args, name)}
     try:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         return cfg.with_overrides(**overrides)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _exit_invalid_config(exc)
 
 
@@ -82,7 +80,7 @@ def _suite_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _exit_invalid_config(exc: ValueError) -> NoReturn:
+def _exit_invalid_config(exc: Exception) -> NoReturn:
     print(f"crossdiff: invalid config: {exc}", file=sys.stderr)
     raise SystemExit(2) from None
 
@@ -242,7 +240,7 @@ def main(argv=None) -> int:
 
     p_norms = sub.add_parser("norms", help="cylinder norms of a stored trajectory")
     p_norms.add_argument("--traj", type=Path, required=True)
-    p_norms.add_argument("--p", type=_PARSERS["p"], default=argparse.SUPPRESS)
+    p_norms.add_argument("--p", type=_KEYS["p"].metadata["parse"], default=argparse.SUPPRESS)
     p_norms.set_defaults(fn=cmd_norms)
 
     p_lemma = sub.add_parser("lemma-checks",

@@ -80,17 +80,6 @@ __all__ = [
 
 # -- configuration -----------------------------------------------------------
 
-_SECTIONS = {
-    "grid": ["n", "N"],
-    "model": ["d", "coefficients", "delta"],
-    "initial": ["generator", "seed", "kmax", "smoothing", "amplitude"],
-    "time": ["t_end", "levels", "steps_per_level"],
-    "solver": ["scheme", "truncated", "tol", "max_iter", "metric"],
-    "norms": ["p", "radii_per_octave", "centers_stride"],
-    "suite": ["stability_pairs", "sweep_samples", "contraction_deltas", "refine"],
-    "output": ["output_dir"],
-}
-
 # parsers of config values as the INI file and the CLI flags write them,
 # named for argparse, which names a flag's bad value by its parser's name
 def boolean(s: str) -> bool:
@@ -112,49 +101,42 @@ def _optional(parse):
     return optional
 
 
-_PARSERS = {
-    "n": int, "N": int, "d": int, "seed": int, "kmax": int, "levels": int,
-    "steps_per_level": int, "max_iter": int, "radii_per_octave": int,
-    "stability_pairs": int, "sweep_samples": int,
-    "delta": float, "smoothing": float,
-    "amplitude": float, "t_end": float, "tol": float,
-    "generator": str, "scheme": str, "metric": str, "output_dir": str,
-    "truncated": boolean, "refine": boolean,
-    "coefficients": _optional(floats), "contraction_deltas": floats,
-    "p": _optional(float), "centers_stride": _optional(int),
-}
+def _key(section: str, default, parse):
+    """A config key: its INI section, its default and the parser of its
+    text. The fields' order is the order of the INI file."""
+    return field(default=default, metadata={"section": section, "parse": parse})
 
 
 @dataclass
 class ExperimentConfig:
     """Every knob of one experiment; round-trips through the INI format."""
 
-    n: int = 1
-    N: int = 128
-    d: int = 3
-    coefficients: tuple[float, ...] | None = None
-    delta: float = 0.05
-    generator: str = "random-simplex"
-    seed: int = 2024
-    kmax: int = 8
-    smoothing: float = 0.005
-    amplitude: float = 0.5
-    t_end: float = 1.0
-    levels: int = 10
-    steps_per_level: int = 8
-    scheme: str = "picard"
-    truncated: bool = True
-    tol: float = 1e-12
-    max_iter: int = 30
-    metric: str = "xp"
-    p: float | None = None
-    radii_per_octave: int = 2
-    centers_stride: int | None = None
-    stability_pairs: int = 10
-    sweep_samples: int = 20
-    contraction_deltas: tuple[float, ...] = (0.01, 0.02, 0.05)
-    refine: bool = True
-    output_dir: str = "runs"
+    n: int = _key("grid", 1, int)
+    N: int = _key("grid", 128, int)
+    d: int = _key("model", 3, int)
+    coefficients: tuple[float, ...] | None = _key("model", None, _optional(floats))
+    delta: float = _key("model", 0.05, float)
+    generator: str = _key("initial", "random-simplex", str)
+    seed: int = _key("initial", 2024, int)
+    kmax: int = _key("initial", 8, int)
+    smoothing: float = _key("initial", 0.005, float)
+    amplitude: float = _key("initial", 0.5, float)
+    t_end: float = _key("time", 1.0, float)
+    levels: int = _key("time", 10, int)
+    steps_per_level: int = _key("time", 8, int)
+    scheme: str = _key("solver", "picard", str)
+    truncated: bool = _key("solver", True, boolean)
+    tol: float = _key("solver", 1e-12, float)
+    max_iter: int = _key("solver", 30, int)
+    metric: str = _key("solver", "xp", str)
+    p: float | None = _key("norms", None, _optional(float))
+    radii_per_octave: int = _key("norms", 2, int)
+    centers_stride: int | None = _key("norms", None, _optional(int))
+    stability_pairs: int = _key("suite", 10, int)
+    sweep_samples: int = _key("suite", 20, int)
+    contraction_deltas: tuple[float, ...] = _key("suite", (0.01, 0.02, 0.05), floats)
+    refine: bool = _key("suite", True, boolean)
+    output_dir: str = _key("output", "runs", str)
 
     def __post_init__(self):
         self.grid()  # n in {1, 2} and N a power of two >= 8
@@ -193,10 +175,7 @@ class ExperimentConfig:
         return enumerate_cylinders(grid, tg, self.radii_per_octave, self.centers_stride)
 
     def initial_spec(self) -> "InitialDataSpec":
-        return InitialDataSpec(
-            generator=self.generator, seed=self.seed, kmax=self.kmax,
-            smoothing=self.smoothing, amplitude=self.amplitude,
-        )
+        return InitialDataSpec(**{name: getattr(self, name) for name in _section("initial")})
 
     def reduced_model(self, delta: float | None = None) -> ReducedModel:
         """Coupling from the configured coefficients (or the default template)
@@ -208,12 +187,9 @@ class ExperimentConfig:
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
-        cp = configparser.ConfigParser()
-        cp.optionxform = str  # keys are case sensitive (N vs n)
-        for section, names in _SECTIONS.items():
-            cp[section] = {}
-            for name in names:
-                cp[section][name] = _format_value(getattr(self, name))
+        cp = _ini()
+        for name, key in _KEYS.items():
+            cp.read_dict({key.metadata["section"]: {name: _format_value(getattr(self, name))}})
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -222,38 +198,58 @@ class ExperimentConfig:
         Path(path).write_text(self.to_text())
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        cp.read_string(text)
+    def from_text(cls, text: str, source: str = "<string>") -> "ExperimentConfig":
+        """The config an INI text holds; source names it in an error."""
+        cp = _ini()
+        try:
+            cp.read_string(text, source)
+        except configparser.Error as exc:
+            raise ValueError(" ".join(str(exc).split())) from None  # one line
         if not cp.sections():
             raise ValueError("empty config: no sections found")
         kwargs = {}
         for section in cp.sections():
-            if section not in _SECTIONS:
+            names = _section(section)
+            if not names:
                 raise ValueError(f"unknown config section [{section}]")
             for name, raw in cp[section].items():
-                if name not in _SECTIONS[section]:
+                if name not in names:
                     raise ValueError(f"unknown config key {name!r} in [{section}]")
                 try:
-                    kwargs[name] = _PARSERS[name](raw)
+                    kwargs[name] = _KEYS[name].metadata["parse"](raw)
                 except ValueError as exc:
                     raise ValueError(f"[{section}] {name} = {raw!r}: {exc}") from None
         return cls(**kwargs)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(Path(path).read_text(), str(path))
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        known = {f.name for f in dc_fields(self)}
-        bad = set(kwargs) - known
+        bad = set(kwargs) - _KEYS.keys()
         if bad:
             raise ValueError(f"unknown config fields: {sorted(bad)}")
         return replace(self, **kwargs)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
+
+
+# every config key's field by name, in the order of the INI file
+_KEYS = {key.name: key for key in dc_fields(ExperimentConfig)}
+
+
+def _section(section: str) -> list[str]:
+    """The names of the keys of one INI section; none for an unknown one."""
+    return [name for name, key in _KEYS.items() if key.metadata["section"] == section]
+
+
+def _ini() -> configparser.ConfigParser:
+    """The INI dialect of a config: keys are case sensitive (N vs n), and a
+    % in a value is text."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    return cp
 
 
 def _format_value(value) -> str:

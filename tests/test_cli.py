@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import pytest
 
 from crossdiff.carleson import enumerate_cylinders
-from crossdiff.cli import EXIT_DIVERGED, main
-from crossdiff.harness import ExperimentConfig
+from crossdiff.cli import EXIT_DIVERGED, _add_common, main
+from crossdiff.harness import ExperimentConfig, _format_value
 from crossdiff.trajectory import Trajectory
 
 
@@ -286,6 +288,66 @@ def test_misspelt_boolean_in_config_exits_with_usage_code(tmp_path, capsys, sect
     err = capsys.readouterr().err
     assert err.startswith(f"crossdiff: invalid config: [{section}] {key} = '{value}': expected one of")
     assert not (tmp_path / "run").exists()
+
+
+# case: (the file's text, None for no file and "" for a directory; what stderr names)
+_UNREADABLE_CONFIGS = {
+    "duplicate-key": ("[grid]\nN = 16\nN = 32\n", "option 'N' in section 'grid' already exists"),
+    "duplicate-section": ("[grid]\nN = 16\n[grid]\nn = 1\n", "section 'grid' already exists"),
+    "no-section-header": ("N = 16\n", "File contains no section headers"),
+    "malformed-line": ("[grid]\nN 16\n", "Source contains parsing errors"),
+    "missing-path": (None, "No such file or directory"),
+    "directory": ("", "Is a directory"),
+}
+
+
+def test_every_key_has_a_flag():
+    # each key's flag parses the text to_text() writes; truncated and refine have the paired flags
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    paired = {"truncated": {"--truncated": True, "--untruncated": False}, "refine": {"--no-refine": False}}
+    for key in dc_fields(ExperimentConfig):
+        flag = f"--{key.name.replace('_', '-')}"
+        for argv, want in paired.get(key.name, {f"{flag}={_format_value(key.default)}": key.default}).items():
+            assert vars(parser.parse_args([argv])) == {"config": None, key.name: want}
+
+
+# norms reads its run's config.ini only where there is one
+@pytest.mark.parametrize("command,case", [
+    (command, case) for command in ("solve", "suite", "lemma-checks", "norms")
+    for case in _UNREADABLE_CONFIGS if (command, case) != ("norms", "missing-path")])
+def test_config_that_cannot_be_read_exits_with_usage_code(command, case, tmp_path, tiny_args, capsys):
+    text, match = _UNREADABLE_CONFIGS[case]
+    if command == "norms":
+        assert main(["solve"] + tiny_args) == 0
+        path = tmp_path / "run" / "config.ini"
+        argv = ["norms", "--traj", str(tmp_path / "run")]
+    else:
+        path = tmp_path / "bad.ini"
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if text == "":
+        path.unlink(missing_ok=True)
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("crossdiff: invalid config: ") and match in err
+    assert str(path) in err  # the line names the file, not configparser's '<string>'
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_a_value_is_text(tmp_path, tiny_args, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = [a for a in tiny_args if a not in ("--out", str(tmp_path / "run"))]
+    assert main(["solve", "--output-dir", "runs%1"] + args) == 0
+    (run_dir,) = (tmp_path / "runs%1").iterdir()
+    assert "output_dir = runs%1\n" in (run_dir / "config.ini").read_text()
+    assert ExperimentConfig.load(run_dir / "config.ini").output_dir == "runs%1"
 
 
 def test_closeness_threshold_is_neither_flag_nor_key(tmp_path, tiny_args, capsys):

@@ -5,7 +5,7 @@ import re
 import signal
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ from crossdiff import fields, harness
 from crossdiff.carleson import enumerate_cylinders, gradient_flux
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import (
-    _SECTIONS,
     ExperimentConfig,
     InitialDataSpec,
     SuiteContext,
@@ -65,6 +64,41 @@ class TestConfig:
         )
         again = ExperimentConfig.from_text(cfg.to_text())
         assert again == cfg
+
+    def test_every_key_declares_its_section_and_parser(self):
+        for key in dc_fields(ExperimentConfig):
+            assert isinstance(key.metadata["section"], str) and key.metadata["section"]
+            assert callable(key.metadata["parse"])
+
+    def test_to_text_writes_sections_and_keys_in_field_order(self):
+        text = ExperimentConfig().to_text()
+        written = [line.split(" = ")[0] for line in text.splitlines() if " = " in line]
+        headers = re.findall(r"^\[(\w+)\]$", text, re.M)
+        keys = dc_fields(ExperimentConfig)
+        assert written == [key.name for key in keys]
+        assert headers == list(dict.fromkeys(key.metadata["section"] for key in keys))
+        assert headers == ["grid", "model", "initial", "time", "solver", "norms", "suite", "output"]
+
+    def test_config_hash_is_pinned(self):
+        # a change in the bytes to_text() writes renames every run directory and recorded hash
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = ExperimentConfig.from_text(re.findall(r"```ini\n(.*?)```", readme, re.S)[0])
+        assert ExperimentConfig().config_hash() == "9de80d4f8e96"
+        assert example.config_hash() == "38429d37748c"
+        assert ExperimentConfig(n=2, N=64, refine=False, seed=2025).config_hash() == "11e260df80c0"
+
+    def test_initial_spec_holds_the_initial_keys(self):
+        cfg = ExperimentConfig(generator="step-like", seed=9, kmax=5, smoothing=0.01, amplitude=0.3)
+        assert cfg.initial_spec() == InitialDataSpec(
+            generator="step-like", seed=9, kmax=5, smoothing=0.01, amplitude=0.3)
+
+    def test_percent_in_a_value_is_text(self, tmp_path):
+        cfg = ExperimentConfig(output_dir="runs%1")
+        assert "output_dir = runs%1\n" in cfg.to_text()
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+        path = tmp_path / "pct.ini"
+        path.write_text("[output]\noutput_dir = runs%%1\n")
+        assert ExperimentConfig.load(path).output_dir == "runs%%1"
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig()
@@ -119,7 +153,7 @@ class TestConfig:
             ExperimentConfig(**{field: value})
         with pytest.raises(ValueError, match=match):
             ExperimentConfig().with_overrides(**{field: value})
-        section = next(sec for sec, names in _SECTIONS.items() if field in names)
+        section = harness._KEYS[field].metadata["section"]
         text = f"[{section}]\n{field} = {harness._format_value(value)}\n"
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_text(text)
