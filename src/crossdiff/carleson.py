@@ -210,29 +210,52 @@ def _cylinder_windows(times: tuple[float, ...], radii: tuple[float, ...]) -> tup
     return tuple(windows)
 
 
+def _ifft_at_centers(spec: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """ifftn over the trailing n axes at the nodes whose indices are
+    multiples of stride along each: ifftn's own one-axis transforms, last
+    axis first, each cut to those nodes before the next runs, so the values
+    are ifftn's bit for bit and the later axes transform only the kept
+    lines."""
+    for axis in range(-1, -1 - n, -1):
+        cut = (..., slice(None, None, stride)) + (slice(None),) * (-1 - axis)
+        spec = np.fft.ifft(spec, axis=axis)[cut]
+    return spec
+
+
 class _CylinderScan:
     """The max over cylinders and species of R * (cylinder average of
     mags^p)^(1/p), fed the nonnegative magnitudes mags in consecutive blocks
     of time nodes so that no trajectory of them is held.
 
-    add(block) takes the next nodes, shape (nodes, d, *grid.shape), in time
-    order. Each radius holds mags^p only over its own window, in a buffer
-    freed once the window's last node has arrived and its time quadrature is
-    formed. result() needs every node of times, and its result is the same
-    bit for bit however the nodes were blocked.
+    The scan reads only the time nodes of `nodes`, the run from its first
+    live window's first node to its last live window's last node, and is fed
+    exactly those: add(block) takes the next of them, shape (nodes, d,
+    *grid.shape), in time order, and part(b) names the ones a block b of
+    time nodes holds. Each radius holds mags^p only over its own window, in
+    a buffer freed once the window's last node has arrived and its time
+    quadrature is formed. result() needs every node of the run, and its
+    result is the same bit for bit however the nodes were blocked.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, p: float, ladder: CylinderLadder):
         if ladder.grid != grid:
             raise ValueError(f"cylinder ladder is on {ladder.grid}, the trajectory on {grid}")
         self.grid, self.p, self.ladder = grid, p, ladder
-        self.n_times = len(times)
         self.windows = _cylinder_windows(tuple(times.tolist()), ladder.radii)
         self.live = [j for j, win in enumerate(self.windows) if win is not None]
-        self.fed = 0
+        # windows start and end in radius order, so the live ones span this run
+        spans = [self.windows[j][0] for j in self.live] or [slice(0, 0)]
+        self.nodes = slice(spans[0].start, spans[-1].stop)
+        self.fed = self.nodes.start
         self.first = 0  # the radii before it (in self.live) have their quadrature
         self.buffers: dict[int, np.ndarray] = {}
         self.q = None  # per live radius, the time quadrature of mags^p
+
+    def part(self, b: slice) -> slice | None:
+        """The nodes of b, a run of time-node indices, that the scan reads,
+        as a slice of b's own nodes; None when it reads none of them."""
+        start, stop = max(b.start, self.nodes.start), min(b.stop, self.nodes.stop)
+        return slice(start - b.start, stop - b.start) if start < stop else None
 
     def add(self, block: np.ndarray):
         a, b = self.fed, self.fed + len(block)
@@ -267,8 +290,9 @@ class _CylinderScan:
         in mags spreads through the transforms to every center of its
         radius, and that radius never attains.
         """
-        if self.fed != self.n_times:
-            raise ValueError(f"the scan was fed {self.fed} of {self.n_times} time nodes")
+        start, stop = self.nodes.start, self.nodes.stop
+        if self.fed != stop:
+            raise ValueError(f"the scan was fed {self.fed - start} of its {stop - start} time nodes")
         grid, p, ladder, live = self.grid, self.p, self.ladder, self.live
         skipped = (len(self.windows) - len(live)) * ladder.centers_per_radius
         if skipped:
@@ -277,16 +301,14 @@ class _CylinderScan:
                 raise ValueError("no cylinder window contains a stored time")
         counts, spectra = _ball_spectra(grid, ladder.radii)
         axes = tuple(range(2, 2 + grid.n))
-        centers = (slice(None), slice(None)) + (slice(None, None, ladder.stride),) * grid.n
         scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
         counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
         best, best_at = 0.0, None
         # live radii in increasing order, in index_blocks of spectra
         for block in index_blocks(len(live), 2 * self.q[0].nbytes):
             js = live[block]
-            avg = np.fft.ifftn(np.fft.fftn(self.q[block], axes=axes) * spectra[js][:, None],
-                               axes=axes).real
-            avg = avg[centers] / counts[js][scale]
+            avg = np.fft.fftn(self.q[block], axes=axes) * spectra[js][:, None]
+            avg = _ifft_at_centers(avg, grid.n, ladder.stride).real / counts[js][scale]
             vals = radii[js][scale] * np.maximum(avg, 0.0) ** (1.0 / p)  # (radius, d, *centers)
             top = vals.max(axis=1).reshape(len(js), -1)
             for i, k in enumerate(top.argmax(axis=1)):
@@ -331,16 +353,22 @@ def xp_seminorm(
     """Scale-invariant cylinder supremum of L^p averages of |grad w|,
     plus the trajectory sup norm (reported alongside).
 
-    One pass over index_blocks of time nodes transforms the block, forms
-    |grad w| from its coefficients and feeds the cylinder scan, so neither
-    the coefficients nor the gradient of the whole trajectory is held.
+    One pass over index_blocks of the time nodes the cylinders read
+    transforms the block, forms |grad w| from its coefficients and feeds the
+    cylinder scan, so neither the coefficients nor the gradient of the whole
+    trajectory is held. The sup norm is taken over every node, and a
+    non-finite one raises.
     """
     grid = traj.grid
     p, cylinders = _gradient_exponent(grid, traj.tg, p, cylinders)
     scan = _CylinderScan(grid, traj.tg.times, p, cylinders)
-    for b in index_blocks(len(traj.tg), traj.values[0].nbytes):
-        scan.add(vector_magnitudes(gradient_from_coeffs(to_coeffs(traj.values[b], grid), grid)))
-    return scan.report(traj.sup_norm())
+    sup = traj.sup_norm()
+    if not math.isfinite(sup):
+        raise ValueError("trajectory values must be finite")
+    read = traj.values[scan.nodes]
+    for b in index_blocks(len(read), traj.values[0].nbytes):
+        scan.add(vector_magnitudes(gradient_from_coeffs(to_coeffs(read[b], grid), grid)))
+    return scan.report(sup)
 
 
 def yp_norm(
@@ -348,7 +376,8 @@ def yp_norm(
     p: float | None = None,
     cylinders: CylinderLadder | None = None,
 ) -> NormReport:
-    """Cylinder supremum of L^p averages of |F| (the flux-space norm)."""
+    """Cylinder supremum of L^p averages of |F| (the flux-space norm), and
+    the sup of |F| over every node."""
     grid = flux.grid
     if p is None:
         p = default_exponent(grid)
@@ -361,7 +390,9 @@ def yp_norm(
     for b in index_blocks(len(flux.tg), flux.values[0].nbytes // grid.n):
         mags = vector_magnitudes(flux.values[b])
         sups.append(mags.max())
-        scan.add(mags)
+        read = scan.part(b)
+        if read is not None:
+            scan.add(mags[read])
     return scan.report(float(np.max(sups)))
 
 
@@ -386,8 +417,9 @@ def maximal_regularity_ratio(
 
     One pass over the blocks of time nodes of the forced Duhamel recurrence
     (_forced_blocks) feeds |grad w| (from the recurrence's coefficients) and
-    |F| to two cylinder scans; the nodal values of w serve only its sup
-    norm. Neither w nor any magnitude field is held for the whole trajectory.
+    |F| at the nodes the cylinders read to two cylinder scans; the nodal
+    values of w serve only its sup norm, over every node. Neither w nor any
+    magnitude field is held for the whole trajectory.
     """
     forced = _forced_blocks(h, flux, tg)
     grid = h.grid
@@ -401,8 +433,10 @@ def maximal_regularity_ratio(
         if not math.isfinite(block_sup):
             raise ValueError("trajectory values must be finite")
         sup = max(sup, block_sup)
-        grad_scan.add(vector_magnitudes(gradient_from_coeffs(coeffs, grid)))
-        flux_scan.add(vector_magnitudes(flux.values[b]))
+        read = grad_scan.part(b)
+        if read is not None:
+            grad_scan.add(vector_magnitudes(gradient_from_coeffs(coeffs[read], grid)))
+            flux_scan.add(vector_magnitudes(flux.values[b][read]))
     num = sup + grad_scan.result()[0]
     den = flux_scan.result()[0] + h.sup_norm()
     if den == 0.0:

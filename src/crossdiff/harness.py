@@ -245,9 +245,10 @@ def _section(section: str) -> list[str]:
 
 
 def _ini() -> configparser.ConfigParser:
-    """The INI dialect of a config: keys are case sensitive (N vs n), and a
-    % in a value is text."""
-    cp = configparser.ConfigParser(interpolation=None)
+    """The INI dialect of a config: keys are case sensitive (N vs n), a %
+    in a value is text, and [DEFAULT] is a section like any other (the
+    defaults go to the empty name, which no header line can hold)."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str
     return cp
 

@@ -19,6 +19,7 @@ from .fields import (
     dealias_keep_mask,
     divergence_from_coeffs,
     from_coeffs,
+    gradient_from_coeffs,
     index_blocks,
     spectral_gradient,
     to_coeffs,
@@ -175,15 +176,17 @@ class _LipschitzPass:
     ||w||^2} * ||v - w||_Xp (the growth and difference exponents mu = nu = 1
     of the untruncated quadratic flux).
 
-    add(v, w, gv, gw) takes the next nodes of v and w, shape (nodes, d,
-    *grid.shape), and their nodal gradients. F(v) - F(w) is one dealiased
-    transform of the difference of the nodal products, and grad(v - w) is
-    the difference of the gradients. The magnitudes of those four vector
-    fields go to four cylinder scans, and sup|v|, sup|w| and sup|v - w| are
-    taken per block; a non-finite magnitude raises in the block where it
-    appears. With against_zero a fifth scan takes |F(v)|, one more dealiased
-    transform of v's products, for the probe of v against w = 0, whose
-    other terms are v's own.
+    add(b, v, w, cv, cw) takes the next block b of time nodes: the nodal
+    values of v and w there, shape (nodes, d, *grid.shape), and their
+    coefficients as to_coeffs lays them out. sup|v|, sup|w| and sup|v - w|
+    are taken over every node; the rest only at the nodes the cylinders
+    read. There the gradients come from the coefficients, F(v) - F(w) is
+    one dealiased transform of the difference of the nodal products, and
+    grad(v - w) is the difference of the gradients. The magnitudes of those
+    four vector fields go to four cylinder scans. With against_zero a fifth
+    scan takes |F(v)|, one more dealiased transform of v's products, for
+    the probe of v against w = 0, whose other terms are v's own. A
+    non-finite sup or magnitude raises in the block where it appears.
 
     result() needs every node and returns the LipschitzReport of v against
     w, and of v against 0 (else None). A zero ||v - w||_Xp reports ratio 0.
@@ -198,8 +201,20 @@ class _LipschitzPass:
         self.scans = [_CylinderScan(grid, tg.times, p, cylinders) for _ in range(4 + against_zero)]
         self.sup_v = self.sup_w = self.sup_diff = 0.0
 
-    def add(self, v: np.ndarray, w: np.ndarray, gv: np.ndarray, gw: np.ndarray):
+    def add(self, b: slice, v: np.ndarray, w: np.ndarray, cv: np.ndarray, cw: np.ndarray):
+        sup_v, sup_w, sup_diff = _abs_max(v), _abs_max(w), _abs_max(v - w)
+        # max(0.0, nan) is 0.0: a NaN at a node no scan reads shows only here
+        if not all(math.isfinite(s) for s in (sup_v, sup_w, sup_diff)):
+            raise ValueError("trajectory values must be finite")
+        self.sup_v = max(self.sup_v, sup_v)
+        self.sup_w = max(self.sup_w, sup_w)
+        self.sup_diff = max(self.sup_diff, sup_diff)
+        read = self.scans[0].part(b)
+        if read is None:
+            return
         grid, model = self.grid, self.model
+        v, w = v[read], w[read]
+        gv, gw = gradient_from_coeffs(cv[read], grid), gradient_from_coeffs(cw[read], grid)
         mags = np.empty((len(self.scans),) + v.shape)
         prod = _flux_products(v, grid, model, False, gv)
         if len(self.scans) == 5:
@@ -214,9 +229,6 @@ class _LipschitzPass:
             raise ValueError("gradient and flux values must be finite")
         for scan, m in zip(self.scans, mags):
             scan.add(m)
-        self.sup_v = max(self.sup_v, _abs_max(v))
-        self.sup_w = max(self.sup_w, _abs_max(w))
-        self.sup_diff = max(self.sup_diff, _abs_max(v - w))
 
     def result(self) -> tuple[LipschitzReport, LipschitzReport | None]:
         left, semi_v, semi_w, semi_diff, *zero = (scan.result()[0] for scan in self.scans)
@@ -242,11 +254,11 @@ def _heat_flow_probes(
     """The Lipschitz probe (_LipschitzPass) of the heat flows v and w of the
     data v0 and w0, and with against_zero also of v against w = 0 (else
     None), holding neither flow whole: their blocks of time nodes go from
-    the heat-flow generator straight into one pass, each flow's gradients
-    from one forward transform of its block.
+    the heat-flow generator straight into one pass with the coefficients
+    the generator computed them from, so neither flow is transformed
+    forward again.
     """
-    grid = v0.grid
-    probe = _LipschitzPass(grid, tg, model, p, cylinders, against_zero)
-    for (_, _, v), (_, _, w) in zip(_heat_flow_blocks(v0, tg), _heat_flow_blocks(w0, tg)):
-        probe.add(v, w, spectral_gradient(v, grid), spectral_gradient(w, grid))
+    probe = _LipschitzPass(v0.grid, tg, model, p, cylinders, against_zero)
+    for (b, cv, v), (_, cw, w) in zip(_heat_flow_blocks(v0, tg), _heat_flow_blocks(w0, tg)):
+        probe.add(b, v, w, cv, cw)
     return probe.result()

@@ -193,7 +193,8 @@ def picard_solve(
 
     metric "xp" compares iterates in the full solution-space norm
     (sup + gradient seminorm, the contraction metric), the seminorm taken
-    from the difference of their coefficients; "sup" is a cheaper
+    from the difference of their coefficients at the nodes the cylinders
+    read, the sup over every node; "sup" is a cheaper
     sup-norm-only mode for quick runs. An iterate whose sup exceeds
     BLOWUP_FACTOR * sup(h), or is not finite, raises DivergedError.
     """
@@ -224,8 +225,10 @@ def picard_solve(
             # the differences overwrite the block of the previous iterate,
             # which the next block of the map does not read
             sup = max(sup, _abs_max(np.subtract(next_values, values[b], out=values[b])))
-            if scan is not None:
-                diff_hat = np.subtract(next_coeffs, coeffs[b], out=coeffs[b])
+            read = None if scan is None else scan.part(b)
+            if read is not None:
+                prev = coeffs[b][read]
+                diff_hat = np.subtract(next_coeffs[read], prev, out=prev)
                 scan.add(vector_magnitudes(gradient_from_coeffs(diff_hat, grid)))
             values[b], coeffs[b] = next_values, next_coeffs
         dmn = sup if scan is None else sup + scan.result()[0]

@@ -26,9 +26,9 @@ from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_ma
 
 
 def _scan_whole(grid, times, mags, p, ladder):
-    """The cylinder scan fed the magnitudes of every time node at once."""
+    """The cylinder scan fed the magnitudes of every time node it reads at once."""
     scan = carleson._CylinderScan(grid, times, p, ladder)
-    scan.add(mags)
+    scan.add(mags[scan.nodes])
     return scan.result()
 
 
@@ -191,6 +191,31 @@ class TestSeminorms:
             best = max(best, cyl.radius * (t_avg * x_avg) ** (1 / p))
         assert got == pytest.approx(best, rel=0.01)
 
+    def test_transform_budget(self, transform_bytes):
+        # in nodes' worth of the trajectory, on the default time grid: each
+        # node the cylinders read (R = 72 of T = 89) forward once and back n
+        # times for its gradient, and no other node
+        grid, tg = make_grid(2, 16), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        rng = np.random.default_rng(8)
+        traj = heat_flow_trajectory(_species(grid, *(random_band_limited(grid, rng, 3)
+                                                     for _ in range(3))), tg)
+        transform_bytes.clear()
+        xp_seminorm(traj, 4.0, enumerate_cylinders(grid, tg))
+        assert sum(transform_bytes) <= (1 + grid.n) * 72 * traj.values[0].nbytes
+
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_nan_at_an_unread_node_rejected(self, node):
+        # node 0 and, on the default time grid, the last node lie in no window
+        grid, tg = make_grid(1, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        traj = heat_flow_trajectory(_species(grid, random_band_limited(
+            grid, np.random.default_rng(4), 3)), tg)
+        ladder = enumerate_cylinders(grid, tg)
+        assert carleson._CylinderScan(grid, tg.times, 4.0, ladder).part(
+            slice(node % len(tg), node % len(tg) + 1)) is None
+        traj.values[node, 0, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            xp_seminorm(traj, 4.0, ladder)
+
     def test_heat_flow_seminorm_bounded_and_grid_stable(self):
         tg = TimeGrid.dyadic(1.0, levels=8, steps_per_level=6)
         values = {}
@@ -274,14 +299,26 @@ class TestGradientMagnitudes:
     @pytest.mark.parametrize("n,N", [(1, 128), (2, 64)])
     @pytest.mark.parametrize("block_nodes", [None, 1, 3])
     def test_bit_equal_to_gradient_flux(self, n, N, block_nodes, monkeypatch):
+        # the magnitudes xp_seminorm feeds its scan, in blocks of block_nodes
+        # nodes (None: the default BLOCK_BYTES), are those of gradient_flux
+        # at the nodes the cylinders read (1..9 of 13 here) bit for bit, and
+        # those of numpy's complex FFT gradient within round-off
         grid = make_grid(n, N)
         tg = TimeGrid.dyadic(0.5, levels=3, steps_per_level=3)
-        vals = np.random.default_rng(n).standard_normal((len(tg), 3) + grid.shape)
+        traj = Trajectory(grid, tg, np.random.default_rng(n).standard_normal((len(tg), 3) + grid.shape))
+        fed, add = [], carleson._CylinderScan.add
+        monkeypatch.setattr(carleson._CylinderScan, "add",
+                            lambda scan, block: fed.append(block.copy()) or add(scan, block))
         if block_nodes is not None:
-            node = 3 * grid.num_nodes * 8
-            monkeypatch.setattr(fields, "BLOCK_BYTES", block_nodes * node)
-        mags = vector_magnitudes(gradient_from_coeffs(to_coeffs(vals, grid), grid))
-        assert np.array_equal(mags, vector_magnitudes(gradient_flux(Trajectory(grid, tg, vals)).values))
+            monkeypatch.setattr(fields, "BLOCK_BYTES", block_nodes * traj.values[0].nbytes)
+        xp_seminorm(traj, 4.0, enumerate_cylinders(grid, tg))
+        read = slice(1, 10)
+        if block_nodes is not None:
+            assert [len(block) for block in fed] == [block_nodes] * (9 // block_nodes)
+        mags = np.concatenate(fed)
+        assert mags.tobytes() == vector_magnitudes(gradient_flux(traj).values)[read].tobytes()
+        want = np.sqrt(np.sum(_fft_gradient(traj.values[read], grid) ** 2, axis=2))
+        assert np.max(np.abs(mags - want)) <= 1e-13 * np.max(want)
 
 
 def _fft_gradient(vals, grid):
@@ -504,10 +541,12 @@ class TestTieBetweenRadii:
 
 
 def _fed_in_blocks(grid, times, mags, p, ladder, nodes):
-    """The streaming scan fed `nodes` time nodes at a time (None: all at once)."""
+    """The streaming scan fed the time nodes it reads `nodes` at a time
+    (None: all at once)."""
     scan = carleson._CylinderScan(grid, times, p, ladder)
-    for start in range(0, len(mags), nodes or len(mags)):
-        scan.add(mags[start:start + (nodes or len(mags))])
+    read = mags[scan.nodes]
+    for start in range(0, len(read), nodes or len(read)):
+        scan.add(read[start:start + (nodes or len(read))])
     return scan.result()
 
 
@@ -548,10 +587,60 @@ class TestStreamingScan:
         grid = make_grid(1, 64)
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
         ladder = enumerate_cylinders(grid, tg)
+        mags = _magnitudes("random", tg, ladder)
         scan = carleson._CylinderScan(grid, tg.times, 4.0, ladder)
-        scan.add(_magnitudes("random", tg, ladder)[:-1])
-        with pytest.raises(ValueError, match=f"fed {len(tg) - 1} of {len(tg)} time nodes"):
+        count = scan.nodes.stop - scan.nodes.start
+        scan.add(mags[scan.nodes][:-1])
+        with pytest.raises(ValueError, match=f"fed {count - 1} of its {count} time nodes"):
             scan.result()
+        # nor more: every node of the time grid is more than the scan reads
+        scan = carleson._CylinderScan(grid, tg.times, 4.0, ladder)
+        scan.add(mags)
+        with pytest.raises(ValueError, match=f"fed {len(tg)} of its {count} time nodes"):
+            scan.result()
+
+
+class TestScanReadsItsWindows:
+    """The scan reads the run of time nodes its live windows cover, and
+    inverts the ball averages at the centers only."""
+
+    @pytest.mark.parametrize("n,N", [(1, 128), (2, 64)])
+    def test_nodes_are_the_union_of_the_windows(self, n, N):
+        # on the default grid the windows run from t_1 (R_min^2 = 2 t_1) to
+        # 1/4 (R = 1/2): nodes 1..72 of 89; node 0 and the 16 after 1/4 unread
+        cfg = ExperimentConfig(n=n, N=N)
+        grid, tg = cfg.grid(), cfg.time_grid()
+        ladder = cfg.cylinders(grid, tg)
+        scan = carleson._CylinderScan(grid, tg.times, 4.0, ladder)
+        assert (len(tg), scan.nodes) == (89, slice(1, 73))
+        assert tg.times[72] == 0.25
+        windows = carleson._cylinder_windows(tuple(tg.times.tolist()), ladder.radii)
+        read = set().union(*(range(len(tg))[win[0]] for win in windows))
+        assert read == set(range(1, 73))
+
+    def test_part_of_a_block(self, setup):
+        grid, tg, ladder = setup
+        scan = carleson._CylinderScan(grid, tg.times, 4.0, ladder)
+        assert scan.nodes == slice(1, 73)
+        assert scan.part(slice(0, 1)) is None
+        assert scan.part(slice(73, 89)) is None
+        assert scan.part(slice(0, 3)) == slice(1, 3)
+        assert scan.part(slice(70, 80)) == slice(0, 3)
+        # index_blocks' last run may end past the last node
+        assert scan.part(slice(64, 128)) == slice(0, 9)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 64)])
+    @pytest.mark.parametrize("stride", [1, 4, "N"])
+    def test_inverse_at_centers_equals_ifftn(self, n, N, stride):
+        stride = N if stride == "N" else stride
+        rng = np.random.default_rng(n + stride)
+        shape = (3, 2) + (N,) * n
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        centers = (slice(None), slice(None)) + (slice(None, None, stride),) * n
+        want = np.fft.ifftn(spec, axes=tuple(range(2, 2 + n)))[centers]
+        got = carleson._ifft_at_centers(spec, n, stride)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _xp_whole_array(traj, p, ladder):
@@ -652,9 +741,10 @@ class TestMaximalRegularity:
         assert np.isfinite(ratio) and ratio > 0
 
     @staticmethod
-    def _problem(n, N):
+    def _problem(n, N, tg=None):
         grid = make_grid(n, N)
-        tg = TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
+        if tg is None:
+            tg = TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
         rng = np.random.default_rng(9 + n)
         h = _species(grid, *(random_band_limited(grid, rng, 3, mean=0.3) for _ in range(2)))
         shape = (len(tg), 2, n) + grid.shape
@@ -675,12 +765,27 @@ class TestMaximalRegularity:
         assert ratio == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_transform_budget(self, transform_bytes):
-        # the divergence of F forward (d x n), w back, |grad w| back (n);
-        # the datum's own forward transform is one node of the trajectory
-        h, flux, tg, cylinders = self._problem(2, 16)
+        # in nodes' worth of w, on the default time grid (T = 89 nodes): at
+        # every node the divergence of F forward (n) and w back (1, the
+        # datum's own forward transform at node 0), and |grad w| back (n)
+        # only at the R = 72 nodes the cylinders read
+        h, flux, tg, cylinders = self._problem(2, 16, TimeGrid.dyadic(1.0, levels=10,
+                                                                      steps_per_level=8))
         transform_bytes.clear()
         maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
-        assert sum(transform_bytes) <= 5 * len(tg) * h.values.nbytes
+        assert sum(transform_bytes) <= (3 * 89 + 2 * 72) * h.values.nbytes
+
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_nan_at_an_unread_node_rejected(self, node):
+        # a NaN in F at a node no cylinder reads still reaches w, whose sup
+        # is taken over every node
+        h, flux, tg, cylinders = self._problem(1, 64, TimeGrid.dyadic(1.0, levels=10,
+                                                                      steps_per_level=8))
+        assert carleson._CylinderScan(h.grid, tg.times, 4.0, cylinders).part(
+            slice(node % len(tg), node % len(tg) + 1)) is None
+        flux.values[node, 1, 0, 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     @pytest.mark.parametrize("nodes", [1, 3, None])

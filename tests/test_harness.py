@@ -100,6 +100,16 @@ class TestConfig:
         path.write_text("[output]\noutput_dir = runs%%1\n")
         assert ExperimentConfig.load(path).output_dir == "runs%%1"
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 1\n",
+        "[DEFAULT]\nseed = 1\n[grid]\nn = 1\n",
+        "[grid]\nn = 1\n[DEFAULT]\nseed = 1\n",
+    ])
+    def test_default_section_is_an_unknown_section(self, text):
+        # not configparser's defaults for every other section
+        with pytest.raises(ValueError, match=r"^unknown config section \[DEFAULT\]$"):
+            ExperimentConfig.from_text(text)
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig()
         b = ExperimentConfig()

@@ -30,7 +30,7 @@ from crossdiff.model import (
     _LipschitzPass,
     reduce_coefficients,
 )
-from crossdiff.semigroup import heat_flow_trajectory
+from crossdiff.semigroup import _heat_flow_blocks, heat_flow_trajectory
 from crossdiff.trajectory import (
     FluxTrajectory,
     TimeGrid,
@@ -49,22 +49,26 @@ def _flux(w, g, m, truncated=True):
                            m, truncated).values[0]
 
 
-def _probe(v, w, model, p=None, cylinders=None, against_zero=False):
-    """The Lipschitz pass of the trajectories v and w, fed index_blocks
-    of time nodes with their gradients: (report of v against w,
-    report of v against 0 or None)."""
+def _probe(v, w, model, p=None, cylinders=None, against_zero=False, coeffs=None):
+    """The Lipschitz pass of the trajectories v and w, fed index_blocks of
+    time nodes with their coefficients: those of coeffs, a pair of arrays
+    over every node, or else each block transformed again. Returns (report
+    of v against w, report of v against 0 or None)."""
     grid = v.grid
     probe = _LipschitzPass(grid, v.tg, model, p, cylinders, against_zero)
     for b in index_blocks(len(v.tg), v.values[0].nbytes * grid.n):
         vb, wb = v.values[b], w.values[b]
-        probe.add(vb, wb, spectral_gradient(vb, grid), spectral_gradient(wb, grid))
+        cv, cw = (to_coeffs(vb, grid), to_coeffs(wb, grid)) if coeffs is None else (
+            coeffs[0][b], coeffs[1][b])
+        probe.add(b, vb, wb, cv, cw)
     return probe.result()
 
 
 def _scan_whole(grid, times, mags, p, cylinders):
-    """The cylinder scan of magnitudes held for the whole trajectory."""
+    """The cylinder scan of magnitudes held for the whole trajectory, fed
+    the nodes it reads at once."""
     scan = carleson._CylinderScan(grid, times, p, cylinders)
-    scan.add(mags)
+    scan.add(mags[scan.nodes])
     return scan.result()
 
 
@@ -339,17 +343,35 @@ class TestLipschitzProbe:
 
     @pytest.mark.parametrize("against_zero", [True, False])
     def test_transform_budget(self, against_zero, transform_bytes):
-        # in trajectories' worth: one forward transform of v and of w, n
-        # inverse for each gradient, and one forward and one inverse of the
-        # d x n flux difference (separate fluxes and norms took 17); against
-        # zero, one more forward and inverse of the d x n flux of v
-        g, tg = make_grid(2, 16), TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
-        v, w = self._pair(g, tg)
+        # the probe of two heat flows, in nodes' worth of one flow, on the
+        # default time grid: at every one of its T = 89 nodes each flow goes
+        # back once (its datum forward at node 0); only at the R = 72 nodes
+        # the cylinders read, n inverse transforms for each gradient, taken
+        # from the flows' coefficients, and one forward and one inverse of
+        # the d x n flux difference; against zero, one more forward and
+        # inverse of the d x n flux of v there
+        g, tg = make_grid(2, 16), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        v0, w0 = TestHeatFlowProbes._data(g, 5)
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         transform_bytes.clear()
-        _probe(v, w, m, 4.5, cyls, against_zero)
-        assert sum(transform_bytes) <= (14 if against_zero else 10) * v.values.nbytes
+        _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero)
+        n, T, R = g.n, 89, 72
+        assert sum(transform_bytes) <= (2 * T + (6 if against_zero else 4) * n * R) * v0.values.nbytes
+
+    @pytest.mark.parametrize("which", ["v", "w"])
+    @pytest.mark.parametrize("node", [0, -1])
+    def test_nan_at_an_unread_node_rejected(self, which, node):
+        # node 0 and, on the default time grid, the last node lie in no
+        # cylinder window: a NaN there shows only in the sups
+        g, tg = make_grid(1, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        v, w = self._pair(g, tg)
+        cyls = enumerate_cylinders(g, tg)
+        assert carleson._CylinderScan(g, tg.times, 4.5, cyls).part(
+            slice(node % len(tg), node % len(tg) + 1)) is None
+        {"v": v, "w": w}[which].values[node, 1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _probe(v, w, ReducedModel.from_alpha(ALPHA3, 0.05), 4.5, cyls, against_zero=True)
 
     def test_peak_memory(self):
         # only the four magnitude fields are held whole (4.6x the trajectory
@@ -432,9 +454,16 @@ class TestLipschitzProbe:
         assert flux.values.shape == (len(tg), 3, 1) + g.shape
 
 
+def _flow_coeffs(h, tg):
+    """The coefficients of the heat flow of h at every node of tg, as the
+    heat-flow generator computes them."""
+    return np.concatenate([coeffs for _, coeffs, _ in _heat_flow_blocks(h, tg)])
+
+
 class TestHeatFlowProbes:
     """The probes of check_lipschitz's samples, fed the heat flows block by
-    block, against the whole-array reports of the flows held whole."""
+    block with the coefficients the flows were computed from, against the
+    probes of the flows held whole."""
 
     @staticmethod
     def _data(g, seed, kmax=3):
@@ -444,15 +473,35 @@ class TestHeatFlowProbes:
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     def test_equal_probes_of_the_flows(self, n, N):
+        # bit for bit with the probe fed the flows and their coefficients
+        # held whole, against w and against zero
         g, tg = make_grid(n, N), TimeGrid.dyadic(0.5, levels=6, steps_per_level=6)
         v0, w0 = self._data(g, 30 + n)
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
-        zero = Trajectory(g, tg, np.zeros_like(v.values))
-        want = _probe_whole_array(v, w, m, 4.5, cyls), _probe_whole_array(v, zero, m, 4.5, cyls)
+        want = _probe(v, w, m, 4.5, cyls, True, coeffs=(_flow_coeffs(v0, tg), _flow_coeffs(w0, tg)))
         assert _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True) == want
         assert _heat_flow_probes(v0, w0, tg, m, 4.5, cyls) == (want[0], None)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
+    def test_handoff_matches_transforming_again(self, n, N):
+        # the flows' own coefficients against a forward transform of their
+        # nodal values: every field of both reports within round-off (here
+        # at most 1.1e-16 apart, relative; the suite's ratios 2.2e-16), on
+        # the default time grid, whose last 16 nodes no cylinder reads
+        g, tg = make_grid(n, N), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        v0, w0 = self._data(g, 50 + n)
+        m = ReducedModel.from_alpha(ALPHA3, 0.05)
+        cyls = enumerate_cylinders(g, tg)
+        v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
+        zero = Trajectory(g, tg, np.zeros_like(v.values))
+        want = _probe_whole_array(v, w, m, 4.5, cyls), _probe_whole_array(v, zero, m, 4.5, cyls)
+        got = _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True)
+        for rep, ref in zip(got, want):
+            for name in ("left", "x_diff", "bound", "ratio", "x_v", "x_w"):
+                assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-13, abs=0.0)
+            assert rep.ratio > 0.0
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("w_is", ["zero", "v"])
@@ -465,8 +514,7 @@ class TestHeatFlowProbes:
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
         cyls = enumerate_cylinders(g, tg)
         v, w = heat_flow_trajectory(v0, tg), heat_flow_trajectory(w0, tg)
-        zero = Trajectory(g, tg, np.zeros_like(v.values))
-        want = _probe_whole_array(v, w, m, 4.5, cyls), _probe_whole_array(v, zero, m, 4.5, cyls)
+        want = _probe(v, w, m, 4.5, cyls, True, coeffs=(_flow_coeffs(v0, tg), _flow_coeffs(w0, tg)))
         got = _heat_flow_probes(v0, w0, tg, m, 4.5, cyls, against_zero=True)
         assert got == want
         if w_is == "zero":

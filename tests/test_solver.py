@@ -363,7 +363,7 @@ def _picard_whole_array(h, model, tg, truncated, metric):
         if metric == "xp":
             mags = vector_magnitudes(gradient_from_coeffs(next_coeffs - coeffs, grid))
             scan = carleson._CylinderScan(grid, tg.times, p, cylinders)
-            scan.add(mags)
+            scan.add(mags[scan.nodes])
             dist += scan.result()[0]
         distances.append(dist)
         values, coeffs = next_values, next_coeffs
@@ -388,6 +388,24 @@ def test_picard_streamed_equals_whole_array(n, truncated, metric, monkeypatch):
         assert [d.hex() for d in rep.distances] == [d.hex() for d in distances]
         assert rep.theta_hat.hex() == theta_hat.hex()
         assert rep.converged == converged
+
+
+def test_picard_xp_iteration_transform_budget(transform_bytes):
+    # in nodes' worth of the iterate, on the default time grid (T = 89
+    # nodes): the heat flow, then one map with the sup metric, each node's
+    # gradient back (n), its products forward (n) and the next iterate back
+    # (1, the datum forward at node 0) take 2T + 2nT; the xp metric adds the
+    # gradient of the difference (n) at the R = 72 nodes the cylinders read
+    grid, tg = make_grid(2, 16), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+    h = generate_initial_data(InitialDataSpec("random-simplex", seed=3, kmax=3), grid, 3, 0.05)
+    model = ReducedModel.from_alpha(ALPHA3, 0.05)
+    node, n, T, R = h.values.nbytes, grid.n, 89, 72
+    transform_bytes.clear()
+    picard_solve(h, model, tg, max_iter=1, metric="sup")
+    assert sum(transform_bytes) == (2 * T + 2 * n * T) * node
+    transform_bytes.clear()
+    picard_solve(h, model, tg, max_iter=1)
+    assert sum(transform_bytes) <= (2 * T + 2 * n * T + n * R) * node
 
 
 def test_picard_peak_memory():
