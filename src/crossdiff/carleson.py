@@ -22,14 +22,16 @@ from .fields import (
     GridSpec,
     SpeciesVector,
     _abs_max,
+    _check_finite,
     derivative_symbol,
     from_coeffs,
     gradient_from_coeffs,
     index_blocks,
+    spectral_divergence,
     spectral_gradient,
     to_coeffs,
 )
-from .semigroup import _forced_blocks
+from .semigroup import _duhamel_blocks, _flux_blocks
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
@@ -233,8 +235,12 @@ class _CylinderScan:
     *grid.shape), in time order, and part(b) names the ones a block b of
     time nodes holds. Each radius holds mags^p only over its own window, in
     a buffer freed once the window's last node has arrived and its time
-    quadrature is formed. result() needs every node of the run, and its
-    result is the same bit for bit however the nodes were blocked.
+    quadrature is formed. The live radii go in index_blocks runs of their
+    ball spectra, and a run's ball averages are taken, and its quadratures
+    freed, as soon as its last window closes: one radius at a time at 2-D
+    N=64, the whole ladder at 1-D. So the scan holds the quadratures of one
+    run, never those of every radius. result() needs every node of the run,
+    and its result is the same bit for bit however the nodes were blocked.
     """
 
     def __init__(self, grid: GridSpec, times: np.ndarray, p: float, ladder: CylinderLadder):
@@ -249,7 +255,13 @@ class _CylinderScan:
         self.fed = self.nodes.start
         self.first = 0  # the radii before it (in self.live) have their quadrature
         self.buffers: dict[int, np.ndarray] = {}
-        self.q = None  # per live radius, the time quadrature of mags^p
+        self.runs = None  # the runs of live radii not yet finished, from the first block on
+        self.q = None  # the time quadratures of mags^p of the current run's radii
+        self.best, self.best_at = 0.0, None
+        # taken before the first block: first built between the blocks of a
+        # pass, the cached spectra raised the peak RSS of a 2-D N=64 Picard
+        # solve with save and load by 1.2 MB, through heap layout
+        self.counts, self.spectra = _ball_spectra(grid, ladder.radii)
 
     def part(self, b: slice) -> slice | None:
         """The nodes of b, a run of time-node indices, that the scan reads,
@@ -260,8 +272,11 @@ class _CylinderScan:
     def add(self, block: np.ndarray):
         a, b = self.fed, self.fed + len(block)
         self.fed = b
-        if self.q is None:
-            self.q = np.empty((len(self.live),) + block.shape[1:])
+        shape = block.shape[1:]
+        if self.runs is None:
+            # a radius's widest array is the complex spectrum of its quadrature
+            count = len(self.live)
+            self.runs = [range(count)[r] for r in index_blocks(count, 16 * math.prod(shape))]
         # windows start and end in radius order, so the radii done are a
         # prefix and the radii not yet begun a suffix
         for i in range(self.first, len(self.live)):
@@ -271,53 +286,61 @@ class _CylinderScan:
             k = nodes.stop - nodes.start
             buf = self.buffers.get(i)
             if buf is None:
-                buf = self.buffers[i] = np.empty((k,) + block.shape[1:])
+                buf = self.buffers[i] = np.empty((k,) + shape)
             lo, hi = max(a, nodes.start), min(b, nodes.stop)
             np.power(block[lo - a:hi - a], self.p, out=buf[lo - nodes.start:hi - nodes.start])
             if hi == nodes.stop:
+                run = self.runs[0]
+                if self.q is None:
+                    self.q = np.empty((len(run),) + shape)
                 # the time quadrature of mags^p: what tensordot(w, x, axes=(0, 0))
                 # computes, without its reshaping
-                self.q[i] = np.dot(w, buf.reshape(k, -1)).reshape(self.q.shape[1:])
+                self.q[i - run.start] = np.dot(w, buf.reshape(k, -1)).reshape(shape)
                 del self.buffers[i]
                 self.first = i + 1
+                if self.first == run.stop:
+                    self._finish(self.runs.pop(0))
 
-    def result(self):
-        """(best value, attaining CylinderSpec, cylinders scanned, cylinders
-        skipped).
+    def _finish(self, run: range):
+        """Fold the best cylinder of the radii of run, whose quadratures are
+        all in self.q, into the best so far, and free their quadratures.
 
-        Ties break deterministically toward the smallest radius, then the
+        Runs finish in radius order and ties need strict improvement, so
+        ties break deterministically toward the smallest radius, then the
         first center in C order (scan order with strict improvement). A NaN
         in mags spreads through the transforms to every center of its
         radius, and that radius never attains.
         """
+        grid, ladder = self.grid, self.ladder
+        axes = tuple(range(2, 2 + grid.n))
+        scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
+        js = self.live[run.start:run.stop]
+        avg = np.fft.fftn(self.q, axes=axes) * self.spectra[js][:, None]
+        self.q = None
+        counts = np.array(self.counts, dtype=float)[js][scale]
+        avg = _ifft_at_centers(avg, grid.n, ladder.stride).real / counts
+        vals = np.array(ladder.radii)[js][scale] * np.maximum(avg, 0.0) ** (1.0 / self.p)
+        top = vals.max(axis=1).reshape(len(js), -1)  # vals: (radius, d, *centers)
+        for i, k in enumerate(top.argmax(axis=1)):
+            if top[i, k] > self.best:
+                center = np.unravel_index(int(k), vals.shape[2:])
+                self.best, self.best_at = float(top[i, k]), (center, ladder.radii[js[i]])
+
+    def result(self):
+        """(best value, attaining CylinderSpec, cylinders scanned, cylinders
+        skipped); the ties and NaNs go as _finish says."""
         start, stop = self.nodes.start, self.nodes.stop
         if self.fed != stop:
             raise ValueError(f"the scan was fed {self.fed - start} of its {stop - start} time nodes")
-        grid, p, ladder, live = self.grid, self.p, self.ladder, self.live
-        skipped = (len(self.windows) - len(live)) * ladder.centers_per_radius
+        grid, ladder = self.grid, self.ladder
+        skipped = (len(self.windows) - len(self.live)) * ladder.centers_per_radius
         if skipped:
             warnings.warn(f"skipped {skipped} cylinders with no stored time in their window")
-            if not live:
+            if not self.live:
                 raise ValueError("no cylinder window contains a stored time")
-        counts, spectra = _ball_spectra(grid, ladder.radii)
-        axes = tuple(range(2, 2 + grid.n))
-        scale = (slice(None),) + (None,) * (1 + grid.n)  # one value per radius
-        counts, radii = np.array(counts, dtype=float), np.array(ladder.radii)
-        best, best_at = 0.0, None
-        # live radii in increasing order, in index_blocks of spectra
-        for block in index_blocks(len(live), 2 * self.q[0].nbytes):
-            js = live[block]
-            avg = np.fft.fftn(self.q[block], axes=axes) * spectra[js][:, None]
-            avg = _ifft_at_centers(avg, grid.n, ladder.stride).real / counts[js][scale]
-            vals = radii[js][scale] * np.maximum(avg, 0.0) ** (1.0 / p)  # (radius, d, *centers)
-            top = vals.max(axis=1).reshape(len(js), -1)
-            for i, k in enumerate(top.argmax(axis=1)):
-                if top[i, k] > best:
-                    center = np.unravel_index(int(k), vals.shape[2:])
-                    best, best_at = float(top[i, k]), (center, ladder.radii[js[i]])
-        cyl = None if best_at is None else CylinderSpec(
-            tuple(int(i) * ladder.stride / grid.N for i in best_at[0]), best_at[1])
-        return best, cyl, len(ladder) - skipped, skipped
+        cyl = None if self.best_at is None else CylinderSpec(
+            tuple(int(i) * ladder.stride / grid.N for i in self.best_at[0]), self.best_at[1])
+        return self.best, cyl, len(ladder) - skipped, skipped
 
     def report(self, sup_norm: float) -> NormReport:
         """The NormReport of the finished scan, with sup_norm alongside."""
@@ -415,20 +438,51 @@ def maximal_regularity_ratio(
     """Solve the linear problem with datum h and forcing div F, then return
     ||w||_Xp / (||F||_Yp + ||h||_inf).
 
-    One pass over the blocks of time nodes of the forced Duhamel recurrence
-    (_forced_blocks) feeds |grad w| (from the recurrence's coefficients) and
-    |F| at the nodes the cylinders read to two cylinder scans; the nodal
-    values of w serve only its sup norm, over every node. Neither w nor any
-    magnitude field is held for the whole trajectory.
+    The flux is checked against h and tg, and its blocks of time nodes
+    (views, no copy) go to _maximal_regularity_pass, which holds neither w,
+    its divergence nor any magnitude field for the whole trajectory.
     """
-    forced = _forced_blocks(h, flux, tg)
+    return _maximal_regularity_pass(h, _flux_blocks(h, flux, tg), tg, p, cylinders)
+
+
+def _maximal_regularity_pass(
+    h: SpeciesVector,
+    flux_blocks,
+    tg: TimeGrid,
+    p: float | None = None,
+    cylinders: CylinderLadder | None = None,
+) -> float:
+    """maximal_regularity_ratio fed the flux as (nodes, nodal flux block)
+    pairs, shape (nodes, d, n, *grid.shape), for consecutive slices of time
+    nodes from node 0 on, so that no caller need hold the flux whole.
+
+    One pass reads each flux block once: |F| at the nodes the cylinders
+    read goes to the Y^p scan, and its divergence to the forced Duhamel
+    recurrence (_duhamel_blocks), whose block's coefficients give |grad w|
+    there for the X^p scan; the nodal values of w serve only its sup, over
+    every node. A non-finite flux block raises, and so do blocks that do
+    not take every node once, in order.
+    """
     grid = h.grid
     # the Xp seminorm's range of p lies inside the Yp norm's
     p, cylinders = _gradient_exponent(grid, tg, p, cylinders)
     grad_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Xp seminorm of w
     flux_scan = _CylinderScan(grid, tg.times, p, cylinders)  # the Yp norm of F
+    shape = (h.d, grid.n) + grid.shape
+
+    def divergences():
+        # _duhamel_blocks checks that the blocks take every node once, in order
+        for b, block in flux_blocks:
+            if block.shape[1:] != shape:
+                raise ValueError(f"flux block of shape {block.shape} is not nodes x {shape}")
+            _check_finite(block, "flux")
+            read = flux_scan.part(b)
+            if read is not None:
+                flux_scan.add(vector_magnitudes(block[read]))
+            yield b, spectral_divergence(block, grid)
+
     sup = 0.0
-    for b, coeffs, values in forced:
+    for b, coeffs, values in _duhamel_blocks(h, divergences(), tg):
         block_sup = _abs_max(values)
         if not math.isfinite(block_sup):
             raise ValueError("trajectory values must be finite")
@@ -436,7 +490,6 @@ def maximal_regularity_ratio(
         read = grad_scan.part(b)
         if read is not None:
             grad_scan.add(vector_magnitudes(gradient_from_coeffs(coeffs[read], grid)))
-            flux_scan.add(vector_magnitudes(flux.values[b][read]))
     num = sup + grad_scan.result()[0]
     den = flux_scan.result()[0] + h.sup_norm()
     if den == 0.0:

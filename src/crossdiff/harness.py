@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .carleson import (
     CylinderLadder,
+    _maximal_regularity_pass,
     decay_probe,
     default_exponent,
     enumerate_cylinders,
     gradient_flux,
-    maximal_regularity_ratio,
     xp_norm,
     xp_seminorm,
     yp_norm,
@@ -45,7 +45,6 @@ from .semigroup import (KERNEL_SCALING_SPREAD, heat_flow_trajectory, heat_propag
                         kernel_scaling_report)
 from .solver import _distance_ratios, imex_solve, picard_solve
 from .trajectory import (
-    FluxTrajectory,
     TimeGrid,
     Trajectory,
     trajectory_difference,
@@ -198,28 +197,19 @@ class ExperimentConfig:
         Path(path).write_text(self.to_text())
 
     @classmethod
-    def from_text(cls, text: str, source: str = "<string>") -> "ExperimentConfig":
-        """The config an INI text holds; source names it in an error."""
+    def from_text(cls, text: str, source: str | None = None) -> "ExperimentConfig":
+        """The config an INI text holds; every error names source, when given."""
         cp = _ini()
         try:
-            cp.read_string(text, source)
+            cp.read_string(text, source or "<string>")
         except configparser.Error as exc:
             raise ValueError(" ".join(str(exc).split())) from None  # one line
-        if not cp.sections():
-            raise ValueError("empty config: no sections found")
-        kwargs = {}
-        for section in cp.sections():
-            names = _section(section)
-            if not names:
-                raise ValueError(f"unknown config section [{section}]")
-            for name, raw in cp[section].items():
-                if name not in names:
-                    raise ValueError(f"unknown config key {name!r} in [{section}]")
-                try:
-                    kwargs[name] = _KEYS[name].metadata["parse"](raw)
-                except ValueError as exc:
-                    raise ValueError(f"[{section}] {name} = {raw!r}: {exc}") from None
-        return cls(**kwargs)
+        try:
+            return cls(**_parse(cp))
+        except ValueError as exc:
+            if source is None:
+                raise
+            raise ValueError(f"{source}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -237,6 +227,26 @@ class ExperimentConfig:
 
 # every config key's field by name, in the order of the INI file
 _KEYS = {key.name: key for key in dc_fields(ExperimentConfig)}
+
+
+def _parse(cp: configparser.ConfigParser) -> dict:
+    """The value of every key an INI file sets, by name, each from its
+    section's text by its key's parser."""
+    if not cp.sections():
+        raise ValueError("empty config: no sections found")
+    kwargs = {}
+    for section in cp.sections():
+        names = _section(section)
+        if not names:
+            raise ValueError(f"unknown config section [{section}]")
+        for name, raw in cp[section].items():
+            if name not in names:
+                raise ValueError(f"unknown config key {name!r} in [{section}]")
+            try:
+                kwargs[name] = _KEYS[name].metadata["parse"](raw)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {name} = {raw!r}: {exc}") from None
+    return kwargs
 
 
 def _section(section: str) -> list[str]:
@@ -740,18 +750,24 @@ def check_gradient_decay(ctx: SuiteContext) -> list[Check]:
     ]
 
 
-def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int) -> FluxTrajectory:
+def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int):
     """Seeded band-limited fluxes with smooth exponential time envelopes;
-    identical continuum data at every grid resolution."""
+    identical continuum data at every grid resolution. Yields (nodes, flux
+    block of shape (nodes, d, n, *grid.shape)) over index_blocks of the time
+    nodes, so only the d x n fields, the (T, d, n) table of envelopes and
+    one block are held: each block is envelope x field, the value the
+    whole-array product takes at its nodes."""
     rng = np.random.default_rng(seed)
-    vals = np.zeros((len(tg), d, grid.n) + grid.shape)
+    fields = np.empty((d, grid.n) + grid.shape)
+    envelope = np.empty((len(tg), d, grid.n))
     for i in range(d):
         for m in range(grid.n):
-            a = random_band_limited(grid, rng, kmax, 1.0)
+            fields[i, m] = random_band_limited(grid, rng, kmax, 1.0)
             rate = float(rng.uniform(0.5, 4.0))
-            envelope = np.exp(-rate * tg.times).reshape((-1,) + (1,) * grid.n)
-            vals[:, i, m] = envelope * a
-    return FluxTrajectory(grid, tg, vals)
+            envelope[:, i, m] = np.exp(-rate * tg.times)
+    spatial = (...,) + (None,) * grid.n
+    for b in index_blocks(len(tg), fields.nbytes):
+        yield b, envelope[b][spatial] * fields
 
 
 def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
@@ -766,7 +782,7 @@ def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
                 for _ in range(ctx.config.d)
             ])
             flux = _random_flux(grid, ctx.tg, ctx.config.d, seed + 500, ctx.config.kmax)
-            return (maximal_regularity_ratio(h, flux, ctx.tg, ctx.p, cyls),)
+            return (_maximal_regularity_pass(h, flux, ctx.tg, ctx.p, cyls),)
 
         rows = _map_samples(sample, ctx.config.sweep_samples, 1, _sample_bytes(ctx, grid))
         return max(row[0] for row in rows), None

@@ -145,12 +145,17 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
     in-place adds, in the order of E*prev + left*div[k-1] + right*div[k].
     The yielded arrays are the generator's own, and each block of forcing
     is drawn only when its block is due: a caller may overwrite whatever the
-    blocks already yielded were computed from.
+    blocks already yielded were computed from. A block that is empty or
+    does not start at the node after the last block's raises, and so does a
+    feed that ends before the last node.
     """
     grid, datum = h.grid, h.values
     E, left, right, segment = _step_table(grid, tuple(tg.times.tolist()))
+    k = 0  # the next node due
     for nodes, div in div_blocks:
-        k = nodes.start
+        if not len(div) or nodes.start != k or len(div) != len(range(len(tg))[nodes]):
+            raise ValueError(f"a forcing block of {len(div)} nodes at nodes {nodes.start}:{nodes.stop} "
+                             f"is not the next block from node {k}")
         coeffs = np.empty_like(div)
         values = np.empty((len(div),) + datum.shape)
         if k == 0:
@@ -168,24 +173,33 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
             prev = c
         if len(div) > first:
             from_coeffs(coeffs[first:], grid, out=values[first:])
-        prev_div = div[-1]
+        prev_div, k = div[-1], k + len(div)
         yield nodes, coeffs, values
+    if k != len(tg):
+        raise ValueError(f"the forcing blocks held {k} of the {len(tg)} time nodes")
 
 
-def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
-    """The mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h and a
-    nodal FluxTrajectory aligned with tg, over index_blocks of
-    flux: the (nodes, coeffs, values) blocks of _duhamel_blocks. The forcing
-    is checked here, and each block's divergence is taken only when its
-    block of the recurrence is due, so neither the divergence nor the
-    solution is held whole.
-    """
+def _flux_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> list:
+    """The (nodes, nodal flux block) pairs of a FluxTrajectory over
+    index_blocks of its time nodes, once it is checked against the datum h
+    and the time grid tg. The blocks are views: nothing is copied."""
     if forcing.grid != h.grid or not np.array_equal(forcing.tg.times, tg.times):
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != h.d:
         raise ValueError(f"forcing has {forcing.d} species, datum has {h.d}")
-    blocks = index_blocks(len(tg), forcing.values[0].nbytes)
-    return _duhamel_blocks(h, ((b, spectral_divergence(forcing.values[b], h.grid)) for b in blocks), tg)
+    return [(b, forcing.values[b]) for b in index_blocks(len(tg), forcing.values[0].nbytes)]
+
+
+def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
+    """The mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h and a
+    nodal FluxTrajectory aligned with tg, over the blocks of _flux_blocks:
+    the (nodes, coeffs, values) blocks of _duhamel_blocks. The forcing is
+    checked here, and each block's divergence is taken only when its block
+    of the recurrence is due, so neither the divergence nor the solution is
+    held whole.
+    """
+    blocks = _flux_blocks(h, forcing, tg)
+    return _duhamel_blocks(h, ((b, spectral_divergence(flux, h.grid)) for b, flux in blocks), tg)
 
 
 def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> Trajectory:

@@ -583,6 +583,30 @@ class TestStreamingScan:
         with pytest.warns(UserWarning, match=f"skipped {2 * ladder.centers_per_radius}"):
             assert _fed_in_blocks(grid, tg.times, mags, 4.0, partly, nodes) == ref
 
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32)])
+    @pytest.mark.parametrize("kind", ["random", "constant", "nan"])
+    def test_radius_runs_equal_one_run(self, n, N, kind, monkeypatch):
+        # the radii finish in index_blocks runs as each run's last window
+        # closes: runs of one radius (a budget of one item), of some (the
+        # default at 2-D N=32) and of all (1 MiB, and the default at 1-D)
+        grid = make_grid(n, N)
+        tg = TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
+        ladder = enumerate_cylinders(grid, tg)
+        mags = _magnitudes(kind, tg, ladder)
+        results, runs = [], set()
+        for budget in (1, fields.BLOCK_BYTES, 1 << 20):
+            monkeypatch.setattr(fields, "BLOCK_BYTES", budget)
+            radii = range(len(ladder.radii))
+            step = len(radii[fields.index_blocks(len(radii), 16 * mags[0].size)[0]])
+            runs.add("one" if step == 1 else "all" if step == len(radii) else "some")
+            scan = carleson._CylinderScan(grid, tg.times, 4.0, ladder)
+            read = mags[scan.nodes]
+            for b in fields.index_blocks(len(read), read[0].nbytes):
+                scan.add(read[b])
+            results.append(scan.result())
+        assert runs == ({"one", "all"} if n == 1 else {"one", "some", "all"})
+        assert results[1:] == results[:1] * 2
+
     def test_every_node_must_be_fed(self):
         grid = make_grid(1, 64)
         tg = TimeGrid.dyadic(1.0, levels=6, steps_per_level=4)
@@ -680,7 +704,7 @@ class TestNormsFedInBlocks:
             assert yp_norm(flux, p, ladder) == yp_ref
 
     def test_yp_peak_memory(self):
-        # blocks of magnitudes and one window of mags^p at a time: 0.34x the
+        # blocks of magnitudes and one window of mags^p at a time: 0.29x the
         # state trajectory measured; the magnitudes of the whole flux peaked
         # at 2.0x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
@@ -698,7 +722,7 @@ class TestNormsFedInBlocks:
 
     def test_xp_peak_memory(self):
         # the coefficients, gradient and magnitudes of one block of nodes and
-        # the scan's windows: 0.35x the trajectory measured; the coefficients
+        # the scan's windows: 0.31x the trajectory measured; the coefficients
         # of the whole trajectory held first peaked at 2.06x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
         h = _species(grid, *(random_band_limited(grid, np.random.default_rng(2), 6)
@@ -805,10 +829,10 @@ class TestMaximalRegularity:
         assert sum(transform_bytes) <= separate
 
     def test_peak_memory_streamed(self):
-        # on the default time grid, with the flux built before tracing: 0.70x
-        # the trajectory of w measured (0.59x with the tables cached per grid
-        # warm); the Duhamel solution and its coefficients held whole peaked
-        # at 3.17x
+        # on the default time grid, with the flux built before tracing: 0.52x
+        # the trajectory of w measured (0.66x with the time quadratures of
+        # every radius held to the end of each scan); the Duhamel solution
+        # and its coefficients held whole peaked at 3.17x
         grid, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
         rng = np.random.default_rng(12)
         h = _species(grid, *(random_band_limited(grid, rng, 6, mean=0.3) for _ in range(3)))
@@ -823,6 +847,41 @@ class TestMaximalRegularity:
         finally:
             tracemalloc.stop()
         assert peak <= 1.0 * len(tg) * h.values.nbytes
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("nodes", [1, 3, None])
+    def test_block_fed_pass_equals_whole_flux(self, n, N, nodes):
+        # bit for bit, with blocks of 1, 3 or all flux nodes, each a copy
+        h, flux, tg, cylinders = self._problem(n, N)
+        step = nodes or len(tg)
+        for p in (2.5, 4.0):
+            blocks = ((slice(k, k + step), flux.values[k:k + step].copy())
+                      for k in range(0, len(tg), step))
+            want = maximal_regularity_ratio(h, flux, tg, p, cylinders)
+            assert carleson._maximal_regularity_pass(h, blocks, tg, p, cylinders) == want
+
+    @pytest.mark.parametrize("node", [0, 5, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_block_fed_pass_rejects_a_non_finite_block(self, node, value):
+        # node 0 lies below every cylinder window, nodes 5 and -1 in some
+        h, flux, tg, cylinders = self._problem(2, 16)
+        values = flux.values.copy()
+        values[node, 1, 0, 3, 7] = value
+        blocks = ((slice(k, k + 1), values[k:k + 1]) for k in range(len(tg)))
+        with pytest.raises(ValueError, match="flux values must be finite"):
+            carleson._maximal_regularity_pass(h, blocks, tg, 4.0, cylinders)
+
+    @pytest.mark.parametrize("nodes", [
+        lambda t: [0, 1, 3] + list(range(4, t)),  # a gap
+        lambda t: [0, 1] + list(range(1, t)),  # a repeat
+        lambda t: list(range(1, t)),  # no node 0
+        lambda t: list(range(t - 1)),  # no last node
+    ])
+    def test_block_fed_pass_takes_every_node_once_in_order(self, nodes):
+        h, flux, tg, cylinders = self._problem(1, 64)
+        blocks = ((slice(k, k + 1), flux.values[k:k + 1]) for k in nodes(len(tg)))
+        with pytest.raises(ValueError, match=f"forcing block|of the {len(tg)} time nodes"):
+            carleson._maximal_regularity_pass(h, blocks, tg, 4.0, cylinders)
 
     def test_trivial_problem_rejected(self, setup):
         grid, tg, cylinders = setup

@@ -272,7 +272,7 @@ def test_unparsable_config_value_names_its_section_and_key(tmp_path, capsys):
         main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("crossdiff: invalid config: [norms] p = 'abc': could not convert")
+    assert err.startswith(f"crossdiff: invalid config: {cfg_path}: [norms] p = 'abc': could not convert")
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
@@ -286,7 +286,30 @@ def test_misspelt_boolean_in_config_exits_with_usage_code(tmp_path, capsys, sect
         main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"crossdiff: invalid config: [{section}] {key} = '{value}': expected one of")
+    assert err.startswith(f"crossdiff: invalid config: {cfg_path}: [{section}] {key} = '{value}': "
+                          "expected one of")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[bogus]\nx = 1\n", "unknown config section [bogus]"),
+    ("[DEFAULT]\nseed = 1\n", "unknown config section [DEFAULT]"),
+    ("[grid]\nbogus = 1\n", "unknown config key 'bogus' in [grid]"),
+    ("[grid]\nN = sixteen\n", "[grid] N = 'sixteen': invalid literal for int()"),
+    ("[grid]\nN = 96\n", "N must be a power of two >= 8, got 96"),
+    ("\n", "empty config: no sections found"),
+])
+def test_config_error_names_the_file(text, match, tmp_path, capsys):
+    # the errors from_text raises itself, and the config's own validation
+    # errors, name the file as configparser's do
+    cfg_path = tmp_path / "bad.ini"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crossdiff: invalid config: {cfg_path}: {match}")
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
 

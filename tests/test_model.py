@@ -374,8 +374,9 @@ class TestLipschitzProbe:
             _probe(v, w, ReducedModel.from_alpha(ALPHA3, 0.05), 4.5, cyls, against_zero=True)
 
     def test_peak_memory(self):
-        # only the four magnitude fields are held whole (4.6x the trajectory
-        # measured); holding F(v), F(w) and a gradient together peaked at 8.1x
+        # 1.12x the trajectory measured (1.65x with the quadratures of every
+        # radius held to the end of each scan); holding F(v), F(w) and a
+        # gradient together peaked at 8.1x
         g, tg = make_grid(2, 64), TimeGrid.dyadic(0.25, levels=6, steps_per_level=8)
         v, w = self._pair(g, tg, kmax=6)
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
@@ -418,8 +419,10 @@ class TestLipschitzProbe:
 
     def test_peak_memory_streamed(self):
         # the four magnitude fields go to the scans block by block and each
-        # radius holds mags^p over its own window only: 1.14x the trajectory
-        # measured on the default time grid (4.7x with the fields held whole)
+        # radius holds mags^p over its own window only: 0.74x the trajectory
+        # measured on the default time grid (1.15x with the quadratures of
+        # every radius held to the end of each scan, 4.7x with the fields
+        # held whole)
         g, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
         v, w = self._pair(g, tg, kmax=6)
         m = ReducedModel.from_alpha(ALPHA3, 0.05)
@@ -536,7 +539,7 @@ class TestHeatFlowProbes:
         assert sum(transform_bytes) <= held
 
     def test_peak_memory_one_sample(self):
-        # the two heat flows and their probe on the default time grid: 1.40x
+        # the two heat flows and their probe on the default time grid: 1.00x
         # the trajectory measured; with both flows held whole, 3.23x
         g, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)
         v0, w0 = self._data(g, 5, kmax=6)
@@ -551,7 +554,7 @@ class TestHeatFlowProbes:
         assert peak <= 1.75 * len(tg) * v0.values.nbytes
 
     def test_peak_memory_against_zero(self):
-        # the probe against zero is a fifth scan of the same pass: 1.67x the
+        # the probe against zero is a fifth scan of the same pass: 1.13x the
         # trajectory measured; a second pass over an all-zero flow beside
         # the first peaked at 2.28x
         g, tg = make_grid(2, 64), TimeGrid.dyadic(1.0, levels=10, steps_per_level=8)

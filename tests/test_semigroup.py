@@ -434,6 +434,20 @@ class TestBatchedTransforms:
             assert _bit_equal(np.concatenate([c for _, c, _ in got]), want), times
             assert _bit_equal(np.concatenate([v for _, _, v in got]), want_values), times
 
+    @pytest.mark.parametrize("nodes", [
+        lambda t: list(range(1, t)),  # no node 0
+        lambda t: [0, 2] + list(range(3, t)),  # a gap
+        lambda t: [0, 1, 1] + list(range(2, t)),  # a repeat
+        lambda t: list(range(t - 1)),  # no last node
+    ])
+    def test_duhamel_blocks_take_every_node_once_in_order(self, nodes):
+        # each raises, where the recurrence would read a forcing never fed
+        g, tg, h, flux = self._problem(1, 32, "dyadic")
+        div = spectral_divergence(flux.values, g)
+        blocks = [(slice(k, k + 1), div[k:k + 1]) for k in nodes(len(tg))]
+        with pytest.raises(ValueError, match=f"is not the next block|held {len(tg) - 1} of the {len(tg)}"):
+            list(_duhamel_blocks(h, blocks, tg))
+
     @pytest.mark.parametrize("times", ["dyadic", "uniform", "distinct"])
     def test_segment_weights_once_per_distinct_step(self, times, monkeypatch):
         # the recurrence reads its weights from a table of the distinct steps

@@ -410,7 +410,7 @@ def test_picard_xp_iteration_transform_budget(transform_bytes):
 
 def test_picard_peak_memory():
     # one iterate as values and coefficients, written over block by block,
-    # the cylinder scan's windows and one node's flux: 2.97x the trajectory
+    # the cylinder scan's windows and one node's flux: 2.72x the trajectory
     # measured (2.38x with the sup metric); two iterates, the divergence
     # coefficients and the distance's magnitudes held whole peaked at 5.6x
     grid, tg = make_grid(2, 64), TimeGrid.dyadic(0.25, levels=6, steps_per_level=8)
