@@ -31,7 +31,7 @@ from .fields import (
     spectral_gradient,
     to_coeffs,
 )
-from .semigroup import _duhamel_blocks, _flux_blocks
+from .semigroup import _duhamel_blocks
 from .trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 __all__ = [
@@ -63,7 +63,7 @@ class CylinderSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("cylinder radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
@@ -82,7 +82,7 @@ class CylinderLadder:
         object.__setattr__(self, "radii", radii)
         if not 1 <= self.stride <= self.grid.N:
             raise ValueError(f"centers_stride must be in [1, N], got {self.stride}")
-        if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        if not radii or not radii[0] > 0 or any(not b > a for a, b in zip(radii, radii[1:])):
             raise ValueError(f"radii must be positive and strictly increasing, got {radii}")
 
     @property
@@ -134,8 +134,8 @@ def enumerate_cylinders(
     """
     if centers_stride is None:
         centers_stride = max(1, grid.N // 16)
-    if radii_per_octave < 1:
-        raise ValueError("radii_per_octave must be >= 1")
+    if not 1 <= radii_per_octave < math.inf:
+        raise ValueError(f"radii_per_octave must be finite and >= 1, got {radii_per_octave}")
     t1 = float(tg.times[1])
     r_min = math.sqrt(2.0 * t1)
     r_cap = min(0.5, math.sqrt(tg.t_end))
@@ -404,7 +404,7 @@ def yp_norm(
     grid = flux.grid
     if p is None:
         p = default_exponent(grid)
-    if p < 1.0 or p == math.inf:
+    if not 1.0 <= p < math.inf:
         raise ValueError(f"flux norm requires finite p >= 1, got {p}")
     if cylinders is None:
         cylinders = enumerate_cylinders(grid, flux.tg)
@@ -430,38 +430,25 @@ def xp_norm(
 
 def maximal_regularity_ratio(
     h: SpeciesVector,
-    flux: FluxTrajectory,
-    tg: TimeGrid,
-    p: float | None = None,
-    cylinders: CylinderLadder | None = None,
-) -> float:
-    """Solve the linear problem with datum h and forcing div F, then return
-    ||w||_Xp / (||F||_Yp + ||h||_inf).
-
-    The flux is checked against h and tg, and its blocks of time nodes
-    (views, no copy) go to _maximal_regularity_pass, which holds neither w,
-    its divergence nor any magnitude field for the whole trajectory.
-    """
-    return _maximal_regularity_pass(h, _flux_blocks(h, flux, tg), tg, p, cylinders)
-
-
-def _maximal_regularity_pass(
-    h: SpeciesVector,
     flux_blocks,
     tg: TimeGrid,
     p: float | None = None,
     cylinders: CylinderLadder | None = None,
 ) -> float:
-    """maximal_regularity_ratio fed the flux as (nodes, nodal flux block)
-    pairs, shape (nodes, d, n, *grid.shape), for consecutive slices of time
-    nodes from node 0 on, so that no caller need hold the flux whole.
+    """Solve the linear problem with datum h and forcing div F, then return
+    ||w||_Xp / (||F||_Yp + ||h||_inf). The flux comes as (nodes, nodal flux
+    block) pairs, shape (nodes, d, n, *grid.shape), for consecutive slices
+    of time nodes from node 0 on, so that no caller need hold it whole; a
+    FluxTrajectory gives them as (b, flux.values[b]) over index_blocks.
 
     One pass reads each flux block once: |F| at the nodes the cylinders
     read goes to the Y^p scan, and its divergence to the forced Duhamel
     recurrence (_duhamel_blocks), whose block's coefficients give |grad w|
     there for the X^p scan; the nodal values of w serve only its sup, over
-    every node. A non-finite flux block raises, and so do blocks that do
-    not take every node once, in order.
+    every node. Neither w, its divergence nor any magnitude field is held
+    for the whole trajectory. A block not of d x n fields of h's grid
+    raises, and so do a non-finite flux block and blocks that do not take
+    every node once, in order.
     """
     grid = h.grid
     # the Xp seminorm's range of p lies inside the Yp norm's

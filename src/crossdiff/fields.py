@@ -35,6 +35,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.N)):
+            raise ValueError(f"grid sizes n and N must be integers, got n={self.n!r}, N={self.N!r}")
         if self.n not in (1, 2):
             raise ValueError(f"unsupported dimension n={self.n}; expected 1 or 2")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:

@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .carleson import (
     CylinderLadder,
-    _maximal_regularity_pass,
     decay_probe,
     default_exponent,
     enumerate_cylinders,
     gradient_flux,
+    maximal_regularity_ratio,
     xp_norm,
     xp_seminorm,
     yp_norm,
@@ -752,11 +752,12 @@ def check_gradient_decay(ctx: SuiteContext) -> list[Check]:
 
 def _random_flux(grid: GridSpec, tg: TimeGrid, d: int, seed: int, kmax: int):
     """Seeded band-limited fluxes with smooth exponential time envelopes;
-    identical continuum data at every grid resolution. Yields (nodes, flux
-    block of shape (nodes, d, n, *grid.shape)) over index_blocks of the time
-    nodes, so only the d x n fields, the (T, d, n) table of envelopes and
-    one block are held: each block is envelope x field, the value the
-    whole-array product takes at its nodes."""
+    identical continuum data at every grid resolution. Yields the (nodes,
+    flux block of shape (nodes, d, n, *grid.shape)) pairs that
+    maximal_regularity_ratio takes, over index_blocks of the time nodes, so
+    only the d x n fields, the (T, d, n) table of envelopes and one block
+    are held: each block is envelope x field, the value the whole-array
+    product takes at its nodes."""
     rng = np.random.default_rng(seed)
     fields = np.empty((d, grid.n) + grid.shape)
     envelope = np.empty((len(tg), d, grid.n))
@@ -782,7 +783,7 @@ def check_maximal_regularity(ctx: SuiteContext) -> list[Check]:
                 for _ in range(ctx.config.d)
             ])
             flux = _random_flux(grid, ctx.tg, ctx.config.d, seed + 500, ctx.config.kmax)
-            return (_maximal_regularity_pass(h, flux, ctx.tg, ctx.p, cyls),)
+            return (maximal_regularity_ratio(h, flux, ctx.tg, ctx.p, cyls),)
 
         rows = _map_samples(sample, ctx.config.sweep_samples, 1, _sample_bytes(ctx, grid))
         return max(row[0] for row in rows), None

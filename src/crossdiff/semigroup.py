@@ -43,7 +43,7 @@ def heat_multiplier(grid: GridSpec, t: float) -> np.ndarray:
 def heat_propagate(values: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
     """Solve d/dt w = Lap(w) exactly for duration t >= 0 from nodal values
     (..., *grid.shape); leading axes are a batch."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
     return from_coeffs(to_coeffs(values, grid) * heat_multiplier(grid, t), grid)
 
@@ -179,36 +179,21 @@ def _duhamel_blocks(h: SpeciesVector, div_blocks, tg: TimeGrid):
         raise ValueError(f"the forcing blocks held {k} of the {len(tg)} time nodes")
 
 
-def _flux_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> list:
-    """The (nodes, nodal flux block) pairs of a FluxTrajectory over
-    index_blocks of its time nodes, once it is checked against the datum h
-    and the time grid tg. The blocks are views: nothing is copied."""
+def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> Trajectory:
+    """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
+    Duhamel recurrence (_duhamel_blocks) on the divergence of a nodal
+    FluxTrajectory aligned with tg. The forcing is checked against h and tg
+    first, and each block's divergence is taken only when its block of the
+    recurrence is due, so the divergence is never held whole.
+    """
     if forcing.grid != h.grid or not np.array_equal(forcing.tg.times, tg.times):
         raise ValueError("forcing must be sampled on the solution grid and time grid")
     if forcing.d != h.d:
         raise ValueError(f"forcing has {forcing.d} species, datum has {h.d}")
-    return [(b, forcing.values[b]) for b in index_blocks(len(tg), forcing.values[0].nbytes)]
-
-
-def _forced_blocks(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid):
-    """The mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h and a
-    nodal FluxTrajectory aligned with tg, over the blocks of _flux_blocks:
-    the (nodes, coeffs, values) blocks of _duhamel_blocks. The forcing is
-    checked here, and each block's divergence is taken only when its block
-    of the recurrence is due, so neither the divergence nor the solution is
-    held whole.
-    """
-    blocks = _flux_blocks(h, forcing, tg)
-    return _duhamel_blocks(h, ((b, spectral_divergence(flux, h.grid)) for b, flux in blocks), tg)
-
-
-def duhamel_solve(h: SpeciesVector, forcing: FluxTrajectory, tg: TimeGrid) -> Trajectory:
-    """Mild solution of d/dt w_i = Lap(w_i) + div F_i with datum h: the
-    Duhamel recurrence on the divergence of a nodal FluxTrajectory aligned
-    with tg.
-    """
+    divs = ((b, spectral_divergence(forcing.values[b], h.grid))
+            for b in index_blocks(len(tg), forcing.values[0].nbytes))
     values = np.empty((len(tg), h.d) + h.grid.shape)
-    for b, _, block in _forced_blocks(h, forcing, tg):
+    for b, _, block in _duhamel_blocks(h, divs, tg):
         values[b] = block
     return Trajectory(h.grid, tg, values, metadata={"scheme": "duhamel"})
 
@@ -223,7 +208,7 @@ def kernel_gradient_lp(t: float, p: float, n: int) -> float:
     eight decades, out to 14 sqrt(t) (the Gaussian tail beyond 12 sqrt(t) is
     below 1e-14); p = inf returns the analytic maximum of |grad Phi|.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     if n not in (1, 2):
         raise ValueError(f"unsupported dimension n={n}")
@@ -231,7 +216,7 @@ def kernel_gradient_lp(t: float, p: float, n: int) -> float:
         # |grad Phi| = r/(2t) * (4 pi t)^(-n/2) exp(-r^2/4t), maximal at r = sqrt(2t)
         return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-0.5) / math.sqrt(2.0 * t)
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     r = 14.0 * math.sqrt(t) * np.logspace(-8.0, 0.0, 4096 * 8 + 1)
     surface = 2.0 if n == 1 else 2.0 * math.pi
@@ -279,7 +264,7 @@ def kernel_scaling_report(n: int, p: float, t_list: Sequence[float]) -> KernelEs
     t_list = list(t_list)
     if not t_list:
         raise ValueError("no samples: t_list is empty")
-    if any(t <= 0 for t in t_list):
+    if any(not t > 0 for t in t_list):
         raise ValueError("all sample times must be positive")
     expo = scaling_exponent(n, p)
     samples = []

@@ -21,7 +21,7 @@ __all__ = ["TimeGrid", "Trajectory", "FluxTrajectory", "trajectory_difference"]
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing output times, times[0] = 0, times[-1] = t_end."""
+    """Finite, strictly increasing output times, times[0] = 0, times[-1] = t_end."""
 
     times: np.ndarray
 
@@ -31,8 +31,8 @@ class TimeGrid:
             raise ValueError("time grid needs at least two nodes")
         if t[0] != 0.0:
             raise ValueError("time grid must start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise ValueError("times must be finite and strictly increasing")
         object.__setattr__(self, "times", t)
 
     @property

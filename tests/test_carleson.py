@@ -19,9 +19,24 @@ from crossdiff.carleson import (
     xp_seminorm,
     yp_norm,
 )
-from crossdiff.fields import SpeciesVector, gradient_from_coeffs, make_grid, random_band_limited, to_coeffs
+from crossdiff.fields import (
+    SpeciesVector,
+    gradient_from_coeffs,
+    index_blocks,
+    make_grid,
+    random_band_limited,
+    spectral_divergence,
+    to_coeffs,
+)
 from crossdiff.harness import ExperimentConfig, InitialDataSpec, generate_initial_data
-from crossdiff.semigroup import _forced_blocks, duhamel_solve, heat_flow_trajectory
+from crossdiff.semigroup import (
+    _duhamel_blocks,
+    duhamel_solve,
+    heat_flow_trajectory,
+    heat_propagate,
+    kernel_gradient_lp,
+    kernel_scaling_report,
+)
 from crossdiff.trajectory import FluxTrajectory, TimeGrid, Trajectory, vector_magnitudes
 
 
@@ -737,11 +752,21 @@ class TestNormsFedInBlocks:
         assert peak <= 1.0 * traj.values.nbytes
 
 
+def _blocks(flux, nodes=None):
+    """The (nodes, nodal flux block) views of a FluxTrajectory that
+    maximal_regularity_ratio takes: blocks of `nodes` time nodes, the last
+    one short, or with None those of index_blocks."""
+    if nodes is None:
+        return [(b, flux.values[b]) for b in index_blocks(len(flux.tg), flux.values[0].nbytes)]
+    return [(slice(k, k + nodes), flux.values[k:k + nodes]) for k in range(0, len(flux.tg), nodes)]
+
+
 def _ratio_separate_passes(h, flux, tg, p, cylinders):
     """maximal_regularity_ratio as separate passes: the Duhamel solution and
     its coefficients held whole, then the X^p seminorm of w from those
     coefficients in one scan, and yp_norm."""
-    _, coeffs, values = zip(*_forced_blocks(h, flux, tg))
+    divs = ((b, spectral_divergence(block, h.grid)) for b, block in _blocks(flux))
+    _, coeffs, values = zip(*_duhamel_blocks(h, divs, tg))
     coeffs, values = np.concatenate(coeffs), np.concatenate(values)
     mags = vector_magnitudes(gradient_from_coeffs(coeffs, h.grid))
     semi = _scan_whole(h.grid, tg.times, mags, p, cylinders)[0]
@@ -754,14 +779,14 @@ class TestMaximalRegularity:
         grid, tg, cylinders = setup
         h = _species(grid, np.full(grid.shape, 0.4))
         flux = FluxTrajectory(grid, tg, np.zeros((len(tg), 1, 1, grid.N)))
-        ratio = maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        ratio = maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
         assert ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_random_datum_finite(self, setup):
         grid, tg, cylinders = setup
         h = _species(grid, random_band_limited(grid, np.random.default_rng(6), 8))
         flux = FluxTrajectory(grid, tg, np.zeros((len(tg), 1, 1, grid.N)))
-        ratio = maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        ratio = maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
         assert np.isfinite(ratio) and ratio > 0
 
     @staticmethod
@@ -785,7 +810,7 @@ class TestMaximalRegularity:
         w = duhamel_solve(h, flux, tg)
         ref = xp_seminorm(w, 4.0, cylinders).xp_total / (
             yp_norm(flux, 4.0, cylinders).seminorm + h.sup_norm())
-        ratio = maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        ratio = maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
         assert ratio == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_transform_budget(self, transform_bytes):
@@ -796,7 +821,7 @@ class TestMaximalRegularity:
         h, flux, tg, cylinders = self._problem(2, 16, TimeGrid.dyadic(1.0, levels=10,
                                                                       steps_per_level=8))
         transform_bytes.clear()
-        maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
         assert sum(transform_bytes) <= (3 * 89 + 2 * 72) * h.values.nbytes
 
     @pytest.mark.parametrize("node", [0, -1])
@@ -809,23 +834,23 @@ class TestMaximalRegularity:
             slice(node % len(tg), node % len(tg) + 1)) is None
         flux.values[node, 1, 0, 7] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+            maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (2, 64)])
     @pytest.mark.parametrize("nodes", [1, 3, None])
-    def test_streamed_equals_separate_passes(self, n, N, nodes, monkeypatch):
+    def test_streamed_equals_separate_passes(self, n, N, nodes):
         # bit for bit, with blocks of 1, 3 or all flux nodes
         h, flux, tg, cylinders = self._problem(n, N)
         want = [_ratio_separate_passes(h, flux, tg, p, cylinders) for p in (2.5, 4.0)]
-        monkeypatch.setattr(fields, "BLOCK_BYTES", (nodes or len(tg)) * flux.values[0].nbytes)
-        assert [maximal_regularity_ratio(h, flux, tg, p, cylinders) for p in (2.5, 4.0)] == want
+        blocks = _blocks(flux, nodes or len(tg))
+        assert [maximal_regularity_ratio(h, blocks, tg, p, cylinders) for p in (2.5, 4.0)] == want
 
     def test_transforms_no_more_than_separate_passes(self, transform_bytes):
         h, flux, tg, cylinders = self._problem(2, 16)
         _ratio_separate_passes(h, flux, tg, 4.0, cylinders)
         separate = sum(transform_bytes)
         transform_bytes.clear()
-        maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+        maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
         assert sum(transform_bytes) <= separate
 
     def test_peak_memory_streamed(self):
@@ -842,7 +867,7 @@ class TestMaximalRegularity:
         ladder = enumerate_cylinders(grid, tg)
         tracemalloc.start()
         try:
-            maximal_regularity_ratio(h, flux, tg, None, ladder)
+            maximal_regularity_ratio(h, _blocks(flux), tg, None, ladder)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -852,13 +877,12 @@ class TestMaximalRegularity:
     @pytest.mark.parametrize("nodes", [1, 3, None])
     def test_block_fed_pass_equals_whole_flux(self, n, N, nodes):
         # bit for bit, with blocks of 1, 3 or all flux nodes, each a copy
+        # drawn only when it is due, against views of the flux held whole
         h, flux, tg, cylinders = self._problem(n, N)
-        step = nodes or len(tg)
         for p in (2.5, 4.0):
-            blocks = ((slice(k, k + step), flux.values[k:k + step].copy())
-                      for k in range(0, len(tg), step))
-            want = maximal_regularity_ratio(h, flux, tg, p, cylinders)
-            assert carleson._maximal_regularity_pass(h, blocks, tg, p, cylinders) == want
+            blocks = ((b, block.copy()) for b, block in _blocks(flux, nodes or len(tg)))
+            want = maximal_regularity_ratio(h, _blocks(flux), tg, p, cylinders)
+            assert maximal_regularity_ratio(h, blocks, tg, p, cylinders) == want
 
     @pytest.mark.parametrize("node", [0, 5, -1])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -869,7 +893,15 @@ class TestMaximalRegularity:
         values[node, 1, 0, 3, 7] = value
         blocks = ((slice(k, k + 1), values[k:k + 1]) for k in range(len(tg)))
         with pytest.raises(ValueError, match="flux values must be finite"):
-            carleson._maximal_regularity_pass(h, blocks, tg, 4.0, cylinders)
+            maximal_regularity_ratio(h, blocks, tg, 4.0, cylinders)
+
+    @pytest.mark.parametrize("cut", [np.s_[:, :1], np.s_[..., ::2, ::2], np.s_[:, :, :1]],
+                             ids=["one-species", "coarser-grid", "one-component"])
+    def test_block_fed_pass_rejects_a_block_of_another_shape(self, cut):
+        # the blocks carry no grid: their shape is checked against the datum's
+        h, flux, tg, cylinders = self._problem(2, 16)
+        with pytest.raises(ValueError, match="is not nodes x"):
+            maximal_regularity_ratio(h, [(slice(0, len(tg)), flux.values[cut])], tg, 4.0, cylinders)
 
     @pytest.mark.parametrize("nodes", [
         lambda t: [0, 1, 3] + list(range(4, t)),  # a gap
@@ -881,14 +913,44 @@ class TestMaximalRegularity:
         h, flux, tg, cylinders = self._problem(1, 64)
         blocks = ((slice(k, k + 1), flux.values[k:k + 1]) for k in nodes(len(tg)))
         with pytest.raises(ValueError, match=f"forcing block|of the {len(tg)} time nodes"):
-            carleson._maximal_regularity_pass(h, blocks, tg, 4.0, cylinders)
+            maximal_regularity_ratio(h, blocks, tg, 4.0, cylinders)
 
     def test_trivial_problem_rejected(self, setup):
         grid, tg, cylinders = setup
         h = _species(grid, np.zeros(grid.shape))
         flux = FluxTrajectory(grid, tg, np.zeros((len(tg), 1, 1, grid.N)))
         with pytest.raises(ValueError, match="trivial"):
-            maximal_regularity_ratio(h, flux, tg, 4.0, cylinders)
+            maximal_regularity_ratio(h, _blocks(flux), tg, 4.0, cylinders)
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda g, tg: yp_norm(FluxTrajectory(g, tg, np.zeros((len(tg), 1, 1, g.N))), _NAN), "finite p"),
+    (lambda g, tg: kernel_gradient_lp(_NAN, 4.0, 1), "time must be positive"),
+    (lambda g, tg: kernel_gradient_lp(0.1, _NAN, 1), "p must be"),
+    (lambda g, tg: CylinderLadder(g, (_NAN,), 1), "radii must be positive"),
+    (lambda g, tg: CylinderLadder(g, (0.1, _NAN), 1), "radii must be positive"),
+    (lambda g, tg: CylinderSpec((0.5,), _NAN), "radius must be positive"),
+    # a ladder whose radii never reach the cap (NaN) grew without end; on a
+    # time grid with no cylinder window a missing guard fails, not hangs
+    (lambda g, tg: enumerate_cylinders(g, TimeGrid(np.array([0.0, 1.0])), radii_per_octave=_NAN),
+     "radii_per_octave must be finite"),
+    # and so did an infinite one, every radius the smallest
+    (lambda g, tg: enumerate_cylinders(g, TimeGrid(np.array([0.0, 1.0])), radii_per_octave=math.inf),
+     "radii_per_octave must be finite"),
+    (lambda g, tg: kernel_scaling_report(1, 4.0, [0.1, _NAN]), "sample times must be positive"),
+    (lambda g, tg: heat_propagate(np.ones(g.shape), g, _NAN), "propagation time"),
+], ids=["yp_norm-p", "kernel_gradient_lp-t", "kernel_gradient_lp-p", "ladder-first-radius",
+        "ladder-later-radius", "cylinder-radius", "enumerate_cylinders-radii_per_octave",
+        "enumerate_cylinders-radii_per_octave-inf",
+        "kernel_scaling_report-t", "heat_propagate-t"])
+def test_nan_argument_rejected(call, match, setup):
+    # each guard is written so that NaN, which fails every comparison, fails it
+    grid, tg, _ = setup
+    with pytest.raises(ValueError, match=match):
+        call(grid, tg)
 
 
 @pytest.fixture(scope="module")

@@ -148,10 +148,31 @@ def _list_manifest(run_dir):
     (run_dir / "manifest.json").write_text("[1, 2]")
 
 
+def _nan_time(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["times"][1] = math.nan  # json writes NaN, and reads it back
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _inf_last_time(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["times"][-1] = math.inf
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _float_N(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["N"] = 16.0
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("command", ["verify", "norms"])
 @pytest.mark.parametrize("damage,match", [(None, "No such file"), (_drop_manifest_key, "lacks the key 'N'"),
                                           (_cut_values, "values.npy"),
-                                          (_list_manifest, "manifest.json is not a JSON object")])
+                                          (_list_manifest, "manifest.json is not a JSON object"),
+                                          (_nan_time, "finite and strictly increasing"),
+                                          (_inf_last_time, "finite and strictly increasing"),
+                                          (_float_N, "must be integers, got n=1, N=16.0")])
 def test_unreadable_run_exits_with_usage_code(command, damage, match, tmp_path, tiny_args, capsys):
     run_dir = tmp_path / "run"
     if damage is not None:

@@ -58,6 +58,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="power of two"):
             make_grid(1, N)
 
+    @pytest.mark.parametrize("n,N", [(1, 16.0), (1.0, 16), (1, "16"), (2, np.float64(32))])
+    def test_non_integer_sizes_rejected(self, n, N):
+        with pytest.raises(ValueError, match="must be integers"):
+            make_grid(n, N)
+
+    def test_numpy_integer_sizes(self):
+        assert make_grid(np.int64(2), np.int32(16)) == make_grid(2, 16)
+
 
 class TestTransform:
     def test_constant_field(self):

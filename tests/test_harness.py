@@ -596,7 +596,7 @@ class TestFiniteGates:
 
     @pytest.mark.parametrize("check,name,source,index", [
         ("check_stability", "stability ratio maximum", "xp_norm", None),
-        ("check_maximal_regularity", "maximal-regularity ratio maximum", "_maximal_regularity_pass", None),
+        ("check_maximal_regularity", "maximal-regularity ratio maximum", "maximal_regularity_ratio", None),
         ("check_lipschitz", "flux-map Lipschitz constant maximum", "_heat_flow_probes", 0),
         ("check_lipschitz", "flux-map quadratic bound at w=0", "_heat_flow_probes", 1),
     ])

@@ -17,7 +17,6 @@ from crossdiff.fields import (
 from crossdiff.semigroup import (
     KernelEstimateReport,
     _duhamel_blocks,
-    _forced_blocks,
     _heat_flow_blocks,
     _segment_weights,
     duhamel_solve,
@@ -69,6 +68,13 @@ class TestTimeGrid:
             TimeGrid(np.array([0.0, 0.2, 0.2]))
         with pytest.raises(ValueError):
             TimeGrid.dyadic(-1.0)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 0.2], [0.0, 0.1, np.nan], [0.0, 0.1, np.inf],
+                                       [0.0, 0.1, np.inf, np.inf]])
+    def test_non_finite_times_rejected(self, times):
+        # a NaN step compares false both ways, so it passes a test for steps <= 0
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            TimeGrid(np.array(times))
 
 
 class TestTrajectoryValues:
@@ -253,9 +259,10 @@ class TestDuhamel:
         tg = TimeGrid(np.linspace(0.0, 0.1, 5))
         short = FluxTrajectory(g, TimeGrid(np.linspace(0.0, 0.1, 4)), np.zeros((len(tg) - 1, 1, 1) + g.shape))
         with pytest.raises(ValueError, match="time grid"):
-            _forced_blocks(h, short, tg)
-        with pytest.raises(ValueError, match="time grid"):
             duhamel_solve(h, short, tg)
+        # and the recurrence fed its divergence raises once the feed ends
+        with pytest.raises(ValueError, match="held 4 of the 5 time nodes"):
+            list(_duhamel_blocks(h, _one_block(spectral_divergence(short.values, g)), tg))
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_heat_flow_coeffs_give_heat_flow_values(self, n, N):
@@ -367,8 +374,11 @@ class TestBatchedTransforms:
         ref_values, ref_coeffs = _duhamel_per_node(h, div, tg)
         (_, coeffs, values), = _duhamel_blocks(h, _one_block(div), tg)
         assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
-        coeffs, values = _whole(_forced_blocks(h, flux, tg))
+        blocks = index_blocks(len(tg), flux.values[0].nbytes)
+        coeffs, values = _whole(_duhamel_blocks(
+            h, ((b, spectral_divergence(flux.values[b], g)) for b in blocks), tg))
         assert _bit_equal(values, ref_values) and _bit_equal(coeffs, ref_coeffs)
+        assert _bit_equal(duhamel_solve(h, flux, tg).values, ref_values)
 
     def test_call_budget(self, transform_bytes):
         # the acceptance battery's 1-D time grid: 89 nodes, 88 inverse
@@ -388,7 +398,7 @@ class TestBatchedTransforms:
             # the datum forward, every later node back: the same bytes as node by node
             assert sum(transform_bytes) == len(tg) * node
         transform_bytes.clear()
-        list(_forced_blocks(h, flux, tg))
+        duhamel_solve(h, flux, tg)
         assert transform_bytes.calls["to_coeffs"] <= 2
         # the flux and the datum forward, every later node back
         assert sum(transform_bytes) == 2 * len(tg) * node
