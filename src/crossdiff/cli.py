@@ -115,7 +115,10 @@ def _load_model(traj: Trajectory, directory: Path) -> tuple[float | None, Reduce
             if "alpha" in meta:
                 raise ValueError("its metadata records alpha but no delta")
             return None, None
-        delta = float(meta["delta"])
+        try:
+            delta = float(meta["delta"])
+        except (TypeError, ValueError):
+            raise ValueError(f"its manifest records delta {meta['delta']!r}, not a number") from None
         if not 0 < delta < math.inf:
             raise ValueError(f"its delta must be positive and finite, got {delta}")
         if "alpha" not in meta:

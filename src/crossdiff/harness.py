@@ -10,10 +10,8 @@ import csv
 import hashlib
 import io
 import math
-import mmap
 import operator
 import os
-import threading
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -43,7 +41,7 @@ from .fields import (
 from .model import ReducedModel, _heat_flow_probes, reduce_coefficients
 from .semigroup import (KERNEL_SCALING_SPREAD, heat_flow_trajectory, heat_propagate, kernel_gradient_lp,
                         kernel_scaling_report)
-from .solver import _distance_ratios, imex_solve, picard_solve
+from .solver import _distance_ratios, _fork_child, _may_fork, _reap, _shared, imex_solve, picard_solve
 from .trajectory import (
     TimeGrid,
     Trajectory,
@@ -151,6 +149,9 @@ class ExperimentConfig:
         for name in ("t_end", "tol", "amplitude", "smoothing"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("kmax", "seed"):  # the INI parser reads integers; a caller may set anything
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.p is not None and not 1.0 < self.p < math.inf:
             raise ValueError(f"p must be in (1, inf), got {self.p}")
         if not self.contraction_deltas or not all(0 < x < math.inf for x in self.contraction_deltas):
@@ -601,69 +602,31 @@ def check_contraction(ctx: SuiteContext) -> list[Check]:
     return checks
 
 
-# A map of at least this many bytes (count x one sample's trajectory: times
-# x species x nodes of float64) is split between this process and one forked
-# child (_map_samples). The dozens of small numpy calls each sample makes per
-# node hold the GIL, so threads overlapped little (none on the 1-D suite); a
-# fork, its wait and the copy-on-write faults after it cost about 11 ms
-# around a sample map. Whole checks, split over serial time, on 2 cores (two
-# runs of 9 interleaved pairs, 1-D, 89 time nodes, d=3): 20
-# maximal-regularity samples at 334 and 668 KiB 1.25-1.31, at 1.3 MiB
-# 0.69-0.72, at 2.6 MiB 0.63-0.67; 20 Lipschitz samples at 334 KiB-2.6 MiB
-# 0.65-0.88; 10 stability pairs at 334 KiB-1.3 MiB 0.55-0.72; 2-4 samples of
-# 33-534 KiB 1.19-2.63. From 1 MiB on every check gains, and the 1-D suite's
-# smallest map, 10 stability pairs of 134 KiB at N=64, splits.
-SPLIT_BYTES = 1 << 20
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
 def _map_samples(fn, count: int, width: int, sample_bytes: int) -> list[list[float]]:
     """[fn(j) for j in range(count)], each fn(j) a tuple of width floats, in
-    sample order. Samples count//2.. run in a forked child once count x
-    sample_bytes reach SPLIT_BYTES, on two or more usable cores, with no
-    other thread alive (a fork copies only the calling thread, and any lock
-    another thread holds stays held in the child) and where the platform can
-    fork. The child writes its rows into an anonymous shared mapping, so
-    nothing is pickled. A child that fails, or a fork that fails, has its
-    half run again here, so a sample that raises raises from here, the first
-    one in sample order, as in the serial loop."""
+    sample order. Samples count//2.. run in a forked child where the fork
+    policy allows count x sample_bytes (solver._may_fork). The child writes
+    its rows into an anonymous shared mapping, so nothing is pickled. A
+    child that fails, or a fork that fails, has its half run again here, so
+    a sample that raises raises from here, the first one in sample order, as
+    in the serial loop."""
 
     def fill(samples, out):
         for i, j in enumerate(samples):
             out[i] = fn(j)
 
     rows = np.empty((count, width))
-    if (count < 2 or count * sample_bytes < SPLIT_BYTES or _usable_cores() < 2
-            or threading.active_count() != 1 or not hasattr(os, "fork")):
+    if count < 2 or not _may_fork(count * sample_bytes):
         fill(range(count), rows)
         return rows.tolist()
     mid = count // 2
     head, tail = rows[:mid], rows[mid:]
-    shared = np.frombuffer(mmap.mmap(-1, tail.nbytes), rows.dtype).reshape(tail.shape)
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had: both halves run here
-        pid = -1
-    if pid == 0:
-        # the parent redoes a failed half and raises its error itself, so
-        # the child prints nothing; os._exit skips flushing the stdio
-        # buffers it inherited, which the parent still holds
-        status = 1
-        try:
-            fill(range(mid, count), shared)
-            status = 0
-        finally:
-            os._exit(status)
+    shared = _shared(tail.shape)
+    pid = _fork_child(lambda: fill(range(mid, count), shared))
     try:
         fill(range(mid), head)
     finally:
-        done = pid > 0 and os.waitpid(pid, 0)[1] == 0
+        done = pid > 0 and _reap(pid)
     if done:
         tail[...] = shared
     else:

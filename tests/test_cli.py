@@ -203,11 +203,11 @@ def _without_alpha(delta):
     (lambda meta: meta.update(alpha=[[0.0, 1.0], [1.0, 0.0]]), "alpha must be 3x3"),
     (lambda meta: meta.update(alpha=[[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
      "|alpha_ij| <= 1"),
-    (lambda meta: meta.update(delta=None), "float"),
+    (lambda meta: meta.update(delta=None), "its manifest records delta None, not a number"),
     # without alpha, not a traceback (null, text) nor a silent run without
     # the partition check (negative, zero, nan)
-    (_without_alpha(None), "float"),
-    (_without_alpha("abc"), "'abc'"),
+    (_without_alpha(None), "its manifest records delta None, not a number"),
+    (_without_alpha("abc"), "its manifest records delta 'abc', not a number"),
     (_without_alpha(-1), "delta must be positive and finite, got -1.0"),
     (_without_alpha(0), "delta must be positive and finite, got 0.0"),
     (_without_alpha(math.nan), "delta must be positive and finite, got nan"),
@@ -578,9 +578,9 @@ def test_text_printed_before_a_split_sample_map_appears_once(tmp_path):
             "--kmax", "3", "--sweep-samples", "2", "--no-refine", "--out", str(tmp_path / "lemmas")]
     script = (
         "import os, sys\n"
-        "from crossdiff import cli, harness\n"
-        "harness.SPLIT_BYTES = 0\n"
-        "harness._usable_cores = lambda: 2\n"
+        "from crossdiff import cli, solver\n"
+        "solver.SPLIT_BYTES = 0\n"
+        "solver._usable_cores = lambda: 2\n"
         "forks = []\n"
         "real = os.fork\n"
         "os.fork = lambda: forks.append(1) or real()\n"

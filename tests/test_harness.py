@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossdiff import fields, harness
+from crossdiff import fields, harness, solver
 from crossdiff.carleson import enumerate_cylinders, gradient_flux
 from crossdiff.fields import SpeciesVector, make_grid, random_band_limited
 from crossdiff.harness import (
@@ -167,6 +167,20 @@ class TestConfig:
         text = f"[{section}]\n{field} = {harness._format_value(value)}\n"
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("field", ["kmax", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, math.nan, math.inf], ids=["fraction", "float", "nan", "inf"])
+    def test_kmax_and_seed_must_be_integers(self, field, value):
+        # rejected when the config is built, not when data is drawn
+        match = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig().with_overrides(**{field: value})
+        # the INI parser reads both as integers, and names the key
+        with pytest.raises(ValueError, match=f"\\[initial\\] {field} = "):
+            ExperimentConfig.from_text(f"[initial]\n{field} = {value}\n")
+        assert getattr(ExperimentConfig(**{field: np.int64(3)}), field) == 3
 
     @pytest.mark.parametrize("deltas,text", [((), ""), ((0.01, -0.02), "0.01 -0.02")])
     def test_contraction_deltas_rejected(self, deltas, text):
@@ -654,20 +668,20 @@ def sample_log(tmp_path):
 
 class TestSampleFanOut:
     """A check's samples split between this process and a forked child once
-    count x sample_bytes reach harness.SPLIT_BYTES; the checks, and the
+    count x sample_bytes reach solver.SPLIT_BYTES; the checks, and the
     errors, must not depend on the path."""
 
     CFG = ExperimentConfig(n=2, N=16, kmax=3, levels=4, steps_per_level=4, sweep_samples=5,
                            stability_pairs=3, refine=False, seed=11)
     # 7 samples, 0-2 in this process and 3-6 in the child
     COUNT = 7
-    ABOVE = -(-harness.SPLIT_BYTES // COUNT)
+    ABOVE = -(-solver.SPLIT_BYTES // COUNT)
 
     @staticmethod
     def _force(monkeypatch, split) -> list:
         # two usable cores, whatever this machine has; returns a log of forks
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(harness, "SPLIT_BYTES", 0 if split else math.inf)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(solver, "SPLIT_BYTES", 0 if split else math.inf)
         forks = []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _REAL_FORK())
         return forks
@@ -679,9 +693,9 @@ class TestSampleFanOut:
     def test_child_takes_the_second_half_on_two_or_more_cores(self, monkeypatch, sample_log, no_child_left,
                                                               cores):
         fn, log = sample_log
-        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
         rows = harness._map_samples(fn, self.COUNT, 2, self.ABOVE)
-        assert self.COUNT * self.ABOVE >= harness.SPLIT_BYTES
+        assert self.COUNT * self.ABOVE >= solver.SPLIT_BYTES
         assert log() == [(j, cores < 2 or j < self.COUNT // 2) for j in range(self.COUNT)]
         assert rows == self._serial_rows(fn)
         no_child_left()
@@ -689,12 +703,12 @@ class TestSampleFanOut:
     @pytest.mark.parametrize("fallback", ["below the constant", "one sample", "second thread", "no os.fork"])
     def test_no_fork_below_the_constant_or_from_a_second_thread(self, monkeypatch, sample_log, fallback):
         fn, log = sample_log
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
         count, size = self.COUNT, self.ABOVE
         if fallback == "below the constant":
-            size = (harness.SPLIT_BYTES - 1) // count
+            size = (solver.SPLIT_BYTES - 1) // count
         elif fallback == "one sample":
-            count, size = 1, harness.SPLIT_BYTES
+            count, size = 1, solver.SPLIT_BYTES
         elif fallback == "no os.fork":
             monkeypatch.delattr(os, "fork")
         if fallback == "second thread":
@@ -717,11 +731,11 @@ class TestSampleFanOut:
                                                     fail, by_child):
         fn, log = sample_log
         capfd.readouterr()
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 1)
         with pytest.raises(ValueError) as serial:
             harness._map_samples(lambda j: fn(j, fail), self.COUNT, 2, self.ABOVE)
         assert str(serial.value) == f"sample {fail[0]} failed"
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
         with pytest.raises(ValueError) as split:
             harness._map_samples(lambda j: fn(j, fail), self.COUNT, 2, self.ABOVE)
         assert str(split.value) == str(serial.value)
@@ -733,7 +747,7 @@ class TestSampleFanOut:
     def test_child_dying_without_raising_has_its_half_redone_here(self, monkeypatch, sample_log, capfd,
                                                                   no_child_left, death):
         fn, log = sample_log
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
         parent = os.getpid()
 
         def sample(j):
@@ -754,7 +768,7 @@ class TestSampleFanOut:
 
     def test_no_fork_to_be_had_runs_both_halves_here(self, monkeypatch, sample_log):
         fn, log = sample_log
-        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
 
         def refuse():
             raise BlockingIOError("no process")
@@ -766,12 +780,15 @@ class TestSampleFanOut:
 
     @pytest.mark.parametrize("check", ["check_maximal_regularity", "check_lipschitz", "check_stability"])
     def test_threaded_equals_serial(self, check, monkeypatch, no_child_left):
+        # one fork per sample map, and one for the stability check's
+        # unperturbed Picard solve; its perturbed solves inside the map fork not
+        split_forks = 2 if check == "check_stability" else 1
         values, forks = {}, {}
         for split in (False, True):
             forks[split] = self._force(monkeypatch, split)
             values[split] = [(c.name, c.value) for c in getattr(harness, check)(SuiteContext(self.CFG))]
         assert values[True] == values[False]
-        assert (len(forks[False]), len(forks[True])) == (0, 1)
+        assert (len(forks[False]), len(forks[True])) == (0, split_forks)
         no_child_left()
 
     @pytest.mark.parametrize("group", ["maximal-regularity", "lipschitz", "stability"])
@@ -800,4 +817,5 @@ class TestSampleFanOut:
         forks = self._force(monkeypatch, True)
         run_suite(TINY, groups=["stability", "maximal-regularity", "lipschitz"])
         assert started == [] and threading.active_count() == 1
-        assert len(forks) == 3
+        # the three sample maps, and the stability check's unperturbed solve
+        assert len(forks) == 4

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossdiff import carleson, fields, semigroup, solver
+from crossdiff import carleson, fields, harness, semigroup, solver
 from crossdiff.carleson import default_exponent, enumerate_cylinders, xp_norm
 from crossdiff.fields import (
     SpeciesVector,
@@ -163,8 +166,7 @@ def _fixed_point_map(h, w, model, truncated=True):
     h, block by block."""
     out = np.empty_like(w.values)
     coeffs = to_coeffs(w.values, w.grid)
-    for b, _, values in solver._map_blocks(h, w.values, coeffs, model, w.tg, truncated):
-        out[b] = values
+    solver._picard_pass(h, w.values, out, coeffs, model, w.tg, truncated, math.inf, None, None)
     return out
 
 
@@ -408,11 +410,13 @@ def test_picard_xp_iteration_transform_budget(transform_bytes):
     assert sum(transform_bytes) <= (2 * T + 2 * n * T + n * R) * node
 
 
-def test_picard_peak_memory():
+def test_picard_peak_memory(monkeypatch):
     # one iterate as values and coefficients, written over block by block,
     # the cylinder scan's windows and one node's flux: 2.72x the trajectory
     # measured (2.38x with the sup metric); two iterates, the divergence
-    # coefficients and the distance's magnitudes held whole peaked at 5.6x
+    # coefficients and the distance's magnitudes held whole peaked at 5.6x.
+    # The serial loop: tracemalloc does not see a wavefront's shared mappings
+    monkeypatch.setattr(solver, "_usable_cores", lambda: 1)
     grid, tg = make_grid(2, 64), TimeGrid.dyadic(0.25, levels=6, steps_per_level=8)
     h = generate_initial_data(InitialDataSpec("random-simplex", seed=3, kmax=6), grid, 3, 0.05)
     tracemalloc.start()
@@ -422,6 +426,190 @@ def test_picard_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * traj.values.nbytes
+
+
+_REAL_FORK = os.fork
+
+
+def _wavefront_case(delta=0.05):
+    grid, tg = make_grid(2, 16), TimeGrid.dyadic(0.05, levels=4, steps_per_level=3)
+    h = generate_initial_data(InitialDataSpec("random-simplex", seed=3, kmax=3), grid, 3, delta)
+    return h, ReducedModel.from_alpha(ALPHA3, delta), tg
+
+
+class TestWavefront:
+    """Consecutive Picard iterations run a block apart, the even ones here
+    and the odd ones in a forked child, once an iterate's values reach
+    solver.SPLIT_BYTES: every result and every error must be the serial
+    loop's, bit for bit, and no child may be left behind."""
+
+    @staticmethod
+    def _force(monkeypatch, split) -> list:
+        # two usable cores, whatever this machine has, and blocks of 3 of the
+        # case's 16 time nodes; returns a log of forks
+        monkeypatch.setattr(solver, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(solver, "SPLIT_BYTES", 0 if split else math.inf)
+        monkeypatch.setattr(fields, "BLOCK_BYTES", 3 * 2 * 3 * 16 * 16 * 8)
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _REAL_FORK())
+        return forks
+
+    @staticmethod
+    def _solve(h, model, tg, **kw):
+        traj, rep = picard_solve(h, model, tg, **kw)
+        return (traj.values.tobytes(), [d.hex() for d in rep.distances], rep.theta_hat.hex(), rep.iterates,
+                rep.converged)
+
+    def _serial(self, monkeypatch, case, **kw):
+        self._force(monkeypatch, False)
+        return self._solve(*case, **kw)
+
+    @pytest.mark.parametrize("metric,max_iter,tol,iterates,converged", [
+        ("xp", 30, 1e-12, 7, True),
+        ("sup", 30, 1e-12, 7, True),
+        # the last iteration is this process's (2), then the child's (3)
+        ("xp", 3, 1e-30, 3, False),
+        ("xp", 4, 1e-30, 4, False),
+    ])
+    def test_equals_serial(self, monkeypatch, no_child_left, metric, max_iter, tol, iterates, converged):
+        case, kw = _wavefront_case(), dict(metric=metric, max_iter=max_iter, tol=tol)
+        serial = self._serial(monkeypatch, case, **kw)
+        forks = self._force(monkeypatch, True)
+        assert self._solve(*case, **kw) == serial
+        assert serial[3:] == (iterates, converged)
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_iterations_alternate_between_the_processes(self, monkeypatch, tmp_path, no_child_left):
+        log, real_pass, parent = tmp_path / "passes", solver._picard_pass, os.getpid()
+
+        def logged(h, vin, *args):
+            with open(log, "a") as fh:
+                fh.write(f"{int(os.getpid() == parent)} {vin.__array_interface__['data'][0]}\n")
+            return real_pass(h, vin, *args)
+
+        self._force(monkeypatch, True)
+        monkeypatch.setattr(solver, "_picard_pass", logged)
+        picard_solve(*_wavefront_case(), metric="sup", max_iter=4, tol=1e-30)
+        rows = [line.split() for line in log.read_text().splitlines()]
+        # 0 and 2 here, 1 and 3 in the child, each reading the other's buffer
+        here, child = [b for p, b in rows if p == "1"], [b for p, b in rows if p == "0"]
+        assert len(here) == len(child) == 2
+        assert here[0] == here[1] != child[0] == child[1]
+        no_child_left()
+
+    def test_refused_fork_reruns_serially(self, monkeypatch, no_child_left):
+        case = _wavefront_case()
+        serial = self._serial(monkeypatch, case)
+        self._force(monkeypatch, True)
+
+        def refuse():
+            raise BlockingIOError("no process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self._solve(*case) == serial
+        no_child_left()
+
+    @pytest.mark.parametrize("side,failure", [("child", "raise"), ("child", "os._exit(3)"), ("child", "SIGKILL"),
+                                              ("parent", "raise")])
+    def test_a_failing_side_reruns_serially(self, monkeypatch, capfd, no_child_left, side, failure):
+        # the failing side fails once, in its second iteration; the child
+        # without a traceback
+        case = _wavefront_case()
+        serial = self._serial(monkeypatch, case)
+        forks = self._force(monkeypatch, True)
+        real_pass, parent, calls = solver._picard_pass, os.getpid(), []
+
+        def failing(*args):
+            here = os.getpid() == parent
+            if here == (side == "parent"):
+                calls.append(1)
+                if len(calls) == 2:
+                    if failure == "raise":
+                        raise DivergedError(0.0, 1.0, 0.5)
+                    if failure == "SIGKILL":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    os._exit(3)
+            return real_pass(*args)
+
+        monkeypatch.setattr(solver, "_picard_pass", failing)
+        capfd.readouterr()
+        assert self._solve(*case) == serial
+        assert len(forks) == 1
+        assert capfd.readouterr().err == ""
+        no_child_left()
+
+    def test_diverging_solve_raises_the_serial_error(self, monkeypatch, no_child_left):
+        case, kw = _wavefront_case(2.0), dict(metric="sup", max_iter=40)
+        messages, forks = [], []
+        for split in (False, True):
+            forks.append(self._force(monkeypatch, split))
+            with pytest.raises(DivergedError) as exc:
+                picard_solve(*case, **kw)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == "solution diverged at t=0.0166667: sup 18.2 exceeds guard 15.5"
+        assert [len(f) for f in forks] == [0, 1]
+        no_child_left()
+
+    def test_an_interrupt_reaps_the_child(self, monkeypatch, no_child_left):
+        self._force(monkeypatch, True)
+        real_pass, parent, calls = solver._picard_pass, os.getpid(), []
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+            return real_pass(*args)
+
+        monkeypatch.setattr(solver, "_picard_pass", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            picard_solve(*_wavefront_case())
+        assert len(calls) == 2  # not run again serially
+        no_child_left()
+
+    @pytest.mark.parametrize("refuse", [False, True], ids=["forked", "refused"])
+    def test_values_are_private(self, monkeypatch, no_child_left, refuse):
+        # the iterates live in shared mappings; a write to the result in a
+        # later child, as in a sample map, must not reach this process
+        self._force(monkeypatch, True)
+        if refuse:
+            monkeypatch.setattr(os, "fork", lambda: (_ for _ in ()).throw(BlockingIOError("no process")))
+        traj, _ = picard_solve(*_wavefront_case())
+        before = traj.values.tobytes()
+        pid = _REAL_FORK()
+        if pid == 0:
+            traj.values[...] = 7.0
+            os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert traj.values.tobytes() == before
+        no_child_left()
+
+    def test_no_fork_inside_a_sample_map(self, monkeypatch, no_child_left):
+        case = _wavefront_case()
+        serial = self._serial(monkeypatch, case)
+        forks = self._force(monkeypatch, True)
+
+        def sample(j):
+            # the forks this process has seen, and the solve's last distance
+            _, distances, *_ = self._solve(*case)
+            return len(forks), float.fromhex(distances[-1])
+
+        rows = harness._map_samples(sample, 2, 2, solver.SPLIT_BYTES)
+        # the map's fork, seen by both halves, and none after it
+        assert rows == [[1, float.fromhex(serial[1][-1])]] * 2
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_starts_no_thread(self, monkeypatch, no_child_left):
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real_start(self))
+        forks = self._force(monkeypatch, True)
+        picard_solve(*_wavefront_case())
+        assert started == [] and threading.active_count() == 1
+        assert len(forks) == 1
+        no_child_left()
 
 
 class TestStability:
